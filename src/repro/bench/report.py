@@ -181,7 +181,7 @@ def render_slo_timeline(title: str, telemetry, slo,
     completion rate, the window's own p99 (from the histogram delta), the
     primary objective's fast/slow burn rates, every firing ``slo:rule``
     pair, and the degrade phase.  A device-stall column appears only when
-    a bandwidth/device model exported stall counters.  Long runs are
+    a device model exported stall counters.  Long runs are
     stride-downsampled to ``max_rows`` rows (deterministically), with a
     note saying so.
     """
@@ -194,9 +194,7 @@ def render_slo_timeline(title: str, telemetry, slo,
     for obj in slo.objectives:
         for ev in slo.evals[obj.name]:
             evals[(obj.name, ev.window)] = ev
-    has_stall = any(w.counters.get("pmem.bw.stall_ns",
-                                   w.counters.get("pmem.bandwidth.stall_ns",
-                                                  0.0)) > 0
+    has_stall = any(w.counters.get("pmem.bw.stall_ns", 0.0) > 0
                     for w in windows)
     headers = ["win", "t ms", "offered kreq/s", "done kreq/s", "p99 us",
                f"burn {rule.name} f/s", "alerts", "phase"]

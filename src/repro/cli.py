@@ -348,7 +348,6 @@ def _serve_config(args: argparse.Namespace, **overrides):
         max_retries=args.max_retries,
         cpus=args.cpus,
         pm_size=args.pm_mb << 20,
-        bandwidth=args.bandwidth,
         device_profile=args.device_profile,
         numa_remote=args.numa_remote,
     )
@@ -455,9 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--persistence", action="store_true",
                    help="also print fence/writeback/unpersisted-line counts")
     p.add_argument("--device-profile", default=None, choices=PROFILE_NAMES,
-                   help="attach the calibrated device model (token bucket + "
-                        "small-write curve; eadr also zeroes flush cost). "
-                        "Default: the fixed-cost device of the golden")
+                   help="attach the calibrated device model (token bucket; "
+                        "optane/eadr add the small-write curve, eadr also "
+                        "zeroes flush cost). Default: the fixed-cost device "
+                        "of the golden")
     p.add_argument("--numa-remote", action="store_true",
                    help="add NUMA-remote access penalties (implies the "
                         "optane profile when none is named)")
@@ -666,15 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cpus", type=int, default=1,
                        help="serve CPUs: the FIFO becomes an M-server queue "
                             "(one server per CPU; default 1 = legacy queue)")
-        p.add_argument("--bandwidth", action="store_true",
-                       help="attach the token-bucket shared-bandwidth "
-                            "device model (off by default; makes saturation "
-                            "real)")
         p.add_argument("--device-profile", default=None,
                        choices=PROFILE_NAMES,
-                       help="attach the full calibrated device model "
-                            "instead (bucket + small-write curve + eADR "
-                            "economics); takes precedence over --bandwidth")
+                       help="attach the calibrated device model (off by "
+                            "default; makes saturation real): flat is the "
+                            "token bucket alone, optane/eadr add the "
+                            "small-write curve and eADR economics")
         p.add_argument("--numa-remote", action="store_true",
                        help="add NUMA-remote access penalties (implies "
                             "optane when no profile is named)")

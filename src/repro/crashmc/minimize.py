@@ -1,10 +1,11 @@
 """Delta-debugging minimisation of violation-producing workloads.
 
 When :func:`~repro.crashmc.explorer.explore` finds a violation, the whole
-workload is rarely needed to reproduce it.  :func:`minimize` runs classic
-ddmin over the op list — re-exploring each candidate subset — and returns
-the smallest subsequence that still produces at least one violation,
-together with a standalone reproducer script.
+workload is rarely needed to reproduce it.  :func:`minimize` runs the
+fuzzer's ddmin (:func:`repro.difftest.shrink.shrink`) over the op list —
+re-exploring each candidate subset — and returns the smallest subsequence
+that still produces at least one violation, together with a standalone
+reproducer script.
 """
 
 from __future__ import annotations
@@ -33,37 +34,24 @@ def minimize(
     any violation).  Returns the exploration report of the minimised
     workload; its ``ops`` attribute is the reproducer sequence.
     """
+    # Function-local: repro.difftest imports repro.crashmc, so a module-level
+    # import would make the import order of the two packages matter.
+    from ..difftest.shrink import shrink
+
     kwargs = {} if pm_size is None else {"pm_size": pm_size}
+    report: Optional[ExplorationReport] = None
 
-    def test(candidate: List[Op]) -> Optional[ExplorationReport]:
-        report = explore(kind, ops=candidate, seed=seed, intra=intra, **kwargs)
-        return report if failing(report) else None
+    def test(candidate: List[Op]) -> bool:
+        nonlocal report
+        r = explore(kind, ops=candidate, seed=seed, intra=intra, **kwargs)
+        if not failing(r):
+            return False
+        # shrink adopts every failing candidate, so the last failing report
+        # is the minimised workload's.
+        report = r
+        return True
 
-    report = test(ops)
-    if report is None:
-        raise ValueError("the full workload does not produce a violation")
-
-    current = list(ops)
-    chunk = max(1, len(current) // 2)
-    while True:
-        # One greedy pass: drop every chunk whose removal still fails.
-        reduced = False
-        start = 0
-        while start < len(current):
-            candidate = current[:start] + current[start + chunk:]
-            if candidate:
-                r = test(candidate)
-                if r is not None:
-                    current, report = candidate, r
-                    reduced = True
-                    continue  # same start now addresses the next chunk
-            start += chunk
-        if reduced:
-            chunk = min(chunk, max(1, len(current) // 2))
-            continue
-        if chunk == 1:
-            break
-        chunk = max(1, chunk // 2)
+    shrink(ops, test)  # ValueError when the full workload passes
     return report
 
 

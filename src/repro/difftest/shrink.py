@@ -1,7 +1,8 @@
 """Shrinking divergent fuzz sequences into committed reproducers.
 
-Same ddmin loop as :mod:`repro.crashmc.minimize`, generalised over the
-fuzz op vocabulary: because descriptor identity goes through slots (see
+:func:`shrink` is the repository's one ddmin loop; the crash-state
+minimiser (:mod:`repro.crashmc.minimize`) runs it too.  Over the fuzz op
+vocabulary, because descriptor identity goes through slots (see
 :mod:`repro.difftest.ops`), *every* subsequence of a sequence is a valid
 sequence — dropping the ``open`` that fed a slot just turns the slot's
 later users into well-defined EBADF ops on every system and on the
@@ -14,14 +15,16 @@ stays in the tier-1 suite as a regression test.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .executor import DEFAULT_PM_SIZE, DiffReport, FsFactory, run_differential
 from .ops import FuzzOp
 
 
-def shrink(ops: Sequence[FuzzOp],
-           failing: Callable[[List[FuzzOp]], bool]) -> List[FuzzOp]:
+T = TypeVar("T")
+
+
+def shrink(ops: Sequence[T], failing: Callable[[List[T]], bool]) -> List[T]:
     """ddmin: the smallest op subsequence for which ``failing`` holds."""
     if not failing(list(ops)):
         raise ValueError("the full sequence does not fail")

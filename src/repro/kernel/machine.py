@@ -8,6 +8,7 @@ from typing import Dict, Optional
 from ..obs import MetricsRegistry, NULL_OBSERVER
 from ..pmem.cache import CrashPolicy
 from ..pmem.device import PersistentMemory, VolatileMemory
+from ..pmem.devmodel import BANDWIDTH_METRIC_FIELDS, DeviceModel
 from ..pmem.faults import FaultInjector
 from ..pmem.timing import SimClock
 from .process import FIRST_PID, SharedMemoryStore
@@ -144,68 +145,39 @@ class Machine:
             self.ras.config = config
         return self.ras
 
-    def enable_bandwidth(self, model=None):
-        """Opt this machine into the shared-bandwidth device model.
-
-        Attaches a :class:`~repro.pmem.timing.BandwidthModel` (a token
-        bucket over device byte traffic) so stores/loads charge queueing
-        delay once the sustained device rate is exceeded.  Off by default —
-        no machine pays for it unless a caller (the serve engine) opts in.
-        Idempotent; returns the live model.
-        """
-        from ..pmem.timing import BandwidthModel
-
-        if self.pm.bandwidth is None or model is not None:
-            self.pm.bandwidth = model or BandwidthModel()
-            # replace=True: re-enabling with a fresh model supersedes the
-            # previous bucket's export on purpose.
-            self.metrics.register_source("pmem.bandwidth", self.pm.bandwidth,
-                                         fields=("stalled_ops", "stall_ns",
-                                                 "bytes_acquired", "tokens"),
-                                         replace=True)
-        return self.pm.bandwidth
-
     def enable_device_model(self, profile="optane", numa_remote=False,
                             model=None):
-        """Opt this machine into the first-class calibrated device model.
+        """Opt this machine into the calibrated device model.
 
-        Strictly stronger than :meth:`enable_bandwidth`: the profile's token
-        bucket (shared-bandwidth queueing, refilled on the scheduler's
-        virtual timeline under concurrency) plus the XPLine small-write
-        curve, eADR flush economics, and optional NUMA-remote penalties.
-        ``profile`` is a name from :data:`~repro.pmem.devmodel.PROFILES` or
-        a :class:`~repro.pmem.devmodel.DeviceProfile` instance; ``model``
+        The profile's token bucket (shared-bandwidth queueing, refilled on
+        the scheduler's virtual timeline under concurrency) plus its XPLine
+        small-write curve, eADR flush economics, and optional NUMA-remote
+        penalties.  ``profile`` is a name from
+        :data:`~repro.pmem.devmodel.PROFILES` (``flat`` is the bucket alone)
+        or a :class:`~repro.pmem.devmodel.DeviceProfile` instance; ``model``
         overrides with a pre-built :class:`~repro.pmem.devmodel.DeviceModel`.
         Off by default on every machine; returns the live model.  The bucket
-        is exported as ``pmem.bw.*`` (and as the legacy ``pmem.bandwidth.*``
-        alias), NUMA counters as ``pmem.numa.*``.
+        is exported as ``pmem.bw.*``, NUMA counters as ``pmem.numa.*``.
         """
-        from ..pmem.devmodel import DeviceModel
-
         if model is None:
             model = DeviceModel(profile=profile, numa_remote=numa_remote)
         self.pm.model = model
-        self.pm.bandwidth = model.bandwidth
         self.pm.sched = self.sched
-        bw_fields = ("stalled_ops", "stall_ns", "bytes_acquired", "tokens")
-        # replace=True throughout: attaching a device model deliberately
-        # supersedes any earlier bucket's export (enable_bandwidth, or a
-        # previous enable_device_model call).
+        # replace=True: attaching a device model deliberately supersedes a
+        # previous model's export.
         self.metrics.register_source("pmem.bw", model.bandwidth,
-                                     fields=bw_fields, replace=True)
-        self.metrics.register_source("pmem.bandwidth", model.bandwidth,
-                                     fields=bw_fields, replace=True)
+                                     fields=BANDWIDTH_METRIC_FIELDS,
+                                     replace=True)
         self.metrics.register_source("pmem.numa", model.numa, replace=True)
         return model
 
     def disable_device_model(self) -> None:
-        """Detach any device model/bandwidth bucket: back to fixed costs.
+        """Detach any device model: back to fixed costs.
 
         The off-path guard tests use this to prove attach-then-detach
         machines charge bit-identically to never-attached ones.
         """
         self.pm.model = None
-        self.pm.bandwidth = None
 
     def crash(self, policy: Optional[CrashPolicy] = None,
               survivors=None) -> None:
@@ -280,13 +252,9 @@ class Machine:
             child.ras = self.ras.fork(child.pm)
             child.pm.ras = child.ras
             child.metrics.register_source("ras.controller", child.ras.stats)
-        if child.pm.bandwidth is not None:
-            child.metrics.register_source(
-                "pmem.bandwidth", child.pm.bandwidth,
-                fields=("stalled_ops", "stall_ns", "bytes_acquired", "tokens"))
         if child.pm.model is not None:
             child.metrics.register_source(
                 "pmem.bw", child.pm.model.bandwidth,
-                fields=("stalled_ops", "stall_ns", "bytes_acquired", "tokens"))
+                fields=BANDWIDTH_METRIC_FIELDS)
             child.metrics.register_source("pmem.numa", child.pm.model.numa)
         return child

@@ -11,7 +11,10 @@ Three consumable shapes:
   the table always sums to the reported number exactly.
 * :func:`to_chrome_trace` — Chrome trace-event JSON ("X" complete events,
   microsecond timestamps) loadable in Perfetto / ``chrome://tracing``.
-  :func:`validate_chrome_trace` checks the schema without external deps.
+  The event builders (:func:`meta_event`, :func:`complete_event`,
+  :func:`counter_event`) and the :func:`chrome_trace_doc` envelope are
+  shared with the serve request tracer; :func:`validate_chrome_trace`
+  checks the schema without external deps.
 * :func:`to_collapsed_stacks` — ``root;child;leaf <ns>`` lines for
   flamegraph.pl / speedscope (self-time weighted, integer ns).
 """
@@ -99,48 +102,62 @@ def render_attribution_table(title: str,
 # -- Chrome trace-event JSON --------------------------------------------------
 
 
+def meta_event(name: str, pid: int, tid: int, label: str) -> Dict[str, Any]:
+    """A metadata ("M") event naming a process or thread lane."""
+    return {"ph": "M", "name": name, "pid": pid, "tid": tid,
+            "args": {"name": label}}
+
+
+def complete_event(name: str, cat: str, start_ns: float, dur_ns: float,
+                   pid: int, tid: int, args: Dict[str, Any]) -> Dict[str, Any]:
+    """A complete ("X") event; simulated ns become trace microseconds."""
+    return {"ph": "X", "name": name, "cat": cat, "ts": start_ns / 1000.0,
+            "dur": dur_ns / 1000.0, "pid": pid, "tid": tid, "args": args}
+
+
+def counter_event(name: str, ts_ns: float, pid: int, tid: int,
+                  args: Dict[str, Any]) -> Dict[str, Any]:
+    """A counter ("C") event at simulated instant ``ts_ns``."""
+    return {"ph": "C", "name": name, "pid": pid, "tid": tid,
+            "ts": ts_ns / 1000.0, "args": args}
+
+
+def chrome_trace_doc(events: List[Dict[str, Any]], producer: str,
+                     **other: Any) -> Dict[str, Any]:
+    """The trace-event JSON object envelope around ``events``.
+
+    ``displayTimeUnit: "ns"`` keeps the UI readable at nanosecond scale;
+    ``other`` rides along in ``otherData`` after the producer name.
+    """
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ns",
+        "otherData": {"producer": producer, **other},
+    }
+
+
 def to_chrome_trace(obs: Observer, process_name: str = "repro",
                     pid: int = 1, tid: int = 1) -> Dict[str, Any]:
     """Trace-event JSON object format (Perfetto / chrome://tracing).
 
-    Simulated ns map to trace microseconds; ``displayTimeUnit: "ns"`` keeps
-    the UI readable at nanosecond scale.  Span category and fence epochs
-    ride along in ``args``.
+    One "X" event per span on a single clock lane; span category and
+    fence epochs ride along in ``args``.
     """
     events: List[Dict[str, Any]] = [
-        {"ph": "M", "name": "process_name", "pid": pid, "tid": tid,
-         "args": {"name": process_name}},
-        {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-         "args": {"name": "sim-clock"}},
+        meta_event("process_name", pid, tid, process_name),
+        meta_event("thread_name", pid, tid, "sim-clock"),
     ]
     for span in obs.events:
-        events.append({
-            "ph": "X",
-            "name": span.name,
-            "cat": span.cat,
-            "ts": span.start_ns / 1000.0,
-            "dur": span.duration_ns / 1000.0,
-            "pid": pid,
-            "tid": tid,
-            "args": {
-                "self_ns": span.self_ns,
-                "fences": span.end_fences - span.start_fences,
-                "depth": span.depth,
-            },
-        })
-    counter_ts = obs.events[-1].end_ns / 1000.0 if obs.events else 0.0
-    events.append({
-        "ph": "C", "name": "fences", "pid": pid, "tid": tid,
-        "ts": counter_ts, "args": {"count": obs.fence_count},
-    })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "producer": "repro.obs",
-            "dropped_events": obs.dropped_events,
-        },
-    }
+        events.append(complete_event(
+            span.name, span.cat, span.start_ns, span.duration_ns, pid, tid,
+            {"self_ns": span.self_ns,
+             "fences": span.end_fences - span.start_fences,
+             "depth": span.depth}))
+    events.append(counter_event(
+        "fences", obs.events[-1].end_ns if obs.events else 0.0, pid, tid,
+        {"count": obs.fence_count}))
+    return chrome_trace_doc(events, "repro.obs",
+                            dropped_events=obs.dropped_events)
 
 
 #: Hand-rolled schema for :func:`validate_chrome_trace` (no jsonschema dep).

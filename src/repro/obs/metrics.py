@@ -113,25 +113,11 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def percentile(self, p: float) -> float:
-        """Approximate p-th percentile (upper bound of the covering bucket)."""
-        if not self.count:
-            return 0.0
-        target = max(1, int(self.count * p / 100.0 + 0.999999))
-        seen = 0
-        for i, n in enumerate(self.buckets):
-            seen += n
-            if seen >= target:
-                upper = float(2 ** (i + 1) - 1)
-                return min(upper, self.max)
-        return self.max  # pragma: no cover - unreachable (counts sum to count)
-
     def quantile(self, q: float) -> float:
         """The q-th quantile (``q`` in [0, 1]) by log-bucket interpolation.
 
-        Unlike :meth:`percentile` (which returns the covering bucket's upper
-        bound), this interpolates linearly *within* the covering bucket —
-        samples in bucket ``i`` are treated as uniformly spread over
+        Interpolates linearly *within* the covering bucket — samples in
+        bucket ``i`` are treated as uniformly spread over
         ``[2**i, 2**(i+1))`` — and clamps the result to the exactly-tracked
         ``[min, max]`` range, so ``quantile(0.0) >= min``,
         ``quantile(1.0) == max``, and an all-zero stream yields 0 at every
@@ -248,8 +234,8 @@ class Histogram:
             "min": self.min if self.count else 0.0,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
+            "p50": self.quantile(0.5),
+            "p99": self.quantile(0.99),
         }
 
 

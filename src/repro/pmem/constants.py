@@ -66,7 +66,7 @@ DRAM_WRITE_NS_PER_BYTE = 1.0 / 80.0  # 80 GB/s
 DRAM_ACCESS_LATENCY_NS = 81.0
 
 # ---------------------------------------------------------------------------
-# Shared-bandwidth device model (token bucket; opt-in, `repro serve`)
+# Shared-bandwidth token bucket (pmem/devmodel.py; opt-in)
 # ---------------------------------------------------------------------------
 
 #: Sustained device write bandwidth under a mixed small-write stream, bytes
@@ -76,7 +76,7 @@ DRAM_ACCESS_LATENCY_NS = 81.0
 #: actually sees.  The per-op costs above model the *uncontended* latency;
 #: the token bucket adds queueing delay once offered byte-rate exceeds this
 #: sustained rate.  Off by default: only machines that call
-#: ``enable_bandwidth()`` (the serve engine) ever charge it.
+#: ``enable_device_model()`` ever charge it.
 PM_SUSTAINED_WRITE_BW_BYTES_PER_NS = 2.3
 #: Token-bucket burst allowance: bytes the device absorbs at full speed
 #: before queueing kicks in (device-side write buffering, ~1 MB).

@@ -67,22 +67,18 @@ class PersistentMemory:
         #: Optional :class:`~repro.ras.RASController` (set by
         #: ``machine.enable_ras()``); hooks loads, stores, and fences.
         self.ras = None
-        #: Optional :class:`~repro.pmem.timing.BandwidthModel` (set by
-        #: ``machine.enable_bandwidth()``); charges token-bucket queueing
-        #: delay on stores/loads once the sustained byte-rate is exceeded.
-        #: ``None`` (the default) leaves every charge untouched.
-        self.bandwidth = None
         #: Optional :class:`~repro.pmem.devmodel.DeviceModel` (set by
-        #: ``machine.enable_device_model()``); adds the calibrated
-        #: small-write curve, eADR flush economics, and NUMA penalties on
-        #: top of the token bucket.  ``None`` (the default) is the
-        #: fixed-cost device — every charge stays bit-identical.
+        #: ``machine.enable_device_model()``); charges token-bucket queueing
+        #: delay on stores/loads once the sustained byte-rate is exceeded,
+        #: plus the profile's small-write curve, eADR flush economics, and
+        #: NUMA penalties.  ``None`` (the default) is the fixed-cost device
+        #: — every charge stays bit-identical.
         self.model = None
         #: The machine's scheduler, mirrored here by ``attach_scheduler``
         #: so the bandwidth bucket can refill on the *virtual* timeline
         #: under concurrency (the clock is aggregate work, not elapsed
-        #: time, once N CPUs run).  Only consulted when a bandwidth model
-        #: is attached.
+        #: time, once N CPUs run).  Only consulted when a device model is
+        #: attached.
         self.sched = None
 
     def _device_now(self) -> float:
@@ -162,14 +158,14 @@ class PersistentMemory:
             transfer_ns = lines * C.STORE_NS
         self.clock.charge(transfer_ns, category)
         model = self.model
-        if model is not None and model.is_remote(self.sched):
-            extra = transfer_ns * (model.remote_write_mult - 1.0)
-            model.numa.remote_stores += 1
-            model.numa.remote_extra_ns += extra
-            self.clock.charge(extra, category)
-        if self.bandwidth is not None:
-            nbytes = size if model is None else model.effective_write_bytes(size)
-            delay = self.bandwidth.acquire(nbytes, self._device_now())
+        if model is not None:
+            if model.is_remote(self.sched):
+                extra = transfer_ns * (model.remote_write_mult - 1.0)
+                model.numa.remote_stores += 1
+                model.numa.remote_extra_ns += extra
+                self.clock.charge(extra, category)
+            delay = model.bandwidth.acquire(model.effective_write_bytes(size),
+                                            self._device_now())
             if delay:
                 self.clock.charge(delay, category)
         if self.faults is not None:
@@ -243,17 +239,17 @@ class PersistentMemory:
         transfer_ns = latency + size * C.PM_READ_NS_PER_BYTE
         self.clock.charge(transfer_ns, category)
         model = self.model
-        if model is not None and model.is_remote(self.sched):
-            extra = transfer_ns * (model.remote_read_mult - 1.0)
-            model.numa.remote_loads += 1
-            model.numa.remote_extra_ns += extra
-            self.clock.charge(extra, category)
-        if self.bandwidth is not None:
+        if model is not None:
+            if model.is_remote(self.sched):
+                extra = transfer_ns * (model.remote_read_mult - 1.0)
+                model.numa.remote_loads += 1
+                model.numa.remote_extra_ns += extra
+                self.clock.charge(extra, category)
             # Reads draw through the same bucket at ``read_weight`` (Optane
             # read bandwidth is several times write bandwidth); the XPLine
             # round-up applies only to writes — reads of a partial line do
             # not cost a media read-modify-write.
-            delay = self.bandwidth.acquire_read(size, self._device_now())
+            delay = model.bandwidth.acquire_read(size, self._device_now())
             if delay:
                 self.clock.charge(delay, category)
         buf = self.buf
@@ -316,13 +312,7 @@ class PersistentMemory:
         child.stats = self.stats.snapshot()
         child.faults = faults
         child.ras = None
-        if self.model is not None:
-            child.model = self.model.clone()
-            child.bandwidth = child.model.bandwidth
-        else:
-            child.model = None
-            child.bandwidth = (self.bandwidth.clone()
-                               if self.bandwidth is not None else None)
+        child.model = self.model.clone() if self.model is not None else None
         # The child runs serially (crash exploration); the parent's scheduler
         # is not its scheduler.
         child.sched = None

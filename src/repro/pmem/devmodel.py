@@ -9,12 +9,12 @@ real PM hardware punishes a scaled-up system:
 ``bandwidth``
     Optane sustains far below its streaming ceiling under a mixed small-write
     stream (~2.3 GB/s per DIMM vs. the 13.9 GB/s device ceiling, van Renen et
-    al., *PM I/O Primitives*).  The token bucket from PR 7
-    (:class:`~repro.pmem.timing.BandwidthModel`) models that queueing; a
-    :class:`DeviceModel` promotes it to all workloads (table1, ycsb, scaling,
-    serve) and — under a running scheduler — refills on the scheduler's
-    *virtual* timeline, so concurrent tasks' draws serialize through the one
-    device the way N CPUs really share one DIMM.
+    al., *PM I/O Primitives*).  A token bucket (:class:`BandwidthModel`)
+    models that queueing for every workload (table1, ycsb, scaling, serve)
+    and — under a running scheduler — refills on the scheduler's *virtual*
+    timeline, so concurrent tasks' draws serialize through the one device
+    the way N CPUs really share one DIMM.  The ``flat`` profile is the bucket
+    alone: no small-write curve, no eADR.
 
 ``small writes``
     The media writes whole 256-byte XPLines; a sub-line store consumes a full
@@ -52,7 +52,76 @@ from typing import Optional, Union
 
 from ..obs.metrics import counter_field
 from . import constants as C
-from .timing import BandwidthModel
+
+
+@dataclass
+class BandwidthModel:
+    """Token-bucket shared-bandwidth queueing (the ``bandwidth`` axis).
+
+    The per-op device costs in :mod:`repro.pmem.constants` model
+    *uncontended* latency: each store charges the single-stream streaming
+    rate regardless of how much traffic preceded it.  Real PM saturates at
+    a sustained byte-rate far below its burst ceiling (van Renen et al.),
+    and past that point transfers queue *at the device*.
+
+    The bucket holds up to ``burst_bytes`` of credit and refills at
+    ``rate_bytes_per_ns`` as simulated time advances.  Each transfer draws
+    its byte count (reads weighted by ``read_weight``); when the bucket runs
+    dry, :meth:`acquire` returns the queueing delay the caller must charge —
+    time until the refill covers the deficit.
+
+    The stall counters are :func:`~repro.obs.metrics.counter_field`\\ s so
+    the bucket is a metrics source (``pmem.bw.*``) reset through the
+    registry like every other stats block.
+    """
+
+    rate_bytes_per_ns: float = C.PM_SUSTAINED_WRITE_BW_BYTES_PER_NS
+    burst_bytes: float = float(C.PM_BANDWIDTH_BURST_BYTES)
+    read_weight: float = C.PM_BANDWIDTH_READ_WEIGHT
+    tokens: float = float(C.PM_BANDWIDTH_BURST_BYTES)
+    last_refill_ns: float = 0.0
+    stalled_ops: int = counter_field()
+    stall_ns: float = counter_field(0.0)
+    bytes_acquired: float = counter_field(0.0)
+
+    def acquire(self, nbytes: float, now_ns: float) -> float:
+        """Draw ``nbytes`` of write-side credit; return queueing delay (ns).
+
+        The caller is expected to charge the returned delay to its clock, so
+        the refill accounting advances ``last_refill_ns`` past the stall.
+        """
+        if nbytes <= 0:
+            return 0.0
+        elapsed = now_ns - self.last_refill_ns
+        if elapsed > 0:
+            self.tokens = min(self.burst_bytes,
+                              self.tokens + elapsed * self.rate_bytes_per_ns)
+            self.last_refill_ns = now_ns
+        self.bytes_acquired += nbytes
+        if nbytes <= self.tokens:
+            self.tokens -= nbytes
+            return 0.0
+        deficit = nbytes - self.tokens
+        self.tokens = 0.0
+        delay = deficit / self.rate_bytes_per_ns
+        # The stall consumes exactly the refill accumulated while waiting.
+        self.last_refill_ns += delay
+        self.stalled_ops += 1
+        self.stall_ns += delay
+        return delay
+
+    def acquire_read(self, nbytes: float, now_ns: float) -> float:
+        """Draw read-side credit (reads cost ``read_weight`` per byte)."""
+        return self.acquire(nbytes * self.read_weight, now_ns)
+
+    def clone(self) -> "BandwidthModel":
+        """An independent copy at the same bucket state (machine forking)."""
+        return replace(self)
+
+
+#: The bucket fields exported as the ``pmem.bw.*`` metrics source.
+BANDWIDTH_METRIC_FIELDS = ("stalled_ops", "stall_ns", "bytes_acquired",
+                           "tokens")
 
 
 @dataclass(frozen=True)
@@ -93,6 +162,16 @@ PROFILES = {
         read_weight=C.PM_BANDWIDTH_READ_WEIGHT,
         eadr=True,
         xpline_bytes=C.PM_XPLINE_BYTES,
+    ),
+    # The token bucket alone: Optane's sustained rate, burst and read
+    # weight, with no small-write curve and no eADR.
+    "flat": DeviceProfile(
+        name="flat",
+        rate_bytes_per_ns=C.PM_SUSTAINED_WRITE_BW_BYTES_PER_NS,
+        burst_bytes=float(C.PM_BANDWIDTH_BURST_BYTES),
+        read_weight=C.PM_BANDWIDTH_READ_WEIGHT,
+        eadr=False,
+        xpline_bytes=0,
     ),
     # DRAM-class bandwidth (the paper's DRAM-emulation baseline): the bucket
     # is effectively unbounded at the offered loads simulated here, and DRAM
@@ -223,13 +302,10 @@ class DeviceModel:
 def window_stall_fraction(window) -> float:
     """Fraction of one telemetry window spent stalled on device bandwidth.
 
-    Reads the window's ``pmem.bw.stall_ns`` counter delta (falling back to
-    the legacy ``pmem.bandwidth.stall_ns`` alias when only the plain token
-    bucket is attached) against the window width.  Zero when no model is
-    attached — the timeline renderer uses that to hide the column.
+    Reads the window's ``pmem.bw.stall_ns`` counter delta against the
+    window width.  Zero when no model is attached — the timeline renderer
+    uses that to hide the column.
     """
-    stall = window.counters.get("pmem.bw.stall_ns")
-    if stall is None:
-        stall = window.counters.get("pmem.bandwidth.stall_ns", 0.0)
+    stall = window.counters.get("pmem.bw.stall_ns", 0.0)
     width = window.width_ns
     return stall / width if width else 0.0

@@ -24,9 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
-from ..obs.metrics import counter_field
 from ..obs.observer import NULL_OBSERVER
-from . import constants as C
 
 
 class Category(enum.Enum):
@@ -151,76 +149,6 @@ class MeasureScope:
                 del scopes[i]
                 break
         self._active = False
-
-
-@dataclass
-class BandwidthModel:
-    """Token-bucket shared-bandwidth device model (opt-in; `repro serve`).
-
-    The per-op device costs in :mod:`repro.pmem.constants` model *uncontended*
-    latency: each store charges the single-stream streaming rate regardless of
-    how much traffic preceded it.  That is correct for the paper's closed-loop
-    microbenchmarks but wrong for an open-loop server — real PM saturates at a
-    sustained byte-rate far below its burst ceiling (van Renen et al.), and
-    past that point requests queue *at the device*.
-
-    The bucket holds up to ``burst_bytes`` of credit and refills at
-    ``rate_bytes_per_ns`` as simulated time advances.  Each transfer draws
-    its byte count (reads weighted by ``read_weight``); when the bucket runs
-    dry, :meth:`acquire` returns the queueing delay the caller must charge —
-    time until the refill covers the deficit.  With the bucket detached
-    (``PersistentMemory.bandwidth is None``, the default) no code path
-    changes, so every existing golden and simulated-ns oracle is untouched.
-
-    The stall counters are :func:`~repro.obs.metrics.counter_field`\\ s so the
-    model can be registered as a metrics source (``pmem.bandwidth.*``) and
-    reset through the registry like every other stats block.
-    """
-
-    rate_bytes_per_ns: float = C.PM_SUSTAINED_WRITE_BW_BYTES_PER_NS
-    burst_bytes: float = float(C.PM_BANDWIDTH_BURST_BYTES)
-    read_weight: float = C.PM_BANDWIDTH_READ_WEIGHT
-    tokens: float = float(C.PM_BANDWIDTH_BURST_BYTES)
-    last_refill_ns: float = 0.0
-    stalled_ops: int = counter_field()
-    stall_ns: float = counter_field(0.0)
-    bytes_acquired: float = counter_field(0.0)
-
-    def acquire(self, nbytes: float, now_ns: float) -> float:
-        """Draw ``nbytes`` of write-side credit; return queueing delay (ns).
-
-        The caller is expected to charge the returned delay to its clock, so
-        the refill accounting advances ``last_refill_ns`` past the stall.
-        """
-        if nbytes <= 0:
-            return 0.0
-        elapsed = now_ns - self.last_refill_ns
-        if elapsed > 0:
-            self.tokens = min(self.burst_bytes,
-                              self.tokens + elapsed * self.rate_bytes_per_ns)
-            self.last_refill_ns = now_ns
-        self.bytes_acquired += nbytes
-        if nbytes <= self.tokens:
-            self.tokens -= nbytes
-            return 0.0
-        deficit = nbytes - self.tokens
-        self.tokens = 0.0
-        delay = deficit / self.rate_bytes_per_ns
-        # The stall consumes exactly the refill accumulated while waiting.
-        self.last_refill_ns += delay
-        self.stalled_ops += 1
-        self.stall_ns += delay
-        return delay
-
-    def acquire_read(self, nbytes: float, now_ns: float) -> float:
-        """Draw read-side credit (reads cost ``read_weight`` per byte)."""
-        return self.acquire(nbytes * self.read_weight, now_ns)
-
-    def clone(self) -> "BandwidthModel":
-        """An independent copy at the same bucket state (machine forking)."""
-        return BandwidthModel(**{f: getattr(self, f) for f in (
-            "rate_bytes_per_ns", "burst_bytes", "read_weight", "tokens",
-            "last_refill_ns", "stalled_ops", "stall_ns", "bytes_acquired")})
 
 
 def iter_categories() -> Iterator[Category]:

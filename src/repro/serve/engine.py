@@ -84,15 +84,11 @@ class ServeConfig:
     #: engine's arithmetic reduces exactly to the legacy single-server
     #: queue, keeping fixed-seed reports bit-identical.
     cpus: int = 1
-    #: Attach the token-bucket shared-bandwidth device model (off by
-    #: default, like everywhere else in the repo).
-    bandwidth: bool = False
-    #: Attach the first-class calibrated device model instead: a profile
-    #: name from :data:`repro.pmem.devmodel.PROFILES` (``optane``/``eadr``/
-    #: ``dram``) or a ``DeviceProfile`` instance.  Strictly stronger than
-    #: ``bandwidth`` (bucket + small-write curve + eADR economics); takes
-    #: precedence over it when both are set.  ``None`` (default) keeps the
-    #: fixed-seed default reports bit-identical.
+    #: Attach the calibrated device model: a profile name from
+    #: :data:`repro.pmem.devmodel.PROFILES` (``flat`` for the token bucket
+    #: alone, ``optane``/``eadr``/``dram``) or a ``DeviceProfile`` instance.
+    #: ``None`` (default) keeps the fixed-seed default reports
+    #: bit-identical.
     device_profile: Optional[object] = None
     #: Add NUMA-remote access penalties (implies the ``optane`` profile
     #: when ``device_profile`` is unset).
@@ -214,8 +210,6 @@ class ServeEngine:
                 profile=(cfg.device_profile
                          if cfg.device_profile is not None else "optane"),
                 numa_remote=cfg.numa_remote)
-        elif cfg.bandwidth:
-            machine.enable_bandwidth()
         machine, fs = make_filesystem(cfg.system, pm_size=cfg.pm_size,
                                       machine=machine)
         workload = make_workload(cfg.app, self.workload_rng,
@@ -253,7 +247,8 @@ class ServeEngine:
         cfg = self.cfg
         machine, workload, ctx = self._build()
         clock = machine.clock
-        bw = machine.pm.bandwidth
+        model = machine.pm.model
+        bw = model.bandwidth if model is not None else None
         counters = ServeCounters()
         machine.metrics.register_source("serve.engine", counters)
         latency_hist = machine.metrics.histogram("serve.request.latency_ns")

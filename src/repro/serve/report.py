@@ -23,13 +23,13 @@ LATENCY_HIST = "serve.request.latency_ns"
 
 def _device_note(cfg) -> str:
     """The device-model annotation for a config: names the profile (and the
-    NUMA knob) when one is attached, keeps the legacy bandwidth tag, and is
-    empty on the off path so default reports stay byte-identical."""
+    NUMA knob) when one is attached, and is empty on the off path so default
+    reports stay byte-identical."""
     if cfg.device_profile is not None or cfg.numa_remote:
         name = getattr(cfg.device_profile, "name", None) or (
             cfg.device_profile if cfg.device_profile is not None else "optane")
         return f"device model {name}" + ("+numa" if cfg.numa_remote else "")
-    return "bandwidth model on" if cfg.bandwidth else ""
+    return ""
 
 
 def render_serve_report(result: ServeResult) -> str:

@@ -27,6 +27,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.export import (chrome_trace_doc, complete_event, counter_event,
+                          meta_event)
+
 _M64 = (1 << 64) - 1
 
 
@@ -174,55 +177,31 @@ def to_chrome_trace(tracer: RequestTracer, origin_ns: float = 0.0,
     Lifecycle phases become "X" complete events on the request's lane;
     captured fs spans (machine-clock ns) are shifted by ``-origin_ns``
     onto the virtual timeline and nested under their service phase.
-    Validates against :func:`repro.obs.export.validate_chrome_trace`.
+    Built with the :mod:`repro.obs.export` event builders and validated
+    by :func:`repro.obs.export.validate_chrome_trace`.
     """
     events: List[Dict[str, Any]] = [
-        {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-         "args": {"name": "serve-requests"}},
-    ]
+        meta_event("process_name", pid, 0, "serve-requests")]
     for rid in sorted(tracer.traces):
         tr = tracer.traces[rid]
         tid = rid + 1  # tid 0 is reserved for the process meta row
-        events.append({
-            "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-            "args": {"name": f"req {rid} ({tr.outcome or 'open'})"}})
+        events.append(meta_event("thread_name", pid, tid,
+                                 f"req {rid} ({tr.outcome or 'open'})"))
         for ph in tr.phases:
-            events.append({
-                "ph": "X",
-                "name": ph.name,
-                "cat": "request",
-                "ts": ph.start_ns / 1000.0,
-                "dur": max(ph.end_ns - ph.start_ns, 0.0) / 1000.0,
-                "pid": pid,
-                "tid": tid,
-                "args": {"rid": rid, "attempt": ph.attempt,
-                         "detail": ph.detail},
-            })
+            events.append(complete_event(
+                ph.name, "request", ph.start_ns,
+                max(ph.end_ns - ph.start_ns, 0.0), pid, tid,
+                {"rid": rid, "attempt": ph.attempt, "detail": ph.detail}))
             for span in ph.spans:
-                events.append({
-                    "ph": "X",
-                    "name": span.name,
-                    "cat": span.cat,
-                    "ts": (span.start_ns - origin_ns) / 1000.0,
-                    "dur": span.duration_ns / 1000.0,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"rid": rid, "depth": span.depth,
-                             "self_ns": span.self_ns},
-                })
+                events.append(complete_event(
+                    span.name, span.cat, span.start_ns - origin_ns,
+                    span.duration_ns, pid, tid,
+                    {"rid": rid, "depth": span.depth,
+                     "self_ns": span.self_ns}))
         if tr.outcome:
-            events.append({
-                "ph": "C", "name": f"req {rid} outcome", "pid": pid,
-                "tid": tid, "ts": tr.outcome_ns / 1000.0,
-                "args": {"latency_ns": tr.latency_ns,
-                         "attempts": tr.attempts},
-            })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "producer": "repro.serve.reqtrace",
-            "sample_every": tracer.sample_every,
-            "traced": len(tracer.traces),
-        },
-    }
+            events.append(counter_event(
+                f"req {rid} outcome", tr.outcome_ns, pid, tid,
+                {"latency_ns": tr.latency_ns, "attempts": tr.attempts}))
+    return chrome_trace_doc(events, "repro.serve.reqtrace",
+                            sample_every=tracer.sample_every,
+                            traced=len(tracer.traces))

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from repro.kernel.machine import Machine
 from repro.pmem import constants as C
-from repro.pmem.devmodel import (DeviceModel, DeviceProfile, PROFILES,
-                                 resolve_profile)
-from repro.pmem.timing import BandwidthModel, Category
+from repro.pmem.devmodel import (BandwidthModel, DeviceModel, DeviceProfile,
+                                 PROFILES, resolve_profile)
+from repro.pmem.timing import Category
 
 PM = 32 * 1024 * 1024
 
@@ -214,9 +214,9 @@ def test_small_writes_drain_the_bucket_faster_than_large_ones():
     large.pm.store(0, b"x" * 64, nontemporal=True)
     # bytes_acquired counts the draws themselves (tokens also refill with
     # the advancing clock, so they under-count the penalty).
-    assert small.pm.bandwidth.bytes_acquired == pytest.approx(
+    assert small.pm.model.bandwidth.bytes_acquired == pytest.approx(
         64 * C.PM_XPLINE_BYTES)
-    assert large.pm.bandwidth.bytes_acquired == pytest.approx(
+    assert large.pm.model.bandwidth.bytes_acquired == pytest.approx(
         C.PM_XPLINE_BYTES)
 
 
@@ -251,7 +251,6 @@ def test_numa_remote_charges_multiplier_and_counts():
     out = remote.metrics.collect()
     assert out["pmem.numa.remote_stores"] == 1.0
     assert out["pmem.bw.bytes_acquired"] > 0.0
-    assert "pmem.bandwidth.tokens" in out  # legacy alias stays live
 
 
 def test_numa_node_follows_the_running_tasks_cpu():
@@ -308,6 +307,11 @@ def test_profiles_resolve_and_reject_unknown_names():
         resolve_profile("nvdimm-n")
     assert PROFILES["eadr"].eadr and not PROFILES["optane"].eadr
     assert PROFILES["dram"].xpline_bytes == 0
+    # flat is the token bucket alone: optane's bucket, no curve, no eADR.
+    flat, optane = PROFILES["flat"], PROFILES["optane"]
+    assert (flat.rate_bytes_per_ns, flat.burst_bytes, flat.read_weight) == (
+        optane.rate_bytes_per_ns, optane.burst_bytes, optane.read_weight)
+    assert flat.xpline_bytes == 0 and not flat.eadr
 
 
 def test_fork_clones_model_state_and_registers_metrics():
@@ -317,12 +321,12 @@ def test_fork_clones_model_state_and_registers_metrics():
     child = machine.fork()
     assert child.pm.model is not model
     assert child.pm.model.eadr == model.eadr
-    assert child.pm.bandwidth is child.pm.model.bandwidth
-    assert child.pm.bandwidth.tokens == machine.pm.bandwidth.tokens
+    assert child.pm.model.bandwidth is not model.bandwidth
+    assert child.pm.model.bandwidth.tokens == model.bandwidth.tokens
     assert child.pm.model.numa.remote_stores == model.numa.remote_stores
     assert child.pm.sched is None
     child.pm.store(4096, b"y" * 4096, nontemporal=True)
-    assert child.pm.bandwidth.tokens != machine.pm.bandwidth.tokens
+    assert child.pm.model.bandwidth.tokens != model.bandwidth.tokens
     assert child.pm.model.numa.remote_stores == model.numa.remote_stores + 1
     out = child.metrics.collect()
     assert "pmem.bw.tokens" in out and "pmem.numa.remote_stores" in out

@@ -50,14 +50,13 @@ def test_never_attached_equals_attach_then_detach(system):
 def test_default_machine_has_no_model():
     machine = Machine(PM)
     assert machine.pm.model is None
-    assert machine.pm.bandwidth is None
     assert machine.pm.sched is None
 
 
 def test_factory_off_path_attaches_nothing():
     for system in SYSTEM_NAMES:
         machine, _ = make_filesystem(system, pm_size=PM)
-        assert machine.pm.model is None and machine.pm.bandwidth is None
+        assert machine.pm.model is None
 
 
 def _cli_stdout(argv) -> str:

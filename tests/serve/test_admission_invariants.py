@@ -76,9 +76,11 @@ class TestConservation:
 class TestGracefulDegradation:
     @pytest.fixture(scope="class")
     def knee(self):
-        """1x and 2x capacity with the bandwidth model on (write-heavy aof)."""
+        """1x and 2x capacity with the flat (token-bucket) device model on
+        (write-heavy aof)."""
         base = ServeConfig(app="aof", arrival="poisson", requests=300,
-                           records=120, bandwidth=True, pm_size=PM, seed=7)
+                           records=120, device_profile="flat", pm_size=PM,
+                           seed=7)
         capacity, results = run_sweep(base, multipliers=(1.0, 2.0))
         return capacity, results
 

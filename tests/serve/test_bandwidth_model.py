@@ -1,9 +1,10 @@
 """Token-bucket bandwidth model: unit math and the off-path guarantee.
 
-The model is opt-in.  The hard requirement is that with the bucket detached
-(the default everywhere outside `repro serve --bandwidth`) the device charges
-exactly what it always charged — every golden and simulated-ns oracle must
-stay bit-identical.  CI additionally guards `repro table1` output with `cmp`.
+The bucket rides in the opt-in device model.  The hard requirement is that
+with no model attached (the default everywhere outside `repro serve
+--device-profile ...`) the device charges exactly what it always charged —
+every golden and simulated-ns oracle must stay bit-identical.  CI
+additionally guards `repro table1` output with `cmp`.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.factory import make_filesystem
 from repro.kernel.machine import Machine
 from repro.pmem import constants as C
-from repro.pmem.timing import BandwidthModel
+from repro.pmem.devmodel import BandwidthModel, DeviceProfile
 from repro.posix import flags as F
 
 PM = 64 * 1024 * 1024
@@ -81,44 +82,40 @@ def _timed_write_run(machine):
     return machine.clock.now_ns
 
 
+def _bucket_profile(rate: float, burst: float) -> DeviceProfile:
+    """A bucket-only profile (no small-write curve, no eADR), like flat."""
+    return DeviceProfile(name="bucket", rate_bytes_per_ns=rate,
+                         burst_bytes=burst,
+                         read_weight=C.PM_BANDWIDTH_READ_WEIGHT)
+
+
 class TestOffPathGuarantee:
     def test_bandwidth_detached_by_default(self):
         machine = Machine(PM)
-        assert machine.pm.bandwidth is None
+        assert machine.pm.model is None
 
     def test_unsaturated_model_changes_nothing(self):
         base = _timed_write_run(Machine(PM, seed=3))
         fast = Machine(PM, seed=3)
-        fast.enable_bandwidth(BandwidthModel(rate_bytes_per_ns=1e9,
-                                             burst_bytes=1e18, tokens=1e18))
+        fast.enable_device_model(_bucket_profile(rate=1e9, burst=1e18))
         assert _timed_write_run(fast) == base
 
     def test_saturating_model_charges_stall_time(self):
         base = _timed_write_run(Machine(PM, seed=3))
         slow = Machine(PM, seed=3)
-        model = slow.enable_bandwidth(BandwidthModel(rate_bytes_per_ns=0.01,
-                                                     burst_bytes=4096.0,
-                                                     tokens=4096.0))
+        bucket = slow.enable_device_model(
+            _bucket_profile(rate=0.01, burst=4096.0)).bandwidth
         assert _timed_write_run(slow) > base
-        assert model.stalled_ops > 0
-        assert model.stall_ns > 0.0
-
-    def test_enable_is_idempotent_and_exported(self):
-        machine = Machine(PM)
-        m1 = machine.enable_bandwidth()
-        m2 = machine.enable_bandwidth()
-        assert m1 is m2
-        out = machine.metrics.collect()
-        assert "pmem.bandwidth.tokens" in out
-        assert "pmem.bandwidth.stall_ns" in out
+        assert bucket.stalled_ops > 0
+        assert bucket.stall_ns > 0.0
 
     def test_fork_clones_the_bucket(self):
         machine = Machine(PM)
-        model = machine.enable_bandwidth()
-        model.tokens = 123.0
+        bucket = machine.enable_device_model("flat").bandwidth
+        bucket.tokens = 123.0
         child = machine.fork()
-        assert child.pm.bandwidth is not None
-        assert child.pm.bandwidth is not model
-        assert child.pm.bandwidth.tokens == 123.0
-        child.pm.bandwidth.tokens = 1.0
-        assert model.tokens == 123.0
+        assert child.pm.model is not None
+        assert child.pm.model.bandwidth is not bucket
+        assert child.pm.model.bandwidth.tokens == 123.0
+        child.pm.model.bandwidth.tokens = 1.0
+        assert bucket.tokens == 123.0
