@@ -7,7 +7,7 @@ from typing import Dict, Optional
 
 from ..obs import MetricsRegistry, NULL_OBSERVER
 from ..pmem.cache import CrashPolicy
-from ..pmem.device import PersistentMemory, VolatileMemory
+from ..pmem.device import PersistentMemory
 from ..pmem.devmodel import BANDWIDTH_METRIC_FIELDS, DeviceModel
 from ..pmem.faults import FaultInjector
 from ..pmem.timing import SimClock
@@ -28,7 +28,7 @@ class Machine:
     to opt back into unseeded (irreproducible) crashes.
     """
 
-    def __init__(self, pm_size: int = DEFAULT_PM_SIZE, dram_size: int = 0,
+    def __init__(self, pm_size: int = DEFAULT_PM_SIZE,
                  seed: Optional[int] = 0, observer=None) -> None:
         self.clock = SimClock()
         if observer is not None:
@@ -36,9 +36,6 @@ class Machine:
         self.faults = FaultInjector()
         self.pm = PersistentMemory(pm_size, self.clock, faults=self.faults)
         self.vm = VirtualMemory(self.clock)
-        self.dram: Optional[VolatileMemory] = (
-            VolatileMemory(dram_size, self.clock) if dram_size else None
-        )
         self.seed = seed
         self._crash_rng = random.Random(seed) if seed is not None else None
         self.crashes = 0
@@ -181,7 +178,7 @@ class Machine:
 
     def crash(self, policy: Optional[CrashPolicy] = None,
               survivors=None) -> None:
-        """Power failure: PM loses un-persisted lines, DRAM loses everything.
+        """Power failure: PM loses its un-persisted lines.
 
         ``survivors`` (a set of cache-line indexes) selects the exact
         un-persisted lines that nevertheless reach the device — the
@@ -197,8 +194,6 @@ class Machine:
             if policy is not None and policy.seed is None and self._crash_rng is not None:
                 policy = policy.with_seed(self._crash_rng.getrandbits(32))
             self.pm.crash(policy)
-        if self.dram is not None:
-            self.dram.crash()
         if self.ras is not None:
             self.ras.on_crash()
 
@@ -210,7 +205,7 @@ class Machine:
         and independent copies of every piece of bookkeeping a replayed
         machine would have accumulated reaching this state: persistence-
         domain line maps, fault-injector plan and counters, RAS regions /
-        checksums / scrub schedule, the crash RNG stream, and the VM/DRAM
+        checksums / scrub schedule, the crash RNG stream, and the VM
         state.  Exploring the child (crash, remount, recovery) is therefore
         bit-identical to replaying the workload from scratch on a fresh
         machine up to the same instant — without the replay.
@@ -225,7 +220,6 @@ class Machine:
                                 cow_stats=cow_stats)
         child.vm = VirtualMemory(child.clock)
         vars(child.vm.stats).update(vars(self.vm.stats))
-        child.dram = self.dram.fork(child.clock) if self.dram is not None else None
         child.seed = self.seed
         if self._crash_rng is not None:
             child._crash_rng = random.Random()

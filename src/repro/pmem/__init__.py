@@ -9,7 +9,7 @@ Public surface::
 from . import constants
 from .allocator import Extent, ExtentAllocator, OutOfSpaceError
 from .cache import CrashPolicy, PersistenceDomain
-from .device import DeviceStats, PersistentMemory, PMError, VolatileMemory
+from .device import DeviceStats, PersistentMemory, PMError
 from .timing import Category, MeasureScope, SimClock, TimeAccount, format_ns
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "DeviceStats",
     "PersistentMemory",
     "PMError",
-    "VolatileMemory",
     "Category",
     "MeasureScope",
     "SimClock",

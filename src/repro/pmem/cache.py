@@ -28,6 +28,7 @@ from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple, Union
 
 from .constants import CACHELINE_SIZE
+from .cow import CowBuffer
 
 
 class DomainObserver(Protocol):
@@ -103,7 +104,7 @@ class PersistenceDomain:
     diverged, and which of those lines have been flushed but not fenced.
     """
 
-    def __init__(self, buf: bytearray) -> None:
+    def __init__(self, buf: CowBuffer) -> None:
         self.buf = buf
         # line index -> durable content of that line.  The value is either
         # the line's 64 bytes directly, or a shared ``(base_line, blob)``
@@ -169,7 +170,7 @@ class PersistenceDomain:
             # inode fields) dominate metadata-heavy workloads.
             if first not in pre:
                 start = first * CACHELINE_SIZE
-                pre[first] = bytes(self.buf[start : start + CACHELINE_SIZE])
+                pre[first] = self.buf.read(start, start + CACHELINE_SIZE)
             if nontemporal:
                 self._pending_fence.add(first)
             else:
@@ -180,19 +181,15 @@ class PersistenceDomain:
             # Fast path: no line in the range is tracked yet.  Capture the
             # whole span's durable image once and let every line share it as
             # a (base_line, blob) segment — no per-line 64-byte copies.
-            base = first * CACHELINE_SIZE
-            buf = self.buf
-            if type(buf) is bytearray:
-                blob = bytes(memoryview(buf)[base : (last + 1) * CACHELINE_SIZE])
-            else:  # CowBuffer (forked device)
-                blob = buf.read(base, (last + 1) * CACHELINE_SIZE)
+            blob = self.buf.read(first * CACHELINE_SIZE,
+                                 (last + 1) * CACHELINE_SIZE)
             pre.update(zip(lines, repeat((first, blob))))
         else:
             buf = self.buf
             for line in lines:
                 if line not in pre:
                     start = line * CACHELINE_SIZE
-                    pre[line] = bytes(buf[start : start + CACHELINE_SIZE])
+                    pre[line] = buf.read(start, start + CACHELINE_SIZE)
         if nontemporal:
             self._pending_fence.update(lines)
         else:
@@ -275,6 +272,7 @@ class PersistenceDomain:
         """
         policy = policy or CrashPolicy()
         rng = policy.rng()
+        buf = self.buf
         lost = survived = 0
         for line, preimage in self._preimages.items():
             if line in self._pending_fence:
@@ -292,11 +290,11 @@ class PersistenceDomain:
                     # Only a random subset of the line's 8-byte words persist.
                     for word in range(CACHELINE_SIZE // 8):
                         if rng.random() < 0.5:
-                            off = start + word * 8
-                            self.buf[off : off + 8] = preimage[word * 8 : word * 8 + 8]
+                            buf.write(start + word * 8,
+                                      preimage[word * 8 : word * 8 + 8])
                 survived += 1
             else:
-                self.buf[start : start + CACHELINE_SIZE] = preimage
+                buf.write(start, preimage)
                 lost += 1
         self._preimages.clear()
         self._pending_fence.clear()
@@ -322,8 +320,7 @@ class PersistenceDomain:
                 seg_base, blob = preimage
                 off = (line - seg_base) * CACHELINE_SIZE
                 preimage = blob[off : off + CACHELINE_SIZE]
-            start = line * CACHELINE_SIZE
-            buf[start : start + CACHELINE_SIZE] = preimage
+            buf.write(line * CACHELINE_SIZE, preimage)
             lost += 1
         self._preimages.clear()
         self._pending_fence.clear()

@@ -1,11 +1,16 @@
-"""Copy-on-write device buffers for O(1) machine forking.
+"""The device buffer: 64 KiB segments over a zero base or a parent buffer.
 
-The crash-state explorer used to replay a whole workload from a fresh
-machine for every crash state it wanted to look at — O(fences x ops).  A
-:class:`CowBuffer` lets :meth:`~repro.pmem.device.PersistentMemory.fork`
-hand out a child device in O(1): the child *shares* the parent's byte
-buffer and lazily copies 64 KiB segments only when the child writes to
-them (crash rollback, journal recovery, RAS repair).  The parent's buffer
+Every :class:`~repro.pmem.device.PersistentMemory` keeps its bytes in a
+:class:`CowBuffer`.  A root device's buffer lies over an implicit zero
+base: building it allocates nothing, a segment nobody has written reads as
+zeros, and the first write to a segment allocates it zero-filled.  A device
+of any size therefore costs host memory only for the segments its file
+system has touched.
+
+:meth:`~repro.pmem.device.PersistentMemory.fork` hands out a child device
+in O(1) by layering a child buffer over the parent's: the child *shares*
+the parent's segments and copies one out only when the child first writes
+to it (crash rollback, journal recovery, RAS repair).  The parent's buffer
 is never touched through the child.
 
 Discipline: a fork is taken while the parent is **paused** (the explorer
@@ -33,6 +38,7 @@ from ..obs.metrics import counter_field
 #: rollback cluster while still sharing the untouched bulk of the device.
 SEGMENT_SHIFT = 16
 SEGMENT_SIZE = 1 << SEGMENT_SHIFT
+SEGMENT_MASK = SEGMENT_SIZE - 1
 
 
 @dataclass
@@ -46,22 +52,30 @@ class CowStats:
 
 
 class CowBuffer:
-    """A byte buffer backed by a shared base with a private write overlay.
+    """A byte buffer of private 64 KiB segments over a base it never writes.
 
-    Supports the slice get/set protocol the device and RAS layers use on
-    ``bytearray`` (``buf[a:b]``, ``buf[a:b] = data``, ``len(buf)``), plus
-    explicit :meth:`read`/:meth:`write` for the device hot paths.  Reads
-    fall through to the base for unwritten segments; the first write to a
-    segment copies its 64 KiB out of the base, after which the segment is
-    private.
+    ``base`` is either the parent buffer to overlay (a fork) or a size in
+    bytes, for a root buffer over an implicit zero base.  Reads of a
+    segment this buffer has not written fall through to the base (zeros
+    for a root); the first write to a segment copies it out of the base,
+    after which the segment is private.
+
+    Besides :meth:`read`/:meth:`write` for the device hot paths, it
+    supports the ``bytearray`` protocol the RAS layer and tests use:
+    ``len(buf)``, ``bytes(buf)``, ``buf[i]``, ``buf[a:b]`` and their
+    assignments (which never change the length).
     """
 
     __slots__ = ("base", "size", "_own", "stats")
 
-    def __init__(self, base: Union[bytearray, "CowBuffer"],
+    def __init__(self, base: Union[int, "CowBuffer"],
                  stats: Optional[CowStats] = None) -> None:
-        self.base = base
-        self.size = len(base)
+        if isinstance(base, int):
+            self.base: Optional[CowBuffer] = None
+            self.size = base
+        else:
+            self.base = base
+            self.size = base.size
         self._own: Dict[int, bytearray] = {}
         self.stats = stats
         if stats is not None:
@@ -74,75 +88,78 @@ class CowBuffer:
     # -- segment plumbing ---------------------------------------------------
 
     def _own_segment(self, seg: int) -> bytearray:
-        """The private copy of segment ``seg``, copying it out on first use."""
-        own = self._own.get(seg)
-        if own is None:
-            start = seg << SEGMENT_SHIFT
-            end = min(start + SEGMENT_SIZE, self.size)
-            own = self._own[seg] = bytearray(self.base[start:end])
-            stats = self.stats
-            if stats is not None:
-                stats.cow_copies += 1
-                stats.cow_bytes_copied += end - start
-                stats.bytes_shared -= end - start
+        """Make segment ``seg`` private: a copy of the base's bytes."""
+        start = seg << SEGMENT_SHIFT
+        end = min(start + SEGMENT_SIZE, self.size)
+        base = self.base
+        if base is None:
+            own = bytearray(end - start)
+        else:
+            own = bytearray(base.read(start, end))
+        self._own[seg] = own
+        stats = self.stats
+        if stats is not None:
+            stats.cow_copies += 1
+            stats.cow_bytes_copied += end - start
+            stats.bytes_shared -= end - start
         return own
 
     # -- bulk access --------------------------------------------------------
 
     def read(self, start: int, stop: int) -> bytes:
-        """Bytes of ``[start, stop)``, assembled from overlay and base."""
+        """Bytes of ``[start, stop)``, from private segments or the base."""
         if start >= stop:
             return b""
-        own = self._own
         first = start >> SEGMENT_SHIFT
-        last = (stop - 1) >> SEGMENT_SHIFT
-        if first == last:
-            seg_own = own.get(first)
-            if seg_own is None:
-                return bytes(self.base[start:stop])
-            base_off = first << SEGMENT_SHIFT
-            return bytes(seg_own[start - base_off : stop - base_off])
+        if first == (stop - 1) >> SEGMENT_SHIFT:
+            seg_own = self._own.get(first)
+            if seg_own is not None:
+                off = start & SEGMENT_MASK
+                return bytes(seg_own[off : off + stop - start])
+            base = self.base
+            if base is None:
+                return bytes(stop - start)
+            return base.read(start, stop)
         parts = []
         pos = start
-        for seg in range(first, last + 1):
-            seg_start = seg << SEGMENT_SHIFT
-            seg_stop = min(seg_start + SEGMENT_SIZE, stop)
-            lo = max(pos, seg_start)
-            seg_own = own.get(seg)
-            if seg_own is None:
-                parts.append(bytes(self.base[lo:seg_stop]))
-            else:
-                parts.append(bytes(seg_own[lo - seg_start : seg_stop - seg_start]))
+        while pos < stop:
+            seg_stop = min(((pos >> SEGMENT_SHIFT) + 1) << SEGMENT_SHIFT, stop)
+            parts.append(self.read(pos, seg_stop))
             pos = seg_stop
         return b"".join(parts)
 
     def write(self, start: int, data: bytes) -> None:
-        """Write ``data`` at ``start``, lazily privatising touched segments."""
+        """Write ``data`` at ``start``, privatising the segments it touches."""
         size = len(data)
         if size == 0:
             return
         stop = start + size
         first = start >> SEGMENT_SHIFT
-        last = (stop - 1) >> SEGMENT_SHIFT
-        if first == last:
-            seg_own = self._own_segment(first)
-            off = start - (first << SEGMENT_SHIFT)
+        if first == (stop - 1) >> SEGMENT_SHIFT:
+            try:
+                seg_own = self._own[first]
+            except KeyError:  # first write to this segment
+                seg_own = self._own_segment(first)
+            off = start & SEGMENT_MASK
             seg_own[off : off + size] = data
             return
         pos = start
-        for seg in range(first, last + 1):
-            seg_start = seg << SEGMENT_SHIFT
-            seg_stop = min(seg_start + SEGMENT_SIZE, stop)
-            seg_own = self._own_segment(seg)
-            seg_own[pos - seg_start : seg_stop - seg_start] = \
-                data[pos - start : seg_stop - start]
+        while pos < stop:
+            seg_stop = min(((pos >> SEGMENT_SHIFT) + 1) << SEGMENT_SHIFT, stop)
+            self.write(pos, data[pos - start : seg_stop - start])
             pos = seg_stop
 
-    def tobytes(self) -> bytes:
-        """Materialise the full buffer (tests and digests only)."""
+    def __bytes__(self) -> bytes:
+        """The whole buffer (tests and digests only)."""
         return self.read(0, self.size)
 
     # -- bytearray-compatible subscripting ----------------------------------
+
+    def _index(self, key: int) -> int:
+        index = key + self.size if key < 0 else key
+        if not 0 <= index < self.size:
+            raise IndexError("CowBuffer index out of range")
+        return index
 
     def __getitem__(self, key):
         if type(key) is slice:
@@ -150,9 +167,8 @@ class CowBuffer:
             if step != 1:
                 raise ValueError("CowBuffer slices must be contiguous")
             return self.read(start, stop)
-        if key < 0:
-            key += self.size
-        return self.read(key, key + 1)[0]
+        index = self._index(key)
+        return self.read(index, index + 1)[0]
 
     def __setitem__(self, key, value) -> None:
         if type(key) is slice:
@@ -165,6 +181,4 @@ class CowBuffer:
                     f"({stop - start} != {len(value)})")
             self.write(start, bytes(value))
             return
-        if key < 0:
-            key += self.size
-        self.write(key, bytes((value,)))
+        self.write(self._index(key), bytes((value,)))

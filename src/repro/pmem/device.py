@@ -1,17 +1,16 @@
-"""Simulated persistent-memory and DRAM devices.
+"""The simulated persistent-memory device.
 
 :class:`PersistentMemory` is the byte-addressable device every file system in
 this reproduction sits on.  It combines
 
-* a flat byte buffer (the volatile view, as seen through the CPU cache),
+* a :class:`~repro.pmem.cow.CowBuffer` holding the volatile view (as seen
+  through the CPU cache): 64 KiB segments over an implicit zero base, so a
+  device of any size allocates host memory only for the segments written,
 * a :class:`~repro.pmem.cache.PersistenceDomain` tracking what a crash keeps,
 * the Table-2 cost model: every load/store charges simulated nanoseconds to
   the machine's :class:`~repro.pmem.timing.SimClock`, and
 * wear/IO counters (bytes read and written, split by data vs. metadata),
   which back the write-amplification experiments.
-
-:class:`VolatileMemory` is a cost-modelled DRAM buffer used by the
-staging-in-DRAM ablation (paper Section 4).
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from typing import Optional, Tuple
 
 from . import constants as C
 from .cache import CrashPolicy, PersistenceDomain
+from .cow import CowBuffer
 from .timing import Category, SimClock
 
 
@@ -59,7 +59,7 @@ class PersistentMemory:
             raise ValueError(f"size must be a positive multiple of {C.BLOCK_SIZE}")
         self.size = size
         self.clock = clock or SimClock()
-        self.buf = bytearray(size)
+        self.buf = CowBuffer(size)
         self.domain = PersistenceDomain(self.buf)
         self.stats = DeviceStats()
         #: Optional :class:`~repro.pmem.faults.FaultInjector` (set by Machine).
@@ -143,7 +143,7 @@ class PersistentMemory:
         # store; the line bookkeeping inside is range arithmetic, not a
         # per-line loop.
         self.domain.note_store(addr, size, nontemporal=nontemporal)
-        self.buf[addr : addr + size] = data
+        self.buf.write(addr, data)
         stats = self.stats
         stats.stores += 1
         stats.bytes_written += size
@@ -252,23 +252,19 @@ class PersistentMemory:
             delay = model.bandwidth.acquire_read(size, self._device_now())
             if delay:
                 self.clock.charge(delay, category)
-        buf = self.buf
-        if type(buf) is bytearray:
-            # Single-copy read: slicing the bytearray first would copy twice.
-            return bytes(memoryview(buf)[addr : addr + size])
-        return buf.read(addr, addr + size)  # CowBuffer (forked device)
+        return self.buf.read(addr, addr + size)
 
     def peek(self, addr: int, size: int) -> bytes:
         """Read without charging time (for assertions and recovery scans that
         account their own costs)."""
         self._check(addr, size)
-        return bytes(self.buf[addr : addr + size])
+        return self.buf.read(addr, addr + size)
 
     def poke(self, addr: int, data: bytes) -> None:
         """Write without charging time, durable immediately (test setup only)."""
         self._check(addr, len(data))
         self.domain.note_store(addr, len(data), nontemporal=True)
-        self.buf[addr : addr + len(data)] = data
+        self.buf.write(addr, data)
         self.domain.sfence()
         if self.faults is not None:
             self.faults.on_store(addr, len(data))
@@ -290,11 +286,11 @@ class PersistentMemory:
     def fork(self, clock: SimClock, faults=None, cow_stats=None) -> "PersistentMemory":
         """An O(1) copy-on-write fork of the device at this instant.
 
-        The child shares the parent's byte buffer through a
-        :class:`~repro.pmem.cow.CowBuffer` (lazy 64 KiB segment copies on
-        child writes) and gets independent copies of the persistence-domain
-        line maps, IO counters, and — via ``faults``/``clock`` supplied by
-        the machine-level fork — the fault-injection and timing state.
+        The child's :class:`~repro.pmem.cow.CowBuffer` lies over the
+        parent's (lazy 64 KiB segment copies on child writes), and the child
+        gets independent copies of the persistence-domain line maps, IO
+        counters, and — via ``faults``/``clock`` supplied by the
+        machine-level fork — the fault-injection and timing state.
         Observers and the RAS hook are not inherited; the machine fork
         re-attaches a forked RAS controller.
 
@@ -302,8 +298,6 @@ class PersistentMemory:
         :mod:`repro.pmem.cow`); the crash-state explorer forks inside a
         persistence-event hook and finishes the child before resuming.
         """
-        from .cow import CowBuffer
-
         child = object.__new__(PersistentMemory)
         child.size = self.size
         child.clock = clock
@@ -316,36 +310,4 @@ class PersistentMemory:
         # The child runs serially (crash exploration); the parent's scheduler
         # is not its scheduler.
         child.sched = None
-        return child
-
-
-class VolatileMemory:
-    """A cost-modelled DRAM buffer (contents vanish at crash)."""
-
-    def __init__(self, size: int, clock: SimClock) -> None:
-        self.size = size
-        self.clock = clock
-        self.buf = bytearray(size)
-
-    def store(self, addr: int, data: bytes, category: Category = Category.CPU) -> None:
-        if addr < 0 or addr + len(data) > self.size:
-            raise PMError("DRAM store out of range")
-        self.buf[addr : addr + len(data)] = data
-        self.clock.charge(len(data) * C.DRAM_WRITE_NS_PER_BYTE, category)
-
-    def load(self, addr: int, size: int, category: Category = Category.CPU) -> bytes:
-        if addr < 0 or addr + size > self.size:
-            raise PMError("DRAM load out of range")
-        self.clock.charge(
-            C.DRAM_ACCESS_LATENCY_NS + size * C.DRAM_READ_NS_PER_BYTE, category
-        )
-        return bytes(self.buf[addr : addr + size])
-
-    def crash(self) -> None:
-        self.buf = bytearray(self.size)
-
-    def fork(self, clock: SimClock) -> "VolatileMemory":
-        """A copy of the DRAM buffer on ``clock`` (machine forking)."""
-        child = VolatileMemory(self.size, clock)
-        child.buf = bytearray(self.buf)
         return child

@@ -30,8 +30,7 @@ def _sweep(kind, ops, engine, **kw):
     digests = []
 
     def hook(state, machine):
-        buf = machine.pm.buf
-        data = buf.tobytes() if hasattr(buf, "tobytes") else bytes(buf)
+        data = bytes(machine.pm.buf)
         digests.append((state, hashlib.sha256(data).hexdigest()))
 
     report = explore(kind, ops=ops, seed=2, engine=engine,

@@ -4,11 +4,12 @@ import pytest
 
 from repro.pmem.cache import CrashPolicy, PersistenceDomain
 from repro.pmem.constants import CACHELINE_SIZE
+from repro.pmem.cow import CowBuffer
 
 
 @pytest.fixture
 def buf():
-    return bytearray(4096)
+    return CowBuffer(4096)
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ class TestCrashPolicies:
     def test_partial_survival_is_seeded_deterministic(self, buf):
         results = []
         for _ in range(2):
-            b = bytearray(4096)
+            b = CowBuffer(4096)
             d = PersistenceDomain(b)
             for line in range(32):
                 d.note_store(line * 64, 64, nontemporal=False)
@@ -145,7 +146,7 @@ class TestCrashPolicies:
 class TestCrashPolicyRNG:
     @staticmethod
     def _crash_once(policy):
-        buf = bytearray(64 * CACHELINE_SIZE)
+        buf = CowBuffer(64 * CACHELINE_SIZE)
         d = PersistenceDomain(buf)
         d.note_store(0, len(buf), nontemporal=False)
         return d.crash(policy)

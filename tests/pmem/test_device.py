@@ -3,7 +3,8 @@
 import pytest
 
 from repro.pmem import constants as C
-from repro.pmem.device import PersistentMemory, PMError, VolatileMemory
+from repro.pmem.cow import SEGMENT_SIZE
+from repro.pmem.device import PersistentMemory, PMError
 from repro.pmem.timing import Category, SimClock
 
 
@@ -123,23 +124,46 @@ class TestStats:
         assert delta.bytes_written == 30
 
 
-class TestVolatileMemory:
-    def test_round_trip_and_crash(self):
-        clock = SimClock()
-        dram = VolatileMemory(4096, clock)
-        dram.store(0, b"ram")
-        assert dram.load(0, 3) == b"ram"
-        dram.crash()
-        assert dram.load(0, 3) == b"\x00\x00\x00"
+class TestZeroBase:
+    def test_fresh_device_owns_nothing_and_reads_zeros(self):
+        pm = PersistentMemory(512 * 1024 * 1024, SimClock())
+        assert pm.buf._own == {}
+        assert pm.load(0, 64) == bytes(64)
+        assert pm.load(pm.size - 4096, 4096) == bytes(4096)
+        assert pm.peek(SEGMENT_SIZE - 8, 16) == bytes(16)
+        assert pm.buf._own == {}  # reads privatise nothing
 
-    def test_dram_cheaper_than_pm_write(self):
-        clock = SimClock()
-        dram = VolatileMemory(1 << 20, clock)
-        dram.store(0, b"x" * 4096, category=Category.DATA)
-        dram_cost = clock.now_ns
-        assert dram_cost < C.PM_WRITE_4K_NS
+    def test_stores_privatise_only_the_segments_they_touch(self):
+        pm = PersistentMemory(512 * 1024 * 1024, SimClock())
+        pm.store(3 * SEGMENT_SIZE + 5, b"x")
+        assert sorted(pm.buf._own) == [3]
+        pm.store(10 * SEGMENT_SIZE - 2, b"abcd")  # crosses into segment 10
+        assert sorted(pm.buf._own) == [3, 9, 10]
+        assert pm.load(10 * SEGMENT_SIZE - 3, 6) == b"\0abcd\0"
 
-    def test_out_of_range(self):
-        dram = VolatileMemory(64, SimClock())
+    def test_out_of_range_store_privatises_nothing(self):
+        pm = PersistentMemory(512 * 1024 * 1024, SimClock())
         with pytest.raises(PMError):
-            dram.store(60, b"123456789")
+            pm.store(pm.size - 2, b"abcd")
+        assert pm.buf._own == {}
+
+    def test_crash_reverts_unfenced_store_to_zeros_across_segments(self):
+        pm = PersistentMemory(512 * 1024 * 1024, SimClock())
+        pm.persist(7 * SEGMENT_SIZE, b"kept")
+        pm.store(5 * SEGMENT_SIZE - 64, b"y" * 128)  # never fenced
+        pm.crash()
+        assert pm.peek(5 * SEGMENT_SIZE - 64, 128) == bytes(128)
+        assert pm.peek(7 * SEGMENT_SIZE, 4) == b"kept"
+
+    def test_fork_of_fresh_device_writes_only_its_own_segments(self):
+        pm = PersistentMemory(512 * 1024 * 1024, SimClock())
+        pm.persist(0, b"parent")
+        child = pm.fork(SimClock())
+        assert child.buf._own == {}
+        assert child.peek(0, 6) == b"parent"
+        assert child.peek(2 * SEGMENT_SIZE, 8) == bytes(8)
+        child.store(2 * SEGMENT_SIZE, b"child")
+        assert sorted(child.buf._own) == [2]
+        assert sorted(pm.buf._own) == [0]
+        assert pm.peek(2 * SEGMENT_SIZE, 5) == bytes(5)
+        assert child.peek(2 * SEGMENT_SIZE, 5) == b"child"
