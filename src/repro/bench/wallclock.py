@@ -12,9 +12,10 @@ This module ties the two together:
 * ``run_suite`` runs a fixed set of micro-workloads plus a crashmc sweep,
   recording for each the simulated-time split (the experiment's *result*)
   and best-of-N wall seconds (the experiment's *cost*).
-* ``reference_mode`` swaps the ``_reference_*`` pre-optimization
-  implementations back in, class-wide; ``verify_equivalence`` runs the
-  suite both ways and reports any workload whose simulated results differ.
+* The pre-optimization implementations of those fast paths live in the
+  test suite (``tests/reference_impls.py``), which can swap them in
+  class-wide; ``tests/bench/test_wallclock.py`` runs every workload both
+  ways and asserts identical simulated results.
   Optimizations must be invisible in simulated time — bit-identical, not
   approximately equal.
 * ``check_against_golden`` compares a fresh run's simulated results against
@@ -32,13 +33,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from ..ext4.extents import ExtentMap
-from ..kernel.vfs import VFS
-from ..pmem.cache import PersistenceDomain
 from .harness import io_pattern_workload
 
 #: Simulated results must match to the last bit; exact equality, no epsilon.
@@ -136,114 +133,12 @@ def sim_signature(result: Dict[str, object]) -> Dict[str, object]:
     return {k: result[k] for k in SIM_KEYS}
 
 
-@contextmanager
-def reference_mode() -> Iterator[None]:
-    """Swap in the pre-optimization ``_reference_*`` implementations.
-
-    Class-wide (affects every instance built inside the ``with`` block):
-    linear extent lookup/insert, per-line persistence bookkeeping, and
-    uncached VFS path resolution.
-    """
-    saved = [
-        (ExtentMap, "lookup_block", ExtentMap.lookup_block),
-        (ExtentMap, "map_byte_range", ExtentMap.map_byte_range),
-        (ExtentMap, "insert", ExtentMap.insert),
-        (PersistenceDomain, "note_store", PersistenceDomain.note_store),
-        (PersistenceDomain, "clwb", PersistenceDomain.clwb),
-        (PersistenceDomain, "sfence", PersistenceDomain.sfence),
-        (VFS, "resolve", VFS.resolve),
-    ]
-    try:
-        ExtentMap.lookup_block = ExtentMap._reference_lookup_block
-        ExtentMap.map_byte_range = ExtentMap._reference_map_byte_range
-        ExtentMap.insert = ExtentMap._reference_insert
-        PersistenceDomain.note_store = PersistenceDomain._reference_note_store
-        PersistenceDomain.clwb = PersistenceDomain._reference_clwb
-        PersistenceDomain.sfence = PersistenceDomain._reference_sfence
-        VFS.resolve = VFS._reference_resolve
-        yield
-    finally:
-        for cls, name, impl in saved:
-            setattr(cls, name, impl)
-
-
 def run_suite(repeats: int = 3,
               specs: Optional[List[WorkloadSpec]] = None,
               ) -> Dict[str, Dict[str, object]]:
     """Run every workload; returns ``{name: result}`` in suite order."""
     return {spec.name: run_workload(spec, repeats)
             for spec in (specs if specs is not None else list(WORKLOADS))}
-
-
-def explorer_deep_sweep(nops: int = 200, seed: int = 0,
-                        kind: str = "splitfs-strict", intra: int = 2,
-                        replay_sample: int = 32,
-                        ) -> Dict[str, object]:
-    """Fork-vs-replay deep-sweep speedup (recorded in golden ``extras``).
-
-    Runs a ≥200-op mechanism-pruned sweep in full under the CoW fork
-    engine, then measures the replay engine — the pre-fork reference,
-    which re-runs the workload from scratch per crash state — over a
-    uniform stratified sample of ~``replay_sample`` states of the *same*
-    plan (``stride``).  A replay's cost grows with its trigger depth, so
-    the sample must span the trace; the cheap early prefix alone would
-    understate the replay cost several-fold.
-    """
-    from ..crashmc import explore
-
-    t0 = time.perf_counter()
-    fork = explore(kind, nops=nops, seed=seed, intra=intra, prune=True)
-    fork_wall = time.perf_counter() - t0
-    stride = max(1, fork.states_explored // replay_sample)
-    t0 = time.perf_counter()
-    replay = explore(kind, nops=nops, seed=seed, intra=intra, prune=True,
-                     engine="replay", stride=stride)
-    replay_wall = time.perf_counter() - t0
-    fork_rate = fork.states_explored / fork_wall if fork_wall else 0.0
-    replay_rate = (replay.states_explored / replay_wall
-                   if replay_wall else 0.0)
-    return {
-        "kind": kind,
-        "nops": nops,
-        "seed": seed,
-        "intra": intra,
-        "fork": {
-            "states": fork.states_explored,
-            "pruned": fork.pruned_total,
-            "wall_s": round(fork_wall, 3),
-            "states_per_s": round(fork_rate, 1),
-        },
-        "replay_reference": {
-            "states": replay.states_explored,
-            "stride": stride,
-            "wall_s": round(replay_wall, 3),
-            "states_per_s": round(replay_rate, 1),
-            "note": (f"rate over every {stride}th state of the same plan "
-                     "(uniform sample across the trace)"),
-        },
-        "speedup_states_per_s": (round(fork_rate / replay_rate, 1)
-                                 if replay_rate else None),
-    }
-
-
-def verify_equivalence(repeats: int = 1,
-                       specs: Optional[List[WorkloadSpec]] = None,
-                       ) -> List[str]:
-    """Run the suite under the fast paths and under ``reference_mode``.
-
-    Returns a list of human-readable mismatch descriptions; empty means
-    every workload's simulated results are bit-identical across the two
-    implementations.
-    """
-    fast = run_suite(repeats, specs)
-    with reference_mode():
-        ref = run_suite(repeats, specs)
-    mismatches: List[str] = []
-    for name, fast_result in fast.items():
-        a, b = sim_signature(fast_result), sim_signature(ref[name])
-        if a != b:
-            mismatches.append(f"{name}: fast {a} != reference {b}")
-    return mismatches
 
 
 # -- golden-file handling -----------------------------------------------------
@@ -257,8 +152,8 @@ def emit_golden(results: Dict[str, Dict[str, object]],
     ``reference`` is the pre-optimization run recorded once when the fast
     paths landed; it is carried forward verbatim so the documented speedup
     keeps its provenance.  ``extras`` holds informational measurements
-    (e.g. the explorer fork-vs-replay deep-sweep speedup) that are never
-    gated on.
+    (e.g. the crashmc fork-vs-replay deep-sweep speedup recorded when the
+    fork engine landed) that are never gated on.
     """
     doc: Dict[str, object] = {
         "comment": (

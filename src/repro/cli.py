@@ -114,26 +114,23 @@ def cmd_crashmc(args: argparse.Namespace) -> int:
     from .crashmc import emit_reproducer, explore, minimize
 
     kinds = list(SYSTEM_NAMES) if "all" in args.fs else args.fs
-    pm_size = args.pm_mb << 20
+    # The minimizer and the reproducer re-explore with the sweep's options.
+    options = dict(pm_size=args.pm_mb << 20, intra=args.intra,
+                   max_states=args.max_states,
+                   ras=args.ras or args.media_rate > 0,
+                   media_rate=args.media_rate, prune=args.prune,
+                   reorder=args.reorder)
     failed = False
     for kind in kinds:
-        report = explore(kind, nops=args.ops, seed=args.seed,
-                         pm_size=pm_size, intra=args.intra,
-                         max_states=args.max_states,
-                         ras=args.ras or args.media_rate > 0,
-                         media_rate=args.media_rate,
-                         engine=args.engine, prune=args.prune,
-                         exhaustive=args.exhaustive,
-                         reorder=args.reorder)
+        report = explore(kind, nops=args.ops, seed=args.seed, **options)
         print(report.format(include_wall=True))
         if report.ok:
             continue
         failed = True
         if args.minimize:
-            small = minimize(kind, report.ops, seed=args.seed,
-                             pm_size=pm_size, intra=args.intra)
+            small = minimize(kind, report.ops, seed=args.seed, **options)
             print(f"  minimized to {len(small.ops)} op(s); reproducer:")
-            print(emit_reproducer(small, pm_size=pm_size, intra=args.intra))
+            print(emit_reproducer(small, **options))
     return 1 if failed else 0
 
 
@@ -173,8 +170,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if args.crash:
             crash_reports = run_crash_differential(
                 ops, kinds=kinds, seed=seed, pm_size=pm_size,
-                max_states=args.max_states, engine=args.crash_engine,
-                prune=args.crash_prune, reorder=args.crash_reorder)
+                max_states=args.max_states, prune=args.crash_prune,
+                reorder=args.crash_reorder)
             for kind, crep in crash_reports.items():
                 if crep.ok:
                     print(f"  crash-differential {kind}: ok "
@@ -207,16 +204,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    if args.verify:
-        mismatches = wc.verify_equivalence(repeats=1)
-        if mismatches:
-            for line in mismatches:
-                print(f"VERIFY FAIL {line}")
-            return 1
-        print(f"verify: {len(wc.WORKLOADS)} workloads bit-identical under "
-              f"fast and reference implementations")
-        return 0
-
     results = wc.run_suite(repeats=args.repeats)
     if args.attribution:
         # Traced re-runs of the IO specs; simulated totals are identical to
@@ -243,15 +230,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             extras = golden.get("extras")
         except FileNotFoundError:
             golden = None
-    if args.deep_sweep:
-        sweep = wc.explorer_deep_sweep()
-        extras = dict(extras or {})
-        extras["explorer_deep_sweep"] = sweep
-        fk, rp = sweep["fork"], sweep["replay_reference"]
-        print(f"deep-sweep {sweep['kind']} nops={sweep['nops']}: "
-              f"fork {fk['states']} states in {fk['wall_s']}s "
-              f"({fk['states_per_s']}/s, {fk['pruned']} pruned) vs replay "
-              f"{rp['states_per_s']}/s -> {sweep['speedup_states_per_s']}x")
 
     rows = []
     for name, r in results.items():
@@ -507,18 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="post-crash poison probability per protected cache "
                         "line (implies --ras); oracles then check the "
                         "repaired states")
-    p.add_argument("--engine", default="fork", choices=["fork", "replay"],
-                   help="state construction engine: 'fork' runs the "
-                        "workload once and CoW-forks the machine at each "
-                        "crash point; 'replay' re-runs it per state "
-                        "(reference; bit-identical)")
     p.add_argument("--prune", action="store_true",
                    help="mechanism-aware pruning: keep boundary + "
                         "representative fence states per consistency-"
                         "mechanism phase (journal/log/CoW) instead of all")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="explore every fence state even with --prune "
-                        "configured elsewhere (escape hatch)")
     p.add_argument("--reorder", type=int, default=0,
                    help="per-fence budget of systematic unfenced-line "
                         "reorder states (exact survivor subsets) on top "
@@ -542,9 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "vocabulary and enumerate its crash states")
     p.add_argument("--max-states", type=int, default=None,
                    help="bound crash states per system (with --crash)")
-    p.add_argument("--crash-engine", default="fork",
-                   choices=["fork", "replay"],
-                   help="explorer engine for --crash (default fork)")
     p.add_argument("--crash-prune", action="store_true",
                    help="mechanism-aware pruning for --crash sweeps")
     p.add_argument("--crash-reorder", type=int, default=0,
@@ -585,19 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "optane when no profile is named)")
     p.add_argument("--repeats", type=int, default=3,
                    help="runs per workload; best wall time is kept")
-    p.add_argument("--verify", action="store_true",
-                   help="run fast and _reference_ implementations; fail "
-                        "unless simulated results are bit-identical")
     p.add_argument("--check", metavar="GOLDEN",
                    help="fail if simulated results differ from this "
                         "committed BENCH_wallclock.json")
     p.add_argument("--output", metavar="PATH",
                    help="write results (preserving any recorded reference "
                         "block) to PATH")
-    p.add_argument("--deep-sweep", action="store_true",
-                   help="also measure the crashmc fork-vs-replay deep-"
-                        "sweep speedup (200-op pruned sweep; recorded in "
-                        "the golden 'extras' block, informational)")
     p.add_argument("--attribution", action="store_true",
                    help="also run the IO specs under tracing and embed the "
                         "per-layer latency-attribution rows in the results "

@@ -3,9 +3,10 @@
 The crash-model checker for the whole reproduction.  It records the
 persistence trace (stores / clwb / fences) of a workload, enumerates every
 fence-epoch crash state — plus sampled intra-epoch states with surviving
-and torn cache lines — remounts each state through the file system's own
-recovery path, and checks the exact Table-3 guarantees of the kind under
-test.  Failing workloads are auto-minimised to a standalone reproducer.
+and torn cache lines — by forking the machine at each one, remounts each
+state through the file system's own recovery path, and checks the exact
+Table-3 guarantees of the kind under test.  Failing workloads are
+auto-minimised to a standalone reproducer.
 
 Entry points: :func:`explore`, :func:`minimize`, and the ``repro crashmc``
 CLI subcommand.
@@ -17,7 +18,7 @@ from .mechanism import (MechanismProbe, PruneStats, mechanism_summary,
 from .minimize import emit_reproducer, minimize
 from .oracles import KIND_PROPS, KindProps, check_state
 from .systems import fresh, remount
-from .trace import CrashTrigger, CrashTriggered, PersistenceTracer, Trace
+from .trace import CrashTriggered, PersistenceTracer, Trace
 from .workload import Op, OpCursor, Shadow, generate_workload, run_workload
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "check_state",
     "fresh",
     "remount",
-    "CrashTrigger",
     "CrashTriggered",
     "PersistenceTracer",
     "Trace",

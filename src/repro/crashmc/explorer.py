@@ -1,34 +1,25 @@
 """Systematic crash-state enumeration.
 
-The explorer knows two engines:
+The workload runs **once** under the explorer.  A recording pass yields
+the fence/epoch structure (plus each epoch's consistency mechanism,
+inferred from span structure by :mod:`repro.crashmc.mechanism`); a harvest
+pass then runs the workload again with an observer that, at every planned
+persistence event, forks the whole machine copy-on-write
+(:meth:`~repro.kernel.machine.Machine.fork`), crashes the child, and
+remounts/checks it inline while the parent stays paused inside the event
+hook.  Cost per state is the recovery under test, not a replay of the op
+prefix — the asymptotic win that makes deep sweeps feasible.  The
+reference that rebuilds every state from scratch by replaying the op
+prefix lives in the test suite (``tests/crashmc/replay.py``), which
+asserts the forked crash state is bit-identical to the replayed one at
+every state for every kind.
 
-``fork`` (default)
-    The workload runs **once**.  A recording pass yields the fence/epoch
-    structure (plus each epoch's consistency mechanism, inferred from span
-    structure by :mod:`repro.crashmc.mechanism`); a harvest pass then runs
-    the workload again with an observer that, at every planned persistence
-    event, forks the whole machine copy-on-write
-    (:meth:`~repro.kernel.machine.Machine.fork`), crashes the child, and
-    remounts/checks it inline while the parent stays paused inside the
-    event hook.  Cost per state is the recovery under test, not a replay
-    of the op prefix — the asymptotic win that makes deep sweeps feasible.
-
-``replay`` (reference)
-    The original engine: for every crash state the workload is replayed on
-    a fresh machine with a :class:`~repro.crashmc.trace.CrashTrigger` that
-    stops the world at the chosen event.  Kept verbatim as the reference
-    implementation; ``tests/crashmc/test_fork_equivalence.py`` asserts the
-    forked crash state is bit-identical to the replayed one at every fence
-    for every kind.
-
-Three state families are enumerated, in one canonical temporal order
-(identical across engines):
+Three state families are enumerated, in one canonical temporal order:
 
 * **fence states** — crash just before fence ``k`` drains; epochs
   ``0..k-2`` durable, epoch ``k-1`` in flight.  ``prune=True`` reduces
   these to mechanism-phase representatives and boundaries (see
-  :func:`~repro.crashmc.mechanism.plan_pruned_fences`); ``exhaustive``
-  overrides pruning.
+  :func:`~repro.crashmc.mechanism.plan_pruned_fences`).
 * **reorder states** (``reorder > 0``) — at each explored fence, up to
   ``reorder`` chosen subsets of the unfenced lines survive exactly
   (deterministic eviction reordering via
@@ -36,8 +27,8 @@ Three state families are enumerated, in one canonical temporal order
 * **intra-epoch states** (``intra > 0``) — sampled crashes just before a
   chosen store, under a seeded probabilistic policy with tearing.
 
-Everything is pure in ``(kind, ops/seed, pm_size, intra, prune, reorder,
-engine)``: two runs with the same inputs explore bit-for-bit identical
+Everything is pure in ``(kind, ops/seed, pm_size, intra, prune,
+reorder)``: two runs with the same inputs explore bit-for-bit identical
 states and produce identical reports (wall time is excluded from
 :meth:`ExplorationReport.format` unless asked for).
 """
@@ -56,7 +47,7 @@ from .mechanism import (MechanismProbe, PruneStats, mechanism_summary,
                         plan_pruned_fences)
 from .oracles import KIND_PROPS, check_state
 from .systems import fresh, remount
-from .trace import CrashTrigger, PersistenceTracer, Trace
+from .trace import PersistenceTracer, Trace
 from .workload import Op, OpCursor, Shadow, generate_workload, run_workload
 
 DEFAULT_PM_SIZE = 96 * 1024 * 1024
@@ -92,12 +83,8 @@ class ExplorationReport:
     #: counters across all explored states (deterministic in the inputs, so
     #: CI can diff them between runs).
     ras_totals: Optional[dict] = None
-    #: which engine enumerated the states ("fork" or "replay")
-    engine: str = "fork"
     prune: bool = False
     reorder: int = 0
-    #: >1 when the plan was stratified-sampled (every Nth crash point)
-    stride: int = 1
     #: fence states the trace offers before pruning
     candidate_fence_states: int = 0
     #: fence states dropped by mechanism-aware pruning, per mechanism
@@ -127,8 +114,11 @@ class ExplorationReport:
 
     def format(self, include_wall: bool = False) -> str:
         lines = [
+            # "engine=fork" stays in the header: the crashmc-sweep digest
+            # in BENCH_wallclock.json and perfbench's crash-sweep digest
+            # hash these bytes.
             f"crashmc: {self.kind}  seed={self.seed}  ops={len(self.ops)}"
-            f"  engine={self.engine}",
+            "  engine=fork",
             f"  trace: {self.trace.fences} fences, {self.trace.stores} stores, "
             f"{self.trace.clwbs} clwb lines",
         ]
@@ -147,9 +137,6 @@ class ExplorationReport:
                 f"fence states (pruned {self.pruned_total}"
                 + (f": {detail}" if detail else "")
                 + f"); keep ratio {ratio:.2f}")
-        if self.stride > 1:
-            lines.append(f"  sampled: every {self.stride}th planned "
-                         f"crash point (stride)")
         if self.cow is not None and self.cow.forks:
             c = self.cow
             lines.append(
@@ -229,26 +216,6 @@ def _build_plan(trace: Trace, intra: int, seed: int, prune: bool) -> _Plan:
         if k <= trace.fences and k in kept:
             items.append(_PlanItem(epoch=epoch, fence=k))
     return _Plan(items=items, kept_fences=kept, pruned=pruned,
-                 intra_by_event=intra_by_event)
-
-
-def _sample_plan(plan: _Plan, stride: int) -> _Plan:
-    """Keep every ``stride``-th planned crash point (stratified sampling).
-
-    The retained points are spread uniformly across the trace rather than
-    clustered at its cheap beginning — the property the bench harness
-    needs for an unbiased fork-vs-replay cost comparison, since a replay's
-    cost grows with its trigger depth.  Both engines honour the sampled
-    plan identically.
-    """
-    items = plan.items[::stride]
-    kept_fences = {it.fence for it in items if it.fence is not None}
-    intra_by_event: Dict[Tuple[int, int], List[int]] = {}
-    for it in items:
-        if it.store is not None:
-            intra_by_event.setdefault((it.epoch, it.store),
-                                      []).append(it.policy_seed)
-    return _Plan(items=items, kept_fences=kept_fences, pruned=plan.pruned,
                  intra_by_event=intra_by_event)
 
 
@@ -345,24 +312,6 @@ def _budget_left(report: ExplorationReport, max_states: Optional[int]) -> bool:
 # -- recording --------------------------------------------------------------
 
 
-def _replay_until(kind: str, ops: List[Op], pm_size: int, seed: int,
-                  trigger: CrashTrigger, ras: bool = False):
-    """Run the workload on a fresh machine until ``trigger`` fires.
-
-    Returns ``(machine, shadow, outcome)`` with the observer detached and
-    the PM state frozen at the trigger instant (or at workload end if the
-    trigger never fired).
-    """
-    machine, fs = fresh(kind, pm_size, seed=seed, ras=ras)
-    shadow = Shadow(KIND_PROPS[kind])
-    machine.pm.attach_observer(trigger)
-    try:
-        outcome = run_workload(fs, shadow, ops)
-    finally:
-        machine.pm.detach_observer()
-    return machine, shadow, outcome
-
-
 def record_trace(kind: str, ops: List[Op], pm_size: int = DEFAULT_PM_SIZE,
                  seed: int = 0, ras: bool = False) -> Trace:
     """One crash-free pass; returns the workload's persistence trace.
@@ -394,11 +343,10 @@ class _ForkHarvester:
 
     Attached during the single harvest pass.  Domain hooks fire *before*
     the store/fence mutates, so a machine forked inside the hook is frozen
-    at exactly the state a :class:`~repro.crashmc.trace.CrashTrigger`
-    raise would leave.  The forked child carries no observers, so its own
-    remount/recovery traffic does not re-enter this harvester; the parent
-    is paused (single-threaded) until the child is fully examined — the
-    CoW pause discipline of :mod:`repro.pmem.cow`.
+    at exactly the instant before that event.  The forked child carries no
+    observers, so its own remount/recovery traffic does not re-enter this
+    harvester; the parent is paused (single-threaded) until the child is
+    fully examined — the CoW pause discipline of :mod:`repro.pmem.cow`.
     """
 
     def __init__(self, engine: "_ForkEngine") -> None:
@@ -532,71 +480,6 @@ class _ForkEngine:
             child, f"epoch {epoch} store {store} (policy seed {policy_seed})")
 
 
-# -- replay engine (reference) ---------------------------------------------
-
-
-def _run_replay(report: ExplorationReport, ops: List[Op], pm_size: int,
-                seed: int, plan: _Plan, ras: bool, media_rate: float,
-                reorder: int, max_states: Optional[int],
-                state_hook: Optional[Callable]) -> None:
-    kind = report.kind
-    for item in plan.items:
-        if not _budget_left(report, max_states):
-            report.skipped_states += 1
-            continue
-        if item.fence is not None:
-            trigger = CrashTrigger(fence_index=item.fence)
-            machine, shadow, outcome = _replay_until(
-                kind, ops, pm_size, seed, trigger, ras=ras)
-            if not outcome.crashed:
-                report.skipped_triggers += 1
-                continue
-            inflight = (ops[outcome.inflight]
-                        if outcome.inflight is not None else None)
-            dirty = sorted(machine.pm.domain.dirty_lines()) if reorder else []
-            machine.crash(CrashPolicy())
-            _examine(report, kind, machine, shadow, inflight,
-                     f"fence {item.fence}", seed, media_rate, state_hook)
-            if reorder:
-                subsets = _reorder_subsets(dirty, reorder)
-                total = len(subsets)
-                for i, sub in enumerate(subsets):
-                    if not _budget_left(report, max_states):
-                        break
-                    m2, s2, o2 = _replay_until(
-                        kind, ops, pm_size, seed,
-                        CrashTrigger(fence_index=item.fence), ras=ras)
-                    if not o2.crashed:  # pragma: no cover - deterministic
-                        report.skipped_triggers += 1
-                        break
-                    inflight2 = (ops[o2.inflight]
-                                 if o2.inflight is not None else None)
-                    m2.crash(survivors=set(sub))
-                    _examine(report, kind, m2, s2, inflight2,
-                             f"fence {item.fence} reorder {i + 1}/{total} "
-                             f"({len(sub)}/{len(dirty)} lines survive)",
-                             seed, media_rate, state_hook)
-        else:
-            trigger = CrashTrigger(epoch=item.epoch, store_index=item.store)
-            machine, shadow, outcome = _replay_until(
-                kind, ops, pm_size, seed, trigger, ras=ras)
-            if not outcome.crashed:
-                report.skipped_triggers += 1
-                continue
-            inflight = (ops[outcome.inflight]
-                        if outcome.inflight is not None else None)
-            machine.crash(CrashPolicy(
-                survive_probability=0.5,
-                pending_survive_probability=0.5,
-                tear_lines=True,
-                seed=item.policy_seed,
-            ))
-            _examine(report, kind, machine, shadow, inflight,
-                     f"epoch {item.epoch} store {item.store} "
-                     f"(policy seed {item.policy_seed})",
-                     seed, media_rate, state_hook)
-
-
 # -- entry point ------------------------------------------------------------
 
 
@@ -610,11 +493,8 @@ def explore(
     max_states: Optional[int] = None,
     ras: bool = False,
     media_rate: float = 0.0,
-    engine: str = "fork",
     prune: bool = False,
-    exhaustive: bool = False,
     reorder: int = 0,
-    stride: int = 1,
     state_hook: Optional[Callable[[str, object], None]] = None,
     prune_stats: Optional[PruneStats] = None,
 ) -> ExplorationReport:
@@ -627,13 +507,7 @@ def explore(
     total states for smoke runs (the report counts what was skipped).
 
     ``prune=True`` restricts fence states to mechanism-phase boundaries
-    plus one representative per phase (see :mod:`repro.crashmc.mechanism`);
-    ``exhaustive=True`` is the escape hatch that forces full enumeration.
-    ``engine`` selects the CoW fork engine (default) or the replay
-    reference engine; both explore identical states in identical order.
-    ``stride=N`` keeps every ``N``-th planned crash point — uniform
-    stratified sampling across the trace (used by the bench harness to
-    cost-sample the replay reference without replaying every state).
+    plus one representative per phase (see :mod:`repro.crashmc.mechanism`).
 
     ``ras=True`` runs every state with the RAS layer enabled;
     ``media_rate`` additionally scatters seeded-random poison over the
@@ -650,16 +524,10 @@ def explore(
         raise ValueError(f"unknown file-system kind {kind!r}")
     if media_rate and not ras:
         raise ValueError("media_rate requires ras=True")
-    if engine not in ("fork", "replay"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if exhaustive:
-        prune = False
     if ops is None:
         ops = generate_workload(seed, nops)
     report = ExplorationReport(kind=kind, seed=seed, ops=list(ops),
-                               engine=engine, prune=prune, reorder=reorder)
+                               prune=prune, reorder=reorder)
     report.trace = record_trace(kind, ops, pm_size, seed, ras=ras)
     report.mechanisms = mechanism_summary(report.trace.epoch_mechanisms)
     report.candidate_fence_states = report.trace.fences
@@ -668,19 +536,11 @@ def explore(
                              "unrecoverable": 0, "poisoned_lines": 0}
     t0 = time.perf_counter()
     plan = _build_plan(report.trace, intra=intra, seed=seed, prune=prune)
-    if stride > 1:
-        plan = _sample_plan(plan, stride)
-        report.stride = stride
     report.pruned_states = dict(plan.pruned)
     report.prune_counters = prune_stats if prune_stats is not None else PruneStats()
     report.prune_counters.record(report.candidate_fence_states,
                                  len(plan.kept_fences), plan.pruned)
-    if engine == "fork":
-        fe = _ForkEngine(report, ops, pm_size, seed, plan, ras, media_rate,
-                         reorder, max_states, state_hook)
-        fe.run()
-    else:
-        _run_replay(report, ops, pm_size, seed, plan, ras, media_rate,
-                    reorder, max_states, state_hook)
+    _ForkEngine(report, ops, pm_size, seed, plan, ras, media_rate, reorder,
+                max_states, state_hook).run()
     report.elapsed_wall_s = time.perf_counter() - t0
     return report

@@ -18,8 +18,8 @@ invariant), this module
    per phase.
 
 Pruning is a coverage/cost trade and is therefore never silent: the
-explorer reports the pruned/explored ratio per mechanism, and
-``--exhaustive`` restores full enumeration.
+explorer reports the pruned/explored ratio per mechanism, and a sweep
+without ``--prune`` enumerates every fence state.
 
 :class:`MechanismProbe` is a minimal clock observer that maintains only
 the stack of open span names.  It charges nothing and records nothing

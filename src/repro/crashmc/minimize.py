@@ -24,26 +24,27 @@ def minimize(
     kind: str,
     ops: List[Op],
     seed: int = 0,
-    pm_size: Optional[int] = None,
-    intra: int = 0,
     failing: Callable[[ExplorationReport], bool] = _default_failing,
+    **options,
 ) -> ExplorationReport:
     """ddmin: smallest op subsequence whose exploration still fails.
 
     ``failing`` decides whether a report reproduces the problem (default:
-    any violation).  Returns the exploration report of the minimised
+    any violation).  ``options`` are :func:`explore`'s keyword arguments
+    (``pm_size``, ``intra``, ``reorder``, ``ras``, ...); every candidate is
+    explored with them, so a violation only some state family exposes
+    still reproduces.  Returns the exploration report of the minimised
     workload; its ``ops`` attribute is the reproducer sequence.
     """
     # Function-local: repro.difftest imports repro.crashmc, so a module-level
     # import would make the import order of the two packages matter.
     from ..difftest.shrink import shrink
 
-    kwargs = {} if pm_size is None else {"pm_size": pm_size}
     report: Optional[ExplorationReport] = None
 
     def test(candidate: List[Op]) -> bool:
         nonlocal report
-        r = explore(kind, ops=candidate, seed=seed, intra=intra, **kwargs)
+        r = explore(kind, ops=candidate, seed=seed, **options)
         if not failing(r):
             return False
         # shrink adopts every failing candidate, so the last failing report
@@ -68,24 +69,23 @@ from repro.crashmc.workload import Op
 
 KIND = {kind!r}
 SEED = {seed}
-PM_SIZE = {pm_size}
-INTRA = {intra}
+OPTIONS = {options!r}
 OPS = [
 {ops_literal}
 ]
 
-report = explore(KIND, ops=OPS, seed=SEED, pm_size=PM_SIZE, intra=INTRA)
+report = explore(KIND, ops=OPS, seed=SEED, **OPTIONS)
 print(report.format())
 raise SystemExit(0 if report.ok else 1)
 '''
 
 
-def emit_reproducer(report: ExplorationReport,
-                    pm_size: Optional[int] = None,
-                    intra: int = 0) -> str:
-    """A standalone python script replaying the report's workload."""
-    from .explorer import DEFAULT_PM_SIZE
+def emit_reproducer(report: ExplorationReport, **options) -> str:
+    """A standalone python script re-exploring the report's workload.
 
+    ``options`` are the :func:`explore` keyword arguments the script passes
+    along with the workload and seed.
+    """
     ops_literal = "\n".join(
         f"    Op({op.kind!r}, {op.file}, offset={op.offset}, "
         f"size={op.size}, fill={op.fill}),"
@@ -95,7 +95,6 @@ def emit_reproducer(report: ExplorationReport,
         kind=report.kind,
         nops=len(report.ops),
         seed=report.seed,
-        pm_size=pm_size if pm_size is not None else DEFAULT_PM_SIZE,
-        intra=intra,
+        options=options,
         ops_literal=ops_literal,
     )

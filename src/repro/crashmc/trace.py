@@ -9,12 +9,12 @@ flushes between two consecutive ``sfence`` instructions.  A crash can land
   (the probabilistic states, sampled under a seeded
   :class:`~repro.pmem.cache.CrashPolicy`).
 
-:class:`PersistenceTracer` records the event trace of a workload (one pass),
-and :class:`CrashTrigger` replays it, raising :class:`CrashTriggered` at a
-chosen event.  Both plug into
-:meth:`~repro.pmem.device.PersistentMemory.attach_observer`; the domain fires
-hooks *before* mutating, so the raise leaves PM state exactly as it was the
-instant before that event.
+:class:`PersistenceTracer` records the event trace of a workload (one pass)
+through :meth:`~repro.pmem.device.PersistentMemory.attach_observer`.  An
+observer may instead raise :class:`CrashTriggered` at a chosen event to stop
+the workload there; the domain fires hooks *before* mutating, so the raise
+leaves PM state exactly as it was the instant before that event (the
+replay engine of ``tests/crashmc/replay.py`` builds crash states this way).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .mechanism import MechanismProbe, merge_mechanism
 
 
 class CrashTriggered(BaseException):
-    """Raised by :class:`CrashTrigger` at the chosen persistence event.
+    """Raised by a domain observer at a chosen persistence event.
 
     Derives from ``BaseException`` so no file-system ``except Exception``
     handler (including the syscall errno boundary) can swallow it.
@@ -82,66 +82,3 @@ class PersistenceTracer:
         self.trace.fences += 1
         self.trace.stores_per_epoch.append(0)
         self.trace.epoch_mechanisms.append("none")
-
-
-class CrashTrigger:
-    """Raises :class:`CrashTriggered` at one chosen persistence event.
-
-    ``fence_index=k`` (1-based) fires just before the ``k``-th fence drains —
-    the crash state where epochs ``0..k-2`` are durable and epoch ``k-1`` is
-    still in flight.  ``epoch``/``store_index`` instead fire just before the
-    (0-based) ``store_index``-th store of the (0-based) ``epoch``-th epoch,
-    for intra-epoch states.
-
-    The trigger is *sticky*: once fired, every subsequent persistence event
-    re-raises.  Exception-unwind code (e.g. a journal commit in a
-    ``finally`` block) would otherwise keep writing to the device after the
-    crash instant, breaking the contract that the caught machine state is
-    exactly the state at the triggering event — the property the CoW fork
-    engine relies on for replay/fork equivalence.
-    """
-
-    def __init__(
-        self,
-        fence_index: Optional[int] = None,
-        epoch: Optional[int] = None,
-        store_index: Optional[int] = None,
-    ) -> None:
-        if (fence_index is None) == (epoch is None):
-            raise ValueError("pass exactly one of fence_index or epoch")
-        if epoch is not None and store_index is None:
-            raise ValueError("epoch crashes need a store_index")
-        self.fence_index = fence_index
-        self.epoch = epoch
-        self.store_index = store_index
-        self.fences_seen = 0
-        self.stores_this_epoch = 0
-        self.fired = False
-        self._where = ""
-
-    def on_store(self, addr: int, size: int, nontemporal: bool) -> None:
-        if self.fired:
-            raise CrashTriggered(f"store after {self._where}")
-        if (
-            self.epoch is not None
-            and self.fences_seen == self.epoch
-            and self.stores_this_epoch == self.store_index
-        ):
-            self.fired = True
-            self._where = f"store {self.store_index} of epoch {self.epoch}"
-            raise CrashTriggered(self._where)
-        self.stores_this_epoch += 1
-
-    def on_clwb(self, addr: int, size: int) -> None:
-        if self.fired:
-            raise CrashTriggered(f"clwb after {self._where}")
-
-    def on_fence(self) -> None:
-        if self.fired:
-            raise CrashTriggered(f"fence after {self._where}")
-        if self.fence_index is not None and self.fences_seen + 1 == self.fence_index:
-            self.fired = True
-            self._where = f"fence {self.fence_index}"
-            raise CrashTriggered(self._where)
-        self.fences_seen += 1
-        self.stores_this_epoch = 0

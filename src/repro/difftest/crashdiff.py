@@ -96,7 +96,6 @@ def run_crash_differential(
     pm_size: int = 96 * 1024 * 1024,
     intra: int = 0,
     max_states: Optional[int] = None,
-    engine: str = "fork",
     prune: bool = False,
     reorder: int = 0,
 ) -> Dict[str, ExplorationReport]:
@@ -106,6 +105,6 @@ def run_crash_differential(
     for kind in kinds:
         reports[kind] = explore(kind, ops=crash_ops, seed=seed,
                                 pm_size=pm_size, intra=intra,
-                                max_states=max_states, engine=engine,
-                                prune=prune, reorder=reorder)
+                                max_states=max_states, prune=prune,
+                                reorder=reorder)
     return reports

@@ -11,9 +11,9 @@ through the extent map.  They run in O(log n) via :mod:`bisect` over a
 maintained array of extent start blocks, with a last-hit cursor that makes
 sequential access O(1).  Inserts splice into the sorted list in place
 (coalescing with at most the two neighbours) instead of re-sorting the whole
-list.  The original linear implementations are kept as ``_reference_*``
-oracles; the wall-clock bench harness and the property tests assert the fast
-paths agree with them bit-for-bit.
+list.  The original linear implementations live in the test suite
+(``tests/reference_impls.py``) as oracles: the property tests and the
+wall-clock bench tests assert the fast paths agree with them bit-for-bit.
 """
 
 from __future__ import annotations
@@ -272,66 +272,3 @@ class ExtentMap:
     def physical_extents(self) -> List[Extent]:
         """All physical extents backing this map (for dealloc at unlink)."""
         return [Extent(e.phys, e.length) for e in self.extents]
-
-    # -- reference (pre-optimization) implementations ---------------------------
-    #
-    # The original O(n) code paths, kept verbatim as oracles: the property
-    # tests and `repro bench --wallclock --verify` check the bisect-based
-    # fast paths against them.
-
-    def _reference_lookup_block(self, logical: int) -> Optional[int]:
-        for e in self.extents:
-            if e.logical <= logical < e.logical_end:
-                return e.phys + (logical - e.logical)
-        return None
-
-    def _reference_map_byte_range(
-        self, offset: int, size: int, block_size: int = C.BLOCK_SIZE
-    ) -> List[Tuple[Optional[int], int]]:
-        if offset < 0 or size < 0:
-            raise ValueError("negative offset/size")
-        out: List[Tuple[Optional[int], int]] = []
-        pos = offset
-        end = offset + size
-        i = 0
-        exts = self.extents
-        while pos < end:
-            while i < len(exts) and exts[i].logical_end * block_size <= pos:
-                i += 1
-            if i == len(exts) or exts[i].logical * block_size >= end:
-                out.append((None, end - pos))
-                break
-            ext = exts[i]
-            ext_start = ext.logical * block_size
-            ext_end = ext.logical_end * block_size
-            if pos < ext_start:
-                out.append((None, ext_start - pos))
-                pos = ext_start
-            run = min(end, ext_end) - pos
-            addr = ext.phys * block_size + (pos - ext_start)
-            out.append((addr, run))
-            pos += run
-        return out
-
-    def _reference_insert(self, logical: int, phys: int, length: int) -> None:
-        if length <= 0:
-            return
-        new = FileExtent(logical, phys, length)
-        for e in self.extents:
-            if e.logical < new.logical_end and new.logical < e.logical_end:
-                raise ValueError(f"insert {new} overlaps {e}")
-        self.extents.append(new)
-        self.extents.sort(key=lambda e: e.logical)
-        merged: List[FileExtent] = []
-        for e in self.extents:
-            if (
-                merged
-                and merged[-1].logical_end == e.logical
-                and merged[-1].phys_end == e.phys
-            ):
-                prev = merged.pop()
-                merged.append(FileExtent(prev.logical, prev.phys, prev.length + e.length))
-            else:
-                merged.append(e)
-        self.extents = merged
-        self._reindex()

@@ -94,20 +94,6 @@ class VFS(FileSystemAPI):
         self._resolve_cache[path] = (fs, inner)
         return fs, inner
 
-    def _reference_resolve(self, path: str) -> Tuple[FileSystemAPI, str]:
-        """The original uncached resolution, kept as an oracle for the
-        wall-clock bench harness's ``--verify`` mode."""
-        if not path.startswith("/"):
-            raise InvalidArgumentFSError(f"path must be absolute: {path!r}")
-        best = "/"
-        for mp in self._mounts:
-            if mp != "/" and (path == mp or path.startswith(mp + "/")):
-                if len(mp) > len(best):
-                    best = mp
-        fs = self._mounts[best]
-        inner = path if best == "/" else path[len(best):] or "/"
-        return fs, inner
-
     # -- fd helpers ----------------------------------------------------------------
 
     def _target(self, fd: int) -> Tuple[FileSystemAPI, int]:

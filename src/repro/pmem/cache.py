@@ -15,9 +15,9 @@ line's durability is only atomic at 8-byte granularity (torn lines).
 The line bookkeeping is on the simulator's hottest path (every store on every
 device goes through :meth:`PersistenceDomain.note_store`), so multi-line
 stores are handled with range arithmetic and bulk container operations
-instead of a Python loop per 64-byte line.  The original per-line loops are
-kept as ``_reference_*`` methods; ``repro bench --wallclock --verify`` runs
-workloads under both and asserts identical simulated results.
+instead of a Python loop per 64-byte line.  The original per-line loops live
+in the test suite (``tests/reference_impls.py``), whose property and
+wall-clock bench tests run both and assert identical results.
 """
 
 from __future__ import annotations
@@ -118,15 +118,6 @@ class PersistenceDomain:
         self._observers: List[DomainObserver] = []
 
     # -- observers ----------------------------------------------------------
-
-    @property
-    def observer(self) -> Optional[DomainObserver]:
-        """The first attached observer (legacy single-observer view)."""
-        return self._observers[0] if self._observers else None
-
-    @observer.setter
-    def observer(self, obs: Optional[DomainObserver]) -> None:
-        self._observers = [] if obs is None else [obs]
 
     def add_observer(self, obs: DomainObserver) -> None:
         """Attach ``obs``; observers chain and all see every event."""
@@ -237,9 +228,8 @@ class PersistenceDomain:
         Preimage values are immutable (``bytes`` or shared segment tuples),
         so the line maps are shared structurally: forking is two container
         copies regardless of device size.  Observers are deliberately not
-        inherited — a forked machine is explored detached, exactly like a
-        replayed machine after :func:`~repro.crashmc.explorer` detaches its
-        trigger.
+        inherited — a forked machine is explored detached, so its recovery
+        traffic never reaches the crash explorer's harvest observer.
         """
         child = PersistenceDomain(buf)
         child._preimages = dict(self._preimages)
@@ -325,42 +315,3 @@ class PersistenceDomain:
         self._preimages.clear()
         self._pending_fence.clear()
         return lost, survived
-
-    # -- reference (pre-optimization) implementations ------------------------
-    #
-    # The original per-line loops, kept verbatim: the wall-clock bench
-    # harness swaps these in under ``--verify`` and asserts the simulated
-    # results match the batched fast paths above.
-
-    def _reference_note_store(self, addr: int, size: int, nontemporal: bool) -> None:
-        if size <= 0:
-            return
-        for obs in self._observers:
-            obs.on_store(addr, size, nontemporal)
-        for line in self._line_range(addr, size):
-            if line not in self._preimages:
-                start = line * CACHELINE_SIZE
-                self._preimages[line] = bytes(self.buf[start : start + CACHELINE_SIZE])
-            if nontemporal:
-                self._pending_fence.add(line)
-            else:
-                self._pending_fence.discard(line)
-
-    def _reference_clwb(self, addr: int, size: int) -> int:
-        for obs in self._observers:
-            obs.on_clwb(addr, size)
-        flushed = 0
-        for line in self._line_range(addr, size):
-            if line in self._preimages and line not in self._pending_fence:
-                self._pending_fence.add(line)
-                flushed += 1
-        return flushed
-
-    def _reference_sfence(self) -> int:
-        for obs in self._observers:
-            obs.on_fence()
-        drained = len(self._pending_fence)
-        for line in self._pending_fence:
-            self._preimages.pop(line, None)
-        self._pending_fence.clear()
-        return drained

@@ -1,9 +1,11 @@
-"""Tests for the wall-clock bench harness (small, fast workloads)."""
+"""Tests for the wall-clock bench harness (small, fast workloads), and the
+check that every fast path is bit-identical to its reference."""
 
 from repro.bench import wallclock as wc
 from repro.ext4.extents import ExtentMap
 from repro.kernel.vfs import VFS
 from repro.pmem.cache import PersistenceDomain
+from tests import reference_impls as ref_impl
 
 SMALL = [
     wc.WorkloadSpec("seq-write", "io", "splitfs-strict", "seq-write",
@@ -18,11 +20,11 @@ class TestReferenceMode:
         fast_lookup = ExtentMap.lookup_block
         fast_note = PersistenceDomain.note_store
         fast_resolve = VFS.resolve
-        with wc.reference_mode():
-            assert ExtentMap.lookup_block is ExtentMap._reference_lookup_block
+        with ref_impl.reference_mode():
+            assert ExtentMap.lookup_block is ref_impl.extent_lookup_block
             assert (PersistenceDomain.note_store
-                    is PersistenceDomain._reference_note_store)
-            assert VFS.resolve is VFS._reference_resolve
+                    is ref_impl.domain_note_store)
+            assert VFS.resolve is ref_impl.vfs_resolve
         assert ExtentMap.lookup_block is fast_lookup
         assert PersistenceDomain.note_store is fast_note
         assert VFS.resolve is fast_resolve
@@ -30,7 +32,7 @@ class TestReferenceMode:
     def test_restores_on_exception(self):
         fast_lookup = ExtentMap.lookup_block
         try:
-            with wc.reference_mode():
+            with ref_impl.reference_mode():
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
@@ -44,7 +46,12 @@ class TestSuite:
         assert result["wall_s"] > 0
 
     def test_verify_equivalence_small(self):
-        assert wc.verify_equivalence(repeats=1, specs=SMALL) == []
+        assert ref_impl.verify_equivalence(repeats=1, specs=SMALL) == []
+
+    def test_every_workload_is_bit_identical_to_the_reference(self):
+        # The full suite, including the crashmc sweep: each fast path must
+        # leave every simulated result unchanged.
+        assert ref_impl.verify_equivalence(repeats=1) == []
 
     def test_sim_signature_excludes_wall(self):
         result = wc.run_workload(SMALL[0], repeats=1)

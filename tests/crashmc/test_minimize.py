@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.crashmc.explorer as explorer_mod
 import repro.crashmc.oracles as oracles
+from repro.cli import main
 from repro.crashmc import KindProps, emit_reproducer, explore, minimize
 from repro.crashmc.workload import Op, generate_workload
 
@@ -64,3 +66,31 @@ class TestBrokenOracle:
         assert f"SEED = 3" in script
         for op in small.ops:
             assert op.kind in script
+
+
+class TestSweepOptions:
+    def test_reorder_only_violation_minimizes_with_the_sweep_options(
+            self, monkeypatch, capsys):
+        """`repro crashmc --reorder 2 --minimize` must minimise under the
+        sweep's options: a violation only reorder states expose vanishes
+        from a plain re-exploration, and the reproducer must keep it."""
+        real = explorer_mod._examine
+
+        def examine(report, kind, machine, shadow, inflight, state, *rest):
+            real(report, kind, machine, shadow, inflight, state, *rest)
+            if " reorder " in state:
+                report.violations.append(explorer_mod.Violation(
+                    kind=kind, state=state, inflight=None,
+                    messages=["synthetic reorder-only violation"]))
+
+        monkeypatch.setattr(explorer_mod, "_examine", examine)
+        assert explore("pmfs", nops=6, pm_size=PM).ok
+        assert main(["crashmc", "--fs", "pmfs", "--ops", "6",
+                     "--reorder", "2", "--minimize"]) == 1
+        out = capsys.readouterr().out
+        assert "minimized to 1 op(s)" in out
+        script = out[out.index("#!/usr/bin/env python"):]
+        assert "'reorder': 2" in script
+        with pytest.raises(SystemExit) as exc:
+            exec(compile(script, "<reproducer>", "exec"), {})
+        assert exc.value.code == 1  # the reproducer still fails

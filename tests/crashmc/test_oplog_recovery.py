@@ -10,10 +10,11 @@ import pytest
 
 from repro.core import Mode, SplitFS, recover
 from repro.core.oplog import ENTRY_SIZE
-from repro.crashmc.trace import CrashTrigger, CrashTriggered
+from repro.crashmc.trace import CrashTriggered
 from repro.ext4.filesystem import Ext4DaxFS
 from repro.kernel.machine import Machine
 from repro.posix import flags as F
+from tests.crashmc.replay import CrashTrigger
 
 PM = 96 * 1024 * 1024
 

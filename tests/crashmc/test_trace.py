@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.crashmc.trace import CrashTrigger, CrashTriggered, PersistenceTracer
+from repro.crashmc.trace import CrashTriggered, PersistenceTracer
 from repro.pmem.device import PersistentMemory
 from repro.pmem.timing import SimClock
+from tests.crashmc.replay import CrashTrigger
 
 PM = 4 * 1024 * 1024
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ext4.extents import ExtentMap
+from tests import reference_impls as ref_impl
 
 MAX_LOGICAL = 64
 
@@ -93,7 +94,7 @@ def test_punch_then_reinsert_round_trips(logical, length, punch_at, punch_len):
 
 
 # ---------------------------------------------------------------------------
-# Bisect fast paths vs. the _reference_* linear oracles
+# Bisect fast paths vs. the linear oracles in tests/reference_impls.py
 # ---------------------------------------------------------------------------
 #
 # The O(log n) lookup/insert paths (cursor + bisect index) must be
@@ -115,17 +116,37 @@ def _build_maps(extent_spec):
             fast.insert(logical, phys, length)
         except ValueError:
             return None
-        ref._reference_insert(logical, phys, length)
+        ref_impl.extent_insert(ref, logical, phys, length)
         phys += length + 5  # gap: avoid accidental physical coalescing
     return fast, ref
 
 
-extent_spec_st = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=MAX_LOGICAL),
-        st.integers(min_value=1, max_value=12),
+def _tiled(runs):
+    """``(gap, length)`` runs laid end to end as ``(logical, length)``
+    extents: a gap of 0 makes neighbours logically adjacent (physically they
+    never are), the case where an insert must not coalesce."""
+    spec, logical = [], 0
+    for gap, length in runs:
+        logical += gap
+        spec.append((logical, length))
+        logical += length
+    return spec
+
+
+extent_spec_st = st.one_of(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=MAX_LOGICAL),
+            st.integers(min_value=1, max_value=12),
+        ),
+        max_size=12,
     ),
-    max_size=12,
+    # Adjacent extents inserted in random order.
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=1, max_value=6)),
+        max_size=10,
+    ).map(_tiled).flatmap(st.permutations),
 )
 
 
@@ -140,7 +161,7 @@ def test_lookup_block_matches_reference(spec, queries):
     assert fast.extents == ref.extents
     for logical in queries:
         assert fast.lookup_block(logical) == \
-            fast._reference_lookup_block(logical)
+            ref_impl.extent_lookup_block(fast, logical)
         assert fast.lookup_block(logical) == ref.lookup_block(logical)
 
 
@@ -158,7 +179,7 @@ def test_map_byte_range_matches_reference(spec, ranges):
     fast, _ = maps
     for offset, size in ranges:
         got = fast.map_byte_range(offset, size)
-        want = fast._reference_map_byte_range(offset, size)
+        want = ref_impl.extent_map_byte_range(fast, offset, size)
         assert got == want
         # Pieces tile the request exactly.
         assert sum(run for _, run in got) == size
@@ -167,9 +188,10 @@ def test_map_byte_range_matches_reference(spec, ranges):
 def test_empty_map_edge_cases():
     em = ExtentMap()
     assert em.lookup_block(0) is None
-    assert em.map_byte_range(0, 0) == em._reference_map_byte_range(0, 0) == []
+    assert em.map_byte_range(0, 0) == \
+        ref_impl.extent_map_byte_range(em, 0, 0) == []
     assert em.map_byte_range(123, 4096) == \
-        em._reference_map_byte_range(123, 4096) == [(None, 4096)]
+        ref_impl.extent_map_byte_range(em, 123, 4096) == [(None, 4096)]
 
 
 def test_sequential_scan_uses_cursor_and_stays_correct():
@@ -177,7 +199,13 @@ def test_sequential_scan_uses_cursor_and_stays_correct():
     for i in range(0, 40, 4):
         em.insert(i, 2000 + i * 7, 2)  # every other 2-block extent: holes
     for lb in range(44):
-        assert em.lookup_block(lb) == em._reference_lookup_block(lb)
+        assert em.lookup_block(lb) == ref_impl.extent_lookup_block(em, lb)
     # Backwards scan after the cursor was dragged to the end.
     for lb in reversed(range(44)):
-        assert em.lookup_block(lb) == em._reference_lookup_block(lb)
+        assert em.lookup_block(lb) == ref_impl.extent_lookup_block(em, lb)
+    # A jump from one extent to the hole just past the next one must not be
+    # taken for a hit in the cursor's successor.
+    for lb in range(0, 36, 4):
+        em.lookup_block(lb)
+        assert (em.lookup_block(lb + 6)
+                == ref_impl.extent_lookup_block(em, lb + 6))

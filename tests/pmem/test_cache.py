@@ -220,14 +220,6 @@ class TestObserverChaining:
         with pytest.raises(ValueError, match="not attached"):
             domain.remove_observer(a)
 
-    def test_legacy_observer_property(self, domain):
-        a = _Recorder()
-        assert domain.observer is None
-        domain.observer = a
-        assert domain.observer is a
-        domain.observer = None
-        assert domain.observer is None
-
     def test_device_level_chaining(self):
         # crashmc --ras style: a persistence tracer attached while another
         # hook is already watching the same device.
