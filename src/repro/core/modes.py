@@ -26,22 +26,22 @@ class Mode(enum.Enum):
     @property
     def sync_data(self) -> bool:
         """Data operations are durable when the call returns."""
-        return self is not Mode.POSIX
+        return self is not _POSIX
 
     @property
     def atomic_data(self) -> bool:
         """Data operations are all-or-nothing across a crash."""
-        return self is Mode.STRICT
+        return self is _STRICT
 
     @property
     def logs_operations(self) -> bool:
         """Strict mode logs every operation to the operation log."""
-        return self is Mode.STRICT
+        return self is _STRICT
 
     @property
     def stages_overwrites(self) -> bool:
         """Strict mode redirects overwrites to staging files (localized CoW)."""
-        return self is Mode.STRICT
+        return self is _STRICT
 
     @property
     def equivalent_systems(self) -> str:
@@ -50,3 +50,10 @@ class Mode(enum.Enum):
             Mode.SYNC: "NOVA-relaxed, PMFS",
             Mode.STRICT: "NOVA-strict, Strata",
         }[self]
+
+
+# Plain module attributes for the properties above, which run on every
+# syscall.  On Python 3.11 every ``Mode.X`` read goes through
+# ``EnumType.__getattr__``, several times slower than a global.
+_POSIX = Mode.POSIX
+_STRICT = Mode.STRICT

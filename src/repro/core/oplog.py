@@ -32,7 +32,7 @@ from typing import List, Optional, Union
 
 from ..pmem import constants as C
 from ..pmem.device import PersistentMemory
-from ..pmem.timing import Category
+from ..pmem.timing import META_IO, Category
 
 ENTRY_SIZE = C.CACHELINE_SIZE
 _MAGIC = 0x5346  # "SF"
@@ -51,6 +51,9 @@ _DATA_OPS = (OP_APPEND, OP_OVERWRITE, OP_TRUNCATE)
 _DATA_FMT = "<HBBIIIIQQI"  # magic,type,flags,seq,tino,sino,size,toff,soff,crc
 _NS_FMT = "<HBBIIII"  # magic,type,name_len,seq,parent,child,crc
 MAX_LOG_NAME = ENTRY_SIZE - struct.calcsize(_NS_FMT)
+
+_ZERO_SLOT = bytes(ENTRY_SIZE)
+_ZERO_PAGE = bytes(C.BLOCK_SIZE)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def encode_ns_entry(e: NamespaceEntry) -> bytes:
 
 def decode_entry(raw: bytes) -> Optional[LogEntryT]:
     """Parse and checksum-validate a 64 B slot; None if torn or empty."""
-    if raw == b"\x00" * ENTRY_SIZE:
+    if raw == _ZERO_SLOT:
         return None
     magic, op = struct.unpack_from("<HB", raw)
     if magic != _MAGIC:
@@ -208,11 +211,14 @@ class OperationLog:
         entries.  Replay is idempotent, so over-approximation is safe.
         """
         entries: List[LogEntryT] = []
+        load = self.pm.load
         # The scan streams the region page by page (sequential bandwidth,
-        # not per-line latency).
+        # not per-line latency).  Every page is loaded and charged; only a
+        # non-zero page has slots worth decoding.
         for page_off in range(0, self.size, C.BLOCK_SIZE):
-            raw = self.pm.load(self.base + page_off, C.BLOCK_SIZE,
-                               category=Category.META_IO)
+            raw = load(self.base + page_off, C.BLOCK_SIZE, category=META_IO)
+            if raw == _ZERO_PAGE:
+                continue
             for slot_off in range(0, C.BLOCK_SIZE, ENTRY_SIZE):
                 entry = decode_entry(raw[slot_off : slot_off + ENTRY_SIZE])
                 if entry is not None:

@@ -11,16 +11,19 @@ minimizer and reproducer scripts rely on this).
 guarantees survive any crash.  Barrier kinds raise the floor at fsync;
 synchronous kinds raise it after every operation; SplitFS additionally
 folds in-place overwrites of committed bytes into the floor (paper
-Section 3.2).  Beyond the floor the shadow keeps per-byte *allowed value
-sets* so that a byte legitimately overwritten twice since the last
-barrier can surface with either value without a false positive.
+Section 3.2).  The floor is kept as bytes.  Beside it, a sparse map holds
+the *extra values* of the few floor positions written since the last
+barrier, so that a byte legitimately overwritten twice since then can
+surface with either value without a false positive.  A position's allowed
+values are its floor byte plus its extra values
+(:meth:`Shadow.allowed_values`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..posix import flags as F
 from .oracles import KindProps
@@ -83,11 +86,16 @@ class Shadow:
         self.nfiles = nfiles
         self.content: Dict[int, bytearray] = {i: bytearray() for i in range(nfiles)}
         self.floor: Dict[int, bytearray] = {i: bytearray() for i in range(nfiles)}
-        #: per byte position < len(floor): every value the byte may legally
-        #: hold after a crash (the floor value plus later unfenced writes).
-        self.allowed: Dict[int, List[set]] = {i: [] for i in range(nfiles)}
+        #: per file: floor position -> the values other than its floor byte
+        #: that it may also hold after a crash (later unfenced writes).
+        #: Positions with no such value are absent.
+        self.extra: Dict[int, Dict[int, Set[int]]] = {i: {} for i in range(nfiles)}
         #: is the file's existence guaranteed to survive a crash?
         self.exists_floor: Dict[int, bool] = {i: False for i in range(nfiles)}
+
+    def allowed_values(self, i: int, pos: int) -> Set[int]:
+        """Every value floor byte ``pos`` of file ``i`` may hold after a crash."""
+        return {self.floor[i][pos]} | self.extra[i].get(pos, set())
 
     # -- volatile image ----------------------------------------------------
 
@@ -100,12 +108,15 @@ class Shadow:
             buf.extend(b"\x00" * (end - len(buf)))
         buf[off:end] = bytes([fill]) * size
         # Bytes inside the durable floor may now also show the new value.
-        for pos in range(off, min(end, len(self.floor[i]))):
-            self.allowed[i][pos].add(fill)
+        floor = self.floor[i]
+        extra = self.extra[i]
+        for pos in range(off, min(end, len(floor))):
+            if floor[pos] != fill:
+                extra.setdefault(pos, set()).add(fill)
 
     def _raise_floor(self, i: int) -> None:
         self.floor[i] = bytearray(self.content[i])
-        self.allowed[i] = [{b} for b in self.floor[i]]
+        self.extra[i] = {}
         self.exists_floor[i] = True
 
     # -- op application ----------------------------------------------------
@@ -137,9 +148,12 @@ class Shadow:
             # SplitFS POSIX/sync: the part of an overwrite landing inside
             # already-committed bytes is in-place and fenced before return.
             end = min(op.offset + op.size, len(self.floor[op.file]))
-            for pos in range(op.offset, end):
-                self.floor[op.file][pos] = op.fill
-                self.allowed[op.file][pos] = {op.fill}
+            if end > op.offset:
+                self.floor[op.file][op.offset:end] = (
+                    bytes([op.fill]) * (end - op.offset))
+                extra = self.extra[op.file]
+                for pos in [p for p in extra if op.offset <= p < end]:
+                    del extra[pos]
 
     def content_after(self, op: Op) -> bytes:
         """File content if ``op`` (the in-flight operation) had completed."""

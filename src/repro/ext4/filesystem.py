@@ -32,7 +32,7 @@ from ..kernel.fsbase import FDTable, KernelCosts, OpenFile, new_offset
 from ..kernel.machine import Machine
 from ..pmem import constants as C
 from ..pmem.allocator import Extent, ExtentAllocator
-from ..pmem.timing import Category
+from ..pmem.timing import META_IO, Category
 from ..posix import flags as F
 from ..posix.api import FileSystemAPI, Stat, split_path
 from ..posix.errors import (
@@ -55,6 +55,8 @@ _SB_MAGIC = 0x45585434  # "EXT4"
 _SB_FMT = "<IQIIIIII"
 
 ROOT_INO = 1
+
+_FREE_SLOT = free_inode_block()
 
 
 @dataclass
@@ -206,13 +208,17 @@ class Ext4DaxFS(FileSystemAPI, KernelCosts):
             fs.alloc.reserve(ras_replica_start, 1 + max_inodes)
         fs.free_inos = []
 
-        def read_cont(block_no: int) -> bytes:
-            return machine.pm.load(block_no * C.BLOCK_SIZE, C.BLOCK_SIZE,
-                                   category=Category.META_IO)
+        load = machine.pm.load
 
+        def read_cont(block_no: int) -> bytes:
+            return load(block_no * C.BLOCK_SIZE, C.BLOCK_SIZE, category=META_IO)
+
+        # Every slot is loaded and charged; only a slot that is not free is
+        # worth deserializing.
         for ino in range(max_inodes - 1, 0, -1):
-            raw = machine.pm.load(fs._inode_addr(ino), C.BLOCK_SIZE, category=Category.META_IO)
-            inode = deserialize_inode(raw, read_block=read_cont)
+            raw = load(fs._inode_addr(ino), C.BLOCK_SIZE, category=META_IO)
+            inode = (None if raw == _FREE_SLOT
+                     else deserialize_inode(raw, read_block=read_cont))
             if inode is None or inode.nlink == 0:
                 fs.free_inos.append(ino)
                 continue

@@ -168,7 +168,13 @@ class PersistenceDomain:
                 self._pending_fence.discard(first)
             return
         lines = range(first, last + 1)
-        if not pre or pre.keys().isdisjoint(lines):
+        # Test the overlap from the smaller side: a long store (a 2 MiB log
+        # re-zero spans 32,768 lines) usually meets a few tracked lines.
+        if len(lines) < len(pre):
+            untracked = pre.keys().isdisjoint(lines)
+        else:
+            untracked = not any(map(lines.__contains__, pre))
+        if untracked:
             # Fast path: no line in the range is tracked yet.  Capture the
             # whole span's durable image once and let every line share it as
             # a (base_line, blob) segment — no per-line 64-byte copies.

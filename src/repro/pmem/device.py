@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 from . import constants as C
 from .cache import CrashPolicy, PersistenceDomain
 from .cow import CowBuffer
-from .timing import Category, SimClock
+from .timing import DATA, Category, SimClock
 
 
 @dataclass
@@ -147,7 +147,7 @@ class PersistentMemory:
         stats = self.stats
         stats.stores += 1
         stats.bytes_written += size
-        if category is Category.DATA:
+        if category is DATA:
             stats.data_bytes_written += size
         else:
             stats.meta_bytes_written += size

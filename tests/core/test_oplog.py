@@ -132,3 +132,47 @@ class TestRecoveryScan:
         entries = log.scan()
         assert isinstance(entries[0], NamespaceEntry)
         assert isinstance(entries[1], DataEntry)
+
+
+class TestScanSkipsDecodingNeverLoading:
+    """The scan decodes only non-zero pages, but loads and charges every one."""
+
+    LOG_SIZE = 2 * 1024 * 1024
+
+    def _log(self):
+        pm = PersistentMemory(4 * 1024 * 1024, SimClock())
+        log = OperationLog(pm, base_addr=C.BLOCK_SIZE, size=self.LOG_SIZE)
+        log.initialize()
+        return pm, log
+
+    def test_entry_on_the_last_page_is_found(self):
+        pm, log = self._log()
+        entry = DataEntry(OP_APPEND, 9, 2, 3, 10, 0, 0)
+        # The log's very last slot, after 511 zero pages.
+        pm.poke(log.base + log.size - ENTRY_SIZE, encode_data_entry(entry))
+        assert log.size // C.BLOCK_SIZE == 512
+        assert log.scan() == [entry]
+
+    def test_torn_entry_alone_on_its_page_is_discarded(self):
+        pm, log = self._log()
+        log.append(DataEntry(OP_APPEND, 1, 2, 3, 10, 0, 0))
+        raw = bytearray(encode_data_entry(DataEntry(OP_APPEND, 2, 2, 3, 10, 0, 0)))
+        raw[20] ^= 0xFF
+        pm.poke(log.base + 7 * C.BLOCK_SIZE + 3 * ENTRY_SIZE, bytes(raw))
+        assert [e.seq for e in log.scan()] == [1]
+
+    def test_scan_costs_the_same_as_scanning_an_empty_log(self):
+        pm, log = self._log()
+        empty_pm, empty_log = self._log()
+        # poke() charges nothing, so both clocks stand at the same instant.
+        for seq, page in enumerate((0, 0, 1, 300, 511)):
+            pm.poke(log.base + page * C.BLOCK_SIZE + seq * ENTRY_SIZE,
+                    encode_ns_entry(NamespaceEntry(OP_CREATE, seq, 1, 5, "f")))
+        assert pm.clock.account == empty_pm.clock.account
+        loads, empty_loads = pm.stats.loads, empty_pm.stats.loads
+
+        assert [e.seq for e in log.scan()] == [0, 1, 2, 3, 4]
+        assert empty_log.scan() == []
+        assert pm.stats.loads - loads == self.LOG_SIZE // C.BLOCK_SIZE
+        assert empty_pm.stats.loads - empty_loads == self.LOG_SIZE // C.BLOCK_SIZE
+        assert pm.clock.account == empty_pm.clock.account

@@ -80,6 +80,21 @@ class TestStoreTracking:
         domain.crash()
         assert buf[0:4] == b"orig"
 
+    # With 20 other tracked lines the 3-line store is the smaller side of
+    # the overlap test; with none, the tracked lines are.
+    @pytest.mark.parametrize("others", [0, 20])
+    def test_multi_line_store_keeps_a_tracked_lines_preimage(self, buf, domain,
+                                                             others):
+        line = 10 * CACHELINE_SIZE
+        domain.note_store(line, 8, nontemporal=False)
+        buf[line:line + 8] = b"A" * 8
+        for i in range(others):
+            domain.note_store((30 + i) * CACHELINE_SIZE, 8, nontemporal=False)
+        domain.note_store(line, 3 * CACHELINE_SIZE, nontemporal=True)
+        buf[line:line + 3 * CACHELINE_SIZE] = b"B" * 3 * CACHELINE_SIZE
+        domain.crash()
+        assert bytes(buf) == bytes(4096)
+
 
 class TestClwb:
     def test_clwb_of_clean_line_is_noop(self, domain):

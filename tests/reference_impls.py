@@ -7,14 +7,21 @@ here, verbatim, as the oracle they must match bit-for-bit: the property
 tests drive both side by side, and :func:`verify_equivalence` runs the
 wall-clock suite under :func:`reference_mode` too.  Each function takes
 the instance first, so it can be called directly or bound as a method.
+
+The crash oracle's shadow (``crashmc/workload.py``) keeps each file's
+durable floor as bytes plus a sparse map of extra values; :class:`SetShadow`
+is the bookkeeping it replaced, one allowed-value set per floor byte, which
+the shadow's property test holds it to after every op.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bench.wallclock import WorkloadSpec, run_suite, sim_signature
+from repro.crashmc.oracles import KindProps
+from repro.crashmc.workload import NUM_FILES, Op
 from repro.ext4.extents import ExtentMap, FileExtent
 from repro.kernel.vfs import VFS
 from repro.pmem import constants as C
@@ -141,6 +148,63 @@ def vfs_resolve(self: VFS, path: str) -> Tuple[FileSystemAPI, str]:
     fs = self._mounts[best]
     inner = path if best == "/" else path[len(best):] or "/"
     return fs, inner
+
+
+# -- crashmc shadow: one allowed-value set per durable-floor byte --------------
+
+
+class SetShadow:
+    """The crash oracle's shadow bookkeeping with per-byte allowed-value sets."""
+
+    def __init__(self, props: KindProps, nfiles: int = NUM_FILES) -> None:
+        self.props = props
+        self.nfiles = nfiles
+        self.content: Dict[int, bytearray] = {i: bytearray() for i in range(nfiles)}
+        self.floor: Dict[int, bytearray] = {i: bytearray() for i in range(nfiles)}
+        #: per byte position < len(floor): every value the byte may legally
+        #: hold after a crash (the floor value plus later unfenced writes).
+        self.allowed: Dict[int, List[set]] = {i: [] for i in range(nfiles)}
+        #: is the file's existence guaranteed to survive a crash?
+        self.exists_floor: Dict[int, bool] = {i: False for i in range(nfiles)}
+
+    def _write(self, i: int, off: int, size: int, fill: int) -> None:
+        buf = self.content[i]
+        if off > len(buf):
+            buf.extend(b"\x00" * (off - len(buf)))
+        end = off + size
+        if end > len(buf):
+            buf.extend(b"\x00" * (end - len(buf)))
+        buf[off:end] = bytes([fill]) * size
+        # Bytes inside the durable floor may now also show the new value.
+        for pos in range(off, min(end, len(self.floor[i]))):
+            self.allowed[i][pos].add(fill)
+
+    def _raise_floor(self, i: int) -> None:
+        self.floor[i] = bytearray(self.content[i])
+        self.allowed[i] = [{b} for b in self.floor[i]]
+        self.exists_floor[i] = True
+
+    def apply(self, op: Op) -> None:
+        """Fold one *completed* operation into the shadow."""
+        if op.kind == "append":
+            self._write(op.file, len(self.content[op.file]), op.size, op.fill)
+        elif op.kind == "overwrite":
+            self._write(op.file, op.offset, op.size, op.fill)
+        elif op.kind == "fsync":
+            self._raise_floor(op.file)
+            return
+        else:
+            raise ValueError(f"unknown op kind {op.kind!r}")
+        if self.props.sync_data:
+            # Every completed data op is durable.
+            self._raise_floor(op.file)
+        elif self.props.overwrites_sync and op.kind == "overwrite":
+            # SplitFS POSIX/sync: the part of an overwrite landing inside
+            # already-committed bytes is in-place and fenced before return.
+            end = min(op.offset + op.size, len(self.floor[op.file]))
+            for pos in range(op.offset, end):
+                self.floor[op.file][pos] = op.fill
+                self.allowed[op.file][pos] = {op.fill}
 
 
 #: (class, method name, reference implementation) for :func:`reference_mode`.
