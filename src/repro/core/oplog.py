@@ -211,12 +211,13 @@ class OperationLog:
         entries.  Replay is idempotent, so over-approximation is safe.
         """
         entries: List[LogEntryT] = []
-        load = self.pm.load
         # The scan streams the region page by page (sequential bandwidth,
         # not per-line latency).  Every page is loaded and charged; only a
         # non-zero page has slots worth decoding.
-        for page_off in range(0, self.size, C.BLOCK_SIZE):
-            raw = load(self.base + page_off, C.BLOCK_SIZE, category=META_IO)
+        pages = self.pm.load_each(
+            range(self.base, self.base + self.size, C.BLOCK_SIZE),
+            C.BLOCK_SIZE, META_IO)
+        for raw in pages:
             if raw == _ZERO_PAGE:
                 continue
             for slot_off in range(0, C.BLOCK_SIZE, ENTRY_SIZE):

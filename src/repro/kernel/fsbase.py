@@ -55,9 +55,6 @@ class FDTable:
     def open_count(self, ino: int) -> int:
         return sum(1 for of in self._open.values() if of.ino == ino)
 
-    def all_open(self) -> "list[OpenFile]":
-        return list(self._open.values())
-
     def __len__(self) -> int:
         return len(self._open)
 

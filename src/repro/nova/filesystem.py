@@ -105,10 +105,6 @@ class NovaFS(FileSystemAPI, KernelCosts):
         self.fdt = FDTable()
         self.orphans: Set[int] = set()
 
-    @property
-    def variant(self) -> str:
-        return "NOVA-strict" if self.strict else "NOVA-relaxed"
-
     # ------------------------------------------------------------------
     # format / mount
     # ------------------------------------------------------------------

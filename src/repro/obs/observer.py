@@ -266,6 +266,3 @@ class Observer:
 
     def total_attributed_ns(self) -> float:
         return sum(sum(b.values()) for b in self.attribution.values())
-
-    def snapshot_attribution(self) -> Dict[str, Dict[str, float]]:
-        return {cat: dict(b) for cat, b in self.attribution.items()}

@@ -33,12 +33,6 @@ class Extent:
     def end(self) -> int:
         return self.start + self.length
 
-    def byte_offset(self, block_size: int = C.BLOCK_SIZE) -> int:
-        return self.start * block_size
-
-    def byte_length(self, block_size: int = C.BLOCK_SIZE) -> int:
-        return self.length * block_size
-
 
 class OutOfSpaceError(NoSpaceFSError):
     """The allocator cannot satisfy the request (an ENOSPC condition)."""

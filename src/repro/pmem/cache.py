@@ -6,26 +6,33 @@ fence (``sfence``) confirms the writeback reached the ADR persistence domain.
 Non-temporal stores (``movnt``) bypass the cache but still require a fence
 before they are guaranteed durable.
 
-This module tracks, per 64-byte cache line, which lines carry updates that a
-crash would lose, and can roll the backing buffer back to its durable image.
+This module tracks which 64-byte cache lines carry updates that a crash
+would lose, and can roll the backing buffer back to its durable image.
 Crash policies model the real-world uncertainty that an unflushed line may
 still have been evicted (and thus persisted) before the crash, and that a
 line's durability is only atomic at 8-byte granularity (torn lines).
 
-The line bookkeeping is on the simulator's hottest path (every store on every
-device goes through :meth:`PersistenceDomain.note_store`), so multi-line
-stores are handled with range arithmetic and bulk container operations
-instead of a Python loop per 64-byte line.  The original per-line loops live
-in the test suite (``tests/reference_impls.py``), whose property and
-wall-clock bench tests run both and assert identical results.
+The bookkeeping is on the simulator's hottest path (every store on every
+device goes through :meth:`PersistenceDomain.note_store`), so it is kept by
+the range, not by the line: a sorted list of disjoint *runs* of dirty lines,
+each with one durable-image blob, the number of the store that first
+dirtied it, and a flushed-but-unfenced flag.  A store, flush or fence costs
+a bisect and a few list operations however many lines it covers; the 2 MiB
+operation-log re-zero is one run.  A crash that draws from its policy's RNG
+visits the lines in the order they were first dirtied, ``(seq, line)``.
+The per-line original lives in the test suite
+(``tests/reference_impls.py``), whose property and wall-clock bench tests
+run both and assert identical results.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple, Union
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, List, Optional, Protocol, Tuple
 
 from .constants import CACHELINE_SIZE
 from .cow import CowBuffer
@@ -96,24 +103,51 @@ class CrashPolicy:
         return replace(self, seed=seed)
 
 
+#: A run of dirty lines, ``(start, end, seq, base, blob, pending)``: lines
+#: ``[start, end)`` were first dirtied by store number ``seq``; the durable
+#: image of line ``l`` is ``blob[(l - base) * 64 : (l - base + 1) * 64]``;
+#: ``pending`` means flushed (``clwb``/``movnt``) but not yet fenced.
+Run = Tuple[int, int, int, int, bytes, bool]
+
+#: Sort key putting runs in first-dirtied order, ``(seq, start)``.
+_FIRST_DIRTIED = itemgetter(2, 0)
+
+
+def _flip(run: Run, first: int, end: int, out: List[Run]) -> int:
+    """Append ``run`` to ``out`` with the pending flag of its lines inside
+    ``[first, end)`` inverted, split at the range's edges.  The pieces keep
+    the run's ``seq`` and blob.  Returns the number of lines flipped."""
+    start, stop, seq, base, blob, pending = run
+    lo = first if first > start else start
+    hi = end if end < stop else stop
+    if start < lo:
+        out.append((start, lo, seq, base, blob, pending))
+    out.append((lo, hi, seq, base, blob, not pending))
+    if hi < stop:
+        out.append((hi, stop, seq, base, blob, pending))
+    return hi - lo
+
+
 class PersistenceDomain:
     """Tracks the durable image of a byte buffer at cache-line granularity.
 
     The owner holds the *current* (volatile) view in ``buf``; this class
     remembers the durable pre-image of every line whose volatile content has
-    diverged, and which of those lines have been flushed but not fenced.
+    diverged, and which of those lines have been flushed but not fenced, as
+    disjoint runs sorted by first line (see :data:`Run`).  The runs of one
+    store share its ``seq``, and a run split by a later flush or store keeps
+    it, so sorting runs by ``(seq, start)`` lists the lines in the order
+    they were first dirtied.
     """
 
     def __init__(self, buf: CowBuffer) -> None:
         self.buf = buf
-        # line index -> durable content of that line.  The value is either
-        # the line's 64 bytes directly, or a shared ``(base_line, blob)``
-        # segment covering a whole multi-line store: every line of the span
-        # references one blob and its preimage is sliced out lazily (only
-        # crashes read preimage *values*; the hot path only tests keys).
-        self._preimages: Dict[int, Union[bytes, Tuple[int, bytes]]] = {}
-        # line indexes flushed (clwb/movnt) but not yet fenced
-        self._pending_fence: Set[int] = set()
+        self._runs: List[Run] = []
+        #: number of the latest store
+        self._seq = 0
+        #: lines covered by runs, and by pending runs
+        self._dirty = 0
+        self._pending = 0
         # persistence-trace hooks (see DomainObserver), fired in attach order
         self._observers: List[DomainObserver] = []
 
@@ -138,10 +172,13 @@ class PersistenceDomain:
 
     # -- line bookkeeping ---------------------------------------------------
 
-    def _line_range(self, addr: int, size: int) -> range:
-        first = addr // CACHELINE_SIZE
-        last = (addr + size - 1) // CACHELINE_SIZE
-        return range(first, last + 1)
+    def _overlapping(self, first: int, end: int) -> Tuple[int, int]:
+        """``(lo, hi)`` such that ``_runs[lo:hi]`` are the runs that share a
+        line with ``[first, end)``."""
+        runs = self._runs
+        i = bisect_left(runs, (first + 1,))
+        lo = i - 1 if i and runs[i - 1][1] > first else i
+        return lo, bisect_left(runs, (end,), lo)
 
     def note_store(self, addr: int, size: int, nontemporal: bool) -> None:
         """Record that ``[addr, addr+size)`` is about to be overwritten.
@@ -154,76 +191,110 @@ class PersistenceDomain:
         for obs in self._observers:
             obs.on_store(addr, size, nontemporal)
         first = addr // CACHELINE_SIZE
-        last = (addr + size - 1) // CACHELINE_SIZE
-        pre = self._preimages
-        if first == last:
-            # Scalar path: sub-line stores (oplog entries, journal records,
-            # inode fields) dominate metadata-heavy workloads.
-            if first not in pre:
-                start = first * CACHELINE_SIZE
-                pre[first] = self.buf.read(start, start + CACHELINE_SIZE)
+        end = (addr + size - 1) // CACHELINE_SIZE + 1
+        runs = self._runs
+        self._seq = seq = self._seq + 1
+        if end - first == 1:
+            # One line: oplog entries, journal records and inode fields
+            # dominate metadata-heavy workloads, mostly right after a fence
+            # has emptied the domain.
+            i = bisect_left(runs, (end,)) if runs else 0
+            if i and runs[i - 1][1] > first:
+                run = runs[i - 1]
+                if run[5] != nontemporal:
+                    pieces: List[Run] = []
+                    _flip(run, first, end, pieces)
+                    runs[i - 1:i] = pieces
+                    self._pending += 1 if nontemporal else -1
+                return
+            start = first * CACHELINE_SIZE
+            runs.insert(i, (first, end, seq, first,
+                            self.buf.read(start, start + CACHELINE_SIZE),
+                            nontemporal))
+            self._dirty += 1
             if nontemporal:
-                self._pending_fence.add(first)
-            else:
-                self._pending_fence.discard(first)
+                self._pending += 1
             return
-        lines = range(first, last + 1)
-        # Test the overlap from the smaller side: a long store (a 2 MiB log
-        # re-zero spans 32,768 lines) usually meets a few tracked lines.
-        if len(lines) < len(pre):
-            untracked = pre.keys().isdisjoint(lines)
-        else:
-            untracked = not any(map(lines.__contains__, pre))
-        if untracked:
-            # Fast path: no line in the range is tracked yet.  Capture the
-            # whole span's durable image once and let every line share it as
-            # a (base_line, blob) segment — no per-line 64-byte copies.
-            blob = self.buf.read(first * CACHELINE_SIZE,
-                                 (last + 1) * CACHELINE_SIZE)
-            pre.update(zip(lines, repeat((first, blob))))
-        else:
-            buf = self.buf
-            for line in lines:
-                if line not in pre:
-                    start = line * CACHELINE_SIZE
-                    pre[line] = buf.read(start, start + CACHELINE_SIZE)
+        lo, hi = self._overlapping(first, end)
+        buf = self.buf
+        if lo == hi:
+            # Nothing in the range is tracked yet (the log re-zero, a 4 KiB
+            # append): one run, its durable image captured with one read.
+            runs.insert(lo, (first, end, seq, first,
+                             buf.read(first * CACHELINE_SIZE,
+                                      end * CACHELINE_SIZE),
+                             nontemporal))
+            self._dirty += end - first
+            if nontemporal:
+                self._pending += end - first
+            return
+        # Tracked lines keep their preimage and seq and take the store's
+        # flag; each untracked gap becomes a run of this store.
+        out: List[Run] = []
+        pos = first
+        added = flipped = 0
+        for run in runs[lo:hi]:
+            if pos < run[0]:
+                out.append((pos, run[0], seq, pos,
+                            buf.read(pos * CACHELINE_SIZE,
+                                     run[0] * CACHELINE_SIZE),
+                            nontemporal))
+                added += run[0] - pos
+            if run[5] == nontemporal:
+                out.append(run)
+            else:
+                flipped += _flip(run, first, end, out)
+            pos = run[1]
+        if pos < end:
+            out.append((pos, end, seq, pos,
+                        buf.read(pos * CACHELINE_SIZE, end * CACHELINE_SIZE),
+                        nontemporal))
+            added += end - pos
+        runs[lo:hi] = out
+        self._dirty += added
         if nontemporal:
-            self._pending_fence.update(lines)
+            self._pending += added + flipped
         else:
             # A temporal store to a line that was already flushed-but-not-
             # fenced re-dirties it.
-            self._pending_fence.difference_update(lines)
+            self._pending -= flipped
 
     def clwb(self, addr: int, size: int) -> int:
         """Flush dirty lines covering the range; returns lines flushed."""
         for obs in self._observers:
             obs.on_clwb(addr, size)
-        pre = self._preimages
-        if not pre:
+        if not self._runs:
             return 0
-        pending = self._pending_fence
-        newly = [
-            line
-            for line in self._line_range(addr, size)
-            if line in pre and line not in pending
-        ]
-        pending.update(newly)
-        return len(newly)
+        first = addr // CACHELINE_SIZE
+        end = (addr + size - 1) // CACHELINE_SIZE + 1
+        if end <= first:
+            return 0
+        lo, hi = self._overlapping(first, end)
+        out: List[Run] = []
+        flushed = 0
+        for run in self._runs[lo:hi]:
+            if run[5]:
+                out.append(run)
+            else:
+                flushed += _flip(run, first, end, out)
+        if flushed:
+            self._runs[lo:hi] = out
+            self._pending += flushed
+        return flushed
 
     def sfence(self) -> int:
         """Fence: everything flushed becomes durable.  Returns lines drained."""
         for obs in self._observers:
             obs.on_fence()
-        pending = self._pending_fence
-        drained = len(pending)
+        drained = self._pending
         if drained:
-            pre = self._preimages
-            if drained == len(pre):
-                pre.clear()
+            if drained == self._dirty:
+                self._runs.clear()
+                self._dirty = self._pending = 0
             else:
-                for line in pending:
-                    pre.pop(line, None)
-            pending.clear()
+                self._runs = [run for run in self._runs if not run[5]]
+                self._dirty -= drained
+                self._pending = 0
         return drained
 
     # -- forking -------------------------------------------------------------
@@ -231,69 +302,94 @@ class PersistenceDomain:
     def fork(self, buf) -> "PersistenceDomain":
         """An independent copy of the domain state over ``buf``.
 
-        Preimage values are immutable (``bytes`` or shared segment tuples),
-        so the line maps are shared structurally: forking is two container
-        copies regardless of device size.  Observers are deliberately not
-        inherited — a forked machine is explored detached, so its recovery
-        traffic never reaches the crash explorer's harvest observer.
+        Runs are immutable tuples, so forking is one list copy regardless
+        of device size.  Observers are deliberately not inherited — a
+        forked machine is explored detached, so its recovery traffic never
+        reaches the crash explorer's harvest observer.
         """
         child = PersistenceDomain(buf)
-        child._preimages = dict(self._preimages)
-        child._pending_fence = set(self._pending_fence)
+        child._runs = list(self._runs)
+        child._seq = self._seq
+        child._dirty = self._dirty
+        child._pending = self._pending
         return child
 
     # -- introspection -------------------------------------------------------
 
     @property
     def dirty_line_count(self) -> int:
-        return len(self._preimages)
+        return self._dirty
 
     @property
     def pending_line_count(self) -> int:
-        return len(self._pending_fence)
+        return self._pending
 
     def dirty_lines(self) -> Iterable[int]:
-        return self._preimages.keys()
+        """Dirty line indexes, in the order they were first dirtied."""
+        return chain.from_iterable(
+            range(run[0], run[1])
+            for run in sorted(self._runs, key=_FIRST_DIRTIED))
 
     def is_durable(self, addr: int, size: int) -> bool:
         """True if the whole range is identical in the durable image."""
-        return self._preimages.keys().isdisjoint(self._line_range(addr, size))
+        first = addr // CACHELINE_SIZE
+        end = (addr + size - 1) // CACHELINE_SIZE + 1
+        if end <= first:
+            return True
+        lo, hi = self._overlapping(first, end)
+        return lo == hi
 
     # -- crash ----------------------------------------------------------------
+
+    def _roll_back(self, start: int, end: int, base: int, blob: bytes) -> None:
+        """Write lines ``[start, end)`` of a run back to their durable image."""
+        self.buf.write(start * CACHELINE_SIZE,
+                       blob[(start - base) * CACHELINE_SIZE
+                            : (end - base) * CACHELINE_SIZE])
+
+    def _forget(self) -> None:
+        self._runs = []
+        self._dirty = self._pending = 0
 
     def crash(self, policy: Optional[CrashPolicy] = None) -> Tuple[int, int]:
         """Apply a crash: roll un-persisted lines back to their durable image.
 
-        Returns ``(lines_lost, lines_survived)``.
+        The policy's RNG is drawn once per line whose survive probability is
+        positive, in first-dirtied order; every other line rolls back with
+        its run, so the default policy draws nothing.  Returns
+        ``(lines_lost, lines_survived)``.
         """
         policy = policy or CrashPolicy()
         rng = policy.rng()
+        p_dirty = policy.survive_probability
+        p_pending = policy.pending_survive_probability
+        runs = self._runs
+        if p_dirty > 0.0 or p_pending > 0.0:
+            runs = sorted(runs, key=_FIRST_DIRTIED)
         buf = self.buf
         lost = survived = 0
-        for line, preimage in self._preimages.items():
-            if line in self._pending_fence:
-                p = policy.pending_survive_probability
-            else:
-                p = policy.survive_probability
-            start = line * CACHELINE_SIZE
-            if type(preimage) is not bytes:
-                # Shared segment: slice this line's preimage out of the blob.
-                seg_base, blob = preimage
-                off = (line - seg_base) * CACHELINE_SIZE
-                preimage = blob[off : off + CACHELINE_SIZE]
-            if p > 0.0 and rng.random() < p:
-                if policy.tear_lines:
-                    # Only a random subset of the line's 8-byte words persist.
-                    for word in range(CACHELINE_SIZE // 8):
-                        if rng.random() < 0.5:
-                            buf.write(start + word * 8,
-                                      preimage[word * 8 : word * 8 + 8])
-                survived += 1
-            else:
-                buf.write(start, preimage)
-                lost += 1
-        self._preimages.clear()
-        self._pending_fence.clear()
+        for start, end, _, base, blob, pending in runs:
+            p = p_pending if pending else p_dirty
+            if not p > 0.0:
+                self._roll_back(start, end, base, blob)
+                lost += end - start
+                continue
+            for line in range(start, end):
+                addr = line * CACHELINE_SIZE
+                off = (line - base) * CACHELINE_SIZE
+                if rng.random() < p:
+                    if policy.tear_lines:
+                        # Only a random subset of the line's 8-byte words
+                        # persist.
+                        for word in range(0, CACHELINE_SIZE, 8):
+                            if rng.random() < 0.5:
+                                buf.write(addr + word,
+                                          blob[off + word : off + word + 8])
+                    survived += 1
+                else:
+                    buf.write(addr, blob[off : off + CACHELINE_SIZE])
+                    lost += 1
+        self._forget()
         return lost, survived
 
     def crash_with_survivors(self, survivors) -> Tuple[int, int]:
@@ -306,18 +402,17 @@ class PersistenceDomain:
         unfenced lines and crashes each one exactly.  Returns
         ``(lines_lost, lines_survived)``.
         """
-        lost = survived = 0
-        buf = self.buf
-        for line, preimage in self._preimages.items():
-            if line in survivors:
+        keep = sorted(set(survivors))
+        survived = 0
+        for start, end, _, base, blob, _ in self._runs:
+            pos = start
+            for line in keep[bisect_left(keep, start):bisect_left(keep, end)]:
+                if pos < line:
+                    self._roll_back(pos, line, base, blob)
+                pos = line + 1
                 survived += 1
-                continue
-            if type(preimage) is not bytes:
-                seg_base, blob = preimage
-                off = (line - seg_base) * CACHELINE_SIZE
-                preimage = blob[off : off + CACHELINE_SIZE]
-            buf.write(line * CACHELINE_SIZE, preimage)
-            lost += 1
-        self._preimages.clear()
-        self._pending_fence.clear()
+            if pos < end:
+                self._roll_back(pos, end, base, blob)
+        lost = self._dirty - survived
+        self._forget()
         return lost, survived

@@ -16,7 +16,7 @@ this reproduction sits on.  It combines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from . import constants as C
 from .cache import CrashPolicy, PersistenceDomain
@@ -253,6 +253,47 @@ class PersistentMemory:
             if delay:
                 self.clock.charge(delay, category)
         return self.buf.read(addr, addr + size)
+
+    def load_each(self, addrs: Iterable[int], size: int,
+                  category: Category = DATA) -> Iterator[bytes]:
+        """``load(addr, size, category)`` for each of ``addrs`` in order,
+        as an iterator over the bytes read.
+
+        The recovery scans call this for runs of equal sequential loads.
+        Without poison, RAS or a device model nothing differs between such
+        loads, so the first ``next`` makes the bounds checks, counter
+        updates and clock charges of all of them, which leaves every
+        account bit-identical (:meth:`SimClock.charge_each`), and each
+        read happens as its item is consumed.  Otherwise every item is a
+        ``load`` call made as it is consumed, so the repairs,
+        verifications and bandwidth charges interleave with the caller's
+        other loads exactly as one ``load`` per address would.
+        """
+        faults = self.faults
+        if (self.ras is not None or self.model is not None
+                or (faults is not None and faults.poisoned)):
+            for addr in addrs:
+                yield self.load(addr, size, category)
+            return
+        addrs = list(addrs)
+        count = len(addrs)
+        if addrs and (size < 0 or min(addrs) < 0
+                      or max(addrs) + size > self.size):
+            # Charge the loads before the first bad address, as the
+            # separate calls would have, then raise at it.
+            count = next(i for i, addr in enumerate(addrs)
+                         if addr < 0 or size < 0 or addr + size > self.size)
+        stats = self.stats
+        stats.loads += count
+        stats.bytes_read += count * size
+        self.clock.charge_each(
+            C.PM_SEQ_READ_LATENCY_NS + size * C.PM_READ_NS_PER_BYTE,
+            category, count)
+        read = self.buf.read
+        for addr in addrs[:count]:
+            yield read(addr, addr + size)
+        if count < len(addrs):
+            self._check(addrs[count], size)
 
     def peek(self, addr: int, size: int) -> bytes:
         """Read without charging time (for assertions and recovery scans that

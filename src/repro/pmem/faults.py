@@ -19,6 +19,7 @@ the matching :class:`~repro.posix.errors.FSError` errno is a robustness bug;
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -49,19 +50,28 @@ class FaultInjector:
     bytes, modelling the DIMM's internal remap-on-write of bad lines.
     """
 
-    poisoned: List[Tuple[int, int]] = field(default_factory=list)
+    #: Poisoned ``(start, end)`` byte ranges, sorted.  Ranges are never
+    #: merged: overlapping and duplicate entries stay as armed, because the
+    #: RAS layer repairs, and charges, once per entry.
+    poisoned: List[Tuple[int, int]] = field(default_factory=list, init=False)
     alloc_countdown: Optional[int] = None
     alloc_every: Optional[int] = None
     media_faults_fired: int = counter_field()
     alloc_faults_fired: int = counter_field()
     poison_cleared_by_write: int = counter_field()
     _alloc_seen: int = counter_field()
+    #: An upper bound on the length of any entry of ``poisoned``, so a
+    #: query need only look at the entries starting less than that far
+    #: before it.
+    _longest: int = field(default=0, init=False, repr=False, compare=False)
 
     # -- arming --------------------------------------------------------------
 
     def poison(self, addr: int, size: int) -> None:
         """Mark ``[addr, addr+size)`` as returning media errors on load."""
-        self.poisoned.append((addr, addr + size))
+        insort(self.poisoned, (addr, addr + size))
+        if size > self._longest:
+            self._longest = size
 
     def poison_rate(self, p: float, seed: int,
                     region: Tuple[int, int],
@@ -99,10 +109,11 @@ class FaultInjector:
         (machine forking: faults injected into a forked machine must not
         leak back into the parent's plan)."""
         child = FaultInjector(
-            poisoned=list(self.poisoned),
             alloc_countdown=self.alloc_countdown,
             alloc_every=self.alloc_every,
         )
+        child.poisoned = list(self.poisoned)
+        child._longest = self._longest
         child.media_faults_fired = self.media_faults_fired
         child.alloc_faults_fired = self.alloc_faults_fired
         child.poison_cleared_by_write = self.poison_cleared_by_write
@@ -120,6 +131,7 @@ class FaultInjector:
 
     def clear(self) -> None:
         self.poisoned.clear()
+        self._longest = 0
         self.alloc_countdown = None
         self.alloc_every = None
         self.reset_counters()
@@ -131,10 +143,19 @@ class FaultInjector:
 
     # -- queries (used by the RAS layer) -------------------------------------
 
+    def _window(self, addr: int, size: int) -> Tuple[int, int]:
+        """``(i, j)`` such that every entry of ``poisoned`` that overlaps
+        ``[addr, addr+size)`` lies in ``poisoned[i:j]``: its start is in
+        ``(addr - longest, addr + size)``."""
+        poisoned = self.poisoned
+        j = bisect_left(poisoned, (addr + size,))
+        return bisect_left(poisoned, (addr - self._longest + 1,), 0, j), j
+
     def poisoned_overlaps(self, addr: int, size: int) -> List[Tuple[int, int]]:
         """Poisoned sub-ranges of ``[addr, addr+size)``, clamped and sorted."""
+        i, j = self._window(addr, size)
         out = []
-        for start, end in self.poisoned:
+        for start, end in self.poisoned[i:j]:
             s, e = max(addr, start), min(addr + size, end)
             if s < e:
                 out.append((s, e))
@@ -142,32 +163,38 @@ class FaultInjector:
         return out
 
     def is_poisoned(self, addr: int, size: int) -> bool:
-        return any(addr < end and addr + size > start
-                   for start, end in self.poisoned)
+        i, j = self._window(addr, size)
+        return any(addr < end for _, end in self.poisoned[i:j])
 
     def unpoison(self, addr: int, size: int) -> None:
         """Clear poison over ``[addr, addr+size)`` (repair / remap)."""
         lo, hi = addr, addr + size
-        updated: List[Tuple[int, int]] = []
-        for start, end in self.poisoned:
+        i, j = self._window(addr, size)
+        poisoned = self.poisoned
+        kept: List[Tuple[int, int]] = []
+        pieces: List[Tuple[int, int]] = []
+        for start, end in poisoned[i:j]:
             if end <= lo or start >= hi:
-                updated.append((start, end))
+                kept.append((start, end))
                 continue
             if start < lo:
-                updated.append((start, lo))
+                pieces.append((start, lo))
             if end > hi:
-                updated.append((hi, end))
-        self.poisoned[:] = updated
+                pieces.append((hi, end))
+        if len(kept) == j - i:
+            return
+        poisoned[i:j] = kept
+        for piece in pieces:
+            insort(poisoned, piece)
 
     # -- hooks (called by device / allocator) --------------------------------
 
     def check_load(self, addr: int, size: int) -> None:
-        for start, end in self.poisoned:
-            if addr < end and addr + size > start:
-                self.media_faults_fired += 1
-                raise MediaError(
-                    f"uncorrectable media error reading [{addr}, {addr + size})"
-                )
+        if self.poisoned and self.is_poisoned(addr, size):
+            self.media_faults_fired += 1
+            raise MediaError(
+                f"uncorrectable media error reading [{addr}, {addr + size})"
+            )
 
     def on_store(self, addr: int, size: int) -> None:
         """A store remaps poisoned lines it fully overwrites (device ECC

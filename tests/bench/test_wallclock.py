@@ -4,6 +4,7 @@ check that every fast path is bit-identical to its reference."""
 from repro.bench import wallclock as wc
 from repro.ext4.extents import ExtentMap
 from repro.kernel.vfs import VFS
+from repro.pmem import device
 from repro.pmem.cache import PersistenceDomain
 from tests import reference_impls as ref_impl
 
@@ -18,15 +19,15 @@ SMALL = [
 class TestReferenceMode:
     def test_swaps_and_restores(self):
         fast_lookup = ExtentMap.lookup_block
-        fast_note = PersistenceDomain.note_store
         fast_resolve = VFS.resolve
         with ref_impl.reference_mode():
             assert ExtentMap.lookup_block is ref_impl.extent_lookup_block
-            assert (PersistenceDomain.note_store
-                    is ref_impl.domain_note_store)
             assert VFS.resolve is ref_impl.vfs_resolve
+            pm = device.PersistentMemory(1 << 16)
+            assert type(pm.domain) is ref_impl.LinePersistenceDomain
+            assert type(pm.fork(pm.clock).domain) is type(pm.domain)
         assert ExtentMap.lookup_block is fast_lookup
-        assert PersistenceDomain.note_store is fast_note
+        assert device.PersistenceDomain is PersistenceDomain
         assert VFS.resolve is fast_resolve
 
     def test_restores_on_exception(self):

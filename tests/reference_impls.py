@@ -3,21 +3,26 @@
 Extent lookup/insert (``ext4/extents.py``), persistence-domain line
 bookkeeping (``pmem/cache.py``) and VFS path resolution (``kernel/vfs.py``)
 run fast paths in production.  The original code they replaced is kept
-here, verbatim, as the oracle they must match bit-for-bit: the property
-tests drive both side by side, and :func:`verify_equivalence` runs the
-wall-clock suite under :func:`reference_mode` too.  Each function takes
-the instance first, so it can be called directly or bound as a method.
+here as the oracle they must match bit-for-bit: the property tests drive
+both side by side, and :func:`verify_equivalence` runs the wall-clock
+suite under :func:`reference_mode` too.  Each extent and VFS function
+takes the instance first, so it can be called directly or bound as a
+method; the persistence domain's original is a whole class,
+:class:`LinePersistenceDomain`, one dict entry per dirty line.
 
-The crash oracle's shadow (``crashmc/workload.py``) keeps each file's
-durable floor as bytes plus a sparse map of extra values; :class:`SetShadow`
-is the bookkeeping it replaced, one allowed-value set per floor byte, which
-the shadow's property test holds it to after every op.
+The fault injector (``pmem/faults.py``) keeps its poison list sorted and
+looks only at a bisected window of it; :class:`ListPoison` is the linear
+scan it replaced.  The crash oracle's shadow (``crashmc/workload.py``)
+keeps each file's durable floor as bytes plus a sparse map of extra
+values; :class:`SetShadow` is the bookkeeping it replaced, one
+allowed-value set per floor byte.  Their property tests hold the
+production code to them after every step.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.bench.wallclock import WorkloadSpec, run_suite, sim_signature
 from repro.crashmc.oracles import KindProps
@@ -25,8 +30,11 @@ from repro.crashmc.workload import NUM_FILES, Op
 from repro.ext4.extents import ExtentMap, FileExtent
 from repro.kernel.vfs import VFS
 from repro.pmem import constants as C
-from repro.pmem.cache import PersistenceDomain
+from repro.pmem import device
+from repro.pmem.cache import CrashPolicy, DomainObserver
 from repro.pmem.constants import CACHELINE_SIZE
+from repro.pmem.cow import CowBuffer
+from repro.pmem.faults import MediaError
 from repro.posix.api import FileSystemAPI
 from repro.posix.errors import InvalidArgumentFSError
 
@@ -97,41 +105,190 @@ def extent_insert(self: ExtentMap, logical: int, phys: int,
 # -- persistence domain: one Python loop per cache line ------------------------
 
 
-def domain_note_store(self: PersistenceDomain, addr: int, size: int,
-                      nontemporal: bool) -> None:
-    if size <= 0:
-        return
-    for obs in self._observers:
-        obs.on_store(addr, size, nontemporal)
-    for line in self._line_range(addr, size):
-        if line not in self._preimages:
+class LinePersistenceDomain:
+    """The persistence domain with one preimage per line in a dict, whose
+    insertion order is first-dirtied order, and a set of flushed-but-unfenced
+    lines, each updated by a loop over the lines of a store, flush or fence.
+
+    :func:`reference_mode` makes :class:`~repro.pmem.device.PersistentMemory`
+    build this class instead of the run-based
+    :class:`~repro.pmem.cache.PersistenceDomain`.
+    """
+
+    def __init__(self, buf: CowBuffer) -> None:
+        self.buf = buf
+        # line index -> durable content of that line
+        self._preimages: Dict[int, bytes] = {}
+        # line indexes flushed (clwb/movnt) but not yet fenced
+        self._pending_fence: Set[int] = set()
+        self._observers: List[DomainObserver] = []
+
+    def add_observer(self, obs: DomainObserver) -> None:
+        if any(existing is obs for existing in self._observers):
+            raise ValueError("observer is already attached")
+        self._observers.append(obs)
+
+    def remove_observer(self, obs: Optional[DomainObserver] = None) -> None:
+        if obs is None:
+            self._observers = []
+            return
+        for i, existing in enumerate(self._observers):
+            if existing is obs:
+                del self._observers[i]
+                return
+        raise ValueError("observer is not attached")
+
+    def _line_range(self, addr: int, size: int) -> range:
+        first = addr // CACHELINE_SIZE
+        last = (addr + size - 1) // CACHELINE_SIZE
+        return range(first, last + 1)
+
+    def note_store(self, addr: int, size: int, nontemporal: bool) -> None:
+        if size <= 0:
+            return
+        for obs in self._observers:
+            obs.on_store(addr, size, nontemporal)
+        for line in self._line_range(addr, size):
+            if line not in self._preimages:
+                start = line * CACHELINE_SIZE
+                self._preimages[line] = bytes(self.buf[start : start + CACHELINE_SIZE])
+            if nontemporal:
+                self._pending_fence.add(line)
+            else:
+                self._pending_fence.discard(line)
+
+    def clwb(self, addr: int, size: int) -> int:
+        for obs in self._observers:
+            obs.on_clwb(addr, size)
+        flushed = 0
+        for line in self._line_range(addr, size):
+            if line in self._preimages and line not in self._pending_fence:
+                self._pending_fence.add(line)
+                flushed += 1
+        return flushed
+
+    def sfence(self) -> int:
+        for obs in self._observers:
+            obs.on_fence()
+        drained = len(self._pending_fence)
+        for line in self._pending_fence:
+            self._preimages.pop(line, None)
+        self._pending_fence.clear()
+        return drained
+
+    def fork(self, buf) -> "LinePersistenceDomain":
+        child = LinePersistenceDomain(buf)
+        child._preimages = dict(self._preimages)
+        child._pending_fence = set(self._pending_fence)
+        return child
+
+    @property
+    def dirty_line_count(self) -> int:
+        return len(self._preimages)
+
+    @property
+    def pending_line_count(self) -> int:
+        return len(self._pending_fence)
+
+    def dirty_lines(self) -> Iterable[int]:
+        return self._preimages.keys()
+
+    def is_durable(self, addr: int, size: int) -> bool:
+        return self._preimages.keys().isdisjoint(self._line_range(addr, size))
+
+    def crash(self, policy: Optional[CrashPolicy] = None) -> Tuple[int, int]:
+        policy = policy or CrashPolicy()
+        rng = policy.rng()
+        buf = self.buf
+        lost = survived = 0
+        for line, preimage in self._preimages.items():
+            if line in self._pending_fence:
+                p = policy.pending_survive_probability
+            else:
+                p = policy.survive_probability
             start = line * CACHELINE_SIZE
-            self._preimages[line] = bytes(self.buf[start : start + CACHELINE_SIZE])
-        if nontemporal:
-            self._pending_fence.add(line)
-        else:
-            self._pending_fence.discard(line)
+            if p > 0.0 and rng.random() < p:
+                if policy.tear_lines:
+                    for word in range(CACHELINE_SIZE // 8):
+                        if rng.random() < 0.5:
+                            buf.write(start + word * 8,
+                                      preimage[word * 8 : word * 8 + 8])
+                survived += 1
+            else:
+                buf.write(start, preimage)
+                lost += 1
+        self._preimages.clear()
+        self._pending_fence.clear()
+        return lost, survived
+
+    def crash_with_survivors(self, survivors) -> Tuple[int, int]:
+        lost = survived = 0
+        buf = self.buf
+        for line, preimage in self._preimages.items():
+            if line in survivors:
+                survived += 1
+                continue
+            buf.write(line * CACHELINE_SIZE, preimage)
+            lost += 1
+        self._preimages.clear()
+        self._pending_fence.clear()
+        return lost, survived
 
 
-def domain_clwb(self: PersistenceDomain, addr: int, size: int) -> int:
-    for obs in self._observers:
-        obs.on_clwb(addr, size)
-    flushed = 0
-    for line in self._line_range(addr, size):
-        if line in self._preimages and line not in self._pending_fence:
-            self._pending_fence.add(line)
-            flushed += 1
-    return flushed
+# -- fault injector: one unsorted poison list, scanned linearly ----------------
 
 
-def domain_sfence(self: PersistenceDomain) -> int:
-    for obs in self._observers:
-        obs.on_fence()
-    drained = len(self._pending_fence)
-    for line in self._pending_fence:
-        self._preimages.pop(line, None)
-    self._pending_fence.clear()
-    return drained
+class ListPoison:
+    """The fault injector's poison bookkeeping as one list in arming order,
+    each query a scan over every entry."""
+
+    def __init__(self) -> None:
+        self.poisoned: List[Tuple[int, int]] = []
+        self.media_faults_fired = 0
+        self.poison_cleared_by_write = 0
+
+    def poison(self, addr: int, size: int) -> None:
+        self.poisoned.append((addr, addr + size))
+
+    def poisoned_overlaps(self, addr: int, size: int) -> List[Tuple[int, int]]:
+        out = []
+        for start, end in self.poisoned:
+            s, e = max(addr, start), min(addr + size, end)
+            if s < e:
+                out.append((s, e))
+        out.sort()
+        return out
+
+    def is_poisoned(self, addr: int, size: int) -> bool:
+        return any(addr < end and addr + size > start
+                   for start, end in self.poisoned)
+
+    def unpoison(self, addr: int, size: int) -> None:
+        lo, hi = addr, addr + size
+        updated: List[Tuple[int, int]] = []
+        for start, end in self.poisoned:
+            if end <= lo or start >= hi:
+                updated.append((start, end))
+                continue
+            if start < lo:
+                updated.append((start, lo))
+            if end > hi:
+                updated.append((hi, end))
+        self.poisoned[:] = updated
+
+    def check_load(self, addr: int, size: int) -> None:
+        for start, end in self.poisoned:
+            if addr < end and addr + size > start:
+                self.media_faults_fired += 1
+                raise MediaError(
+                    f"uncorrectable media error reading [{addr}, {addr + size})"
+                )
+
+    def on_store(self, addr: int, size: int) -> None:
+        if not self.poisoned or not self.is_poisoned(addr, size):
+            return
+        self.unpoison(addr, size)
+        self.poison_cleared_by_write += 1
 
 
 # -- VFS: uncached longest-prefix resolution -----------------------------------
@@ -207,14 +364,13 @@ class SetShadow:
                 self.allowed[op.file][pos] = {op.fill}
 
 
-#: (class, method name, reference implementation) for :func:`reference_mode`.
+#: (class or module, attribute, reference implementation) for
+#: :func:`reference_mode`.
 SWAPS = (
     (ExtentMap, "lookup_block", extent_lookup_block),
     (ExtentMap, "map_byte_range", extent_map_byte_range),
     (ExtentMap, "insert", extent_insert),
-    (PersistenceDomain, "note_store", domain_note_store),
-    (PersistenceDomain, "clwb", domain_clwb),
-    (PersistenceDomain, "sfence", domain_sfence),
+    (device, "PersistenceDomain", LinePersistenceDomain),
     (VFS, "resolve", vfs_resolve),
 )
 
@@ -224,8 +380,8 @@ def reference_mode() -> Iterator[None]:
     """Swap in the reference implementations, class-wide.
 
     Affects every instance used inside the ``with`` block: linear extent
-    lookup/insert, per-line persistence bookkeeping, and uncached VFS path
-    resolution.
+    lookup/insert and uncached VFS path resolution; devices built inside
+    it keep per-line persistence bookkeeping.
     """
     saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in SWAPS]
     try:
