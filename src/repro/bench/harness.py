@@ -10,7 +10,6 @@ to regenerate every table and figure in the paper's evaluation.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -36,16 +35,6 @@ class Measurement:
     account: TimeAccount
     io: DeviceStats
     extras: Dict[str, float] = field(default_factory=dict)
-    #: Host wall-clock seconds spent in setup and in the measured body.
-    #: Simulated time is the *result* of an experiment; wall time is the
-    #: cost of computing it — the wall-clock bench harness tracks the
-    #: latter so simulator-speed regressions are visible.
-    wall_setup_s: float = 0.0
-    wall_body_s: float = 0.0
-
-    @property
-    def wall_s(self) -> float:
-        return self.wall_setup_s + self.wall_body_s
 
     @property
     def total_ns(self) -> float:
@@ -110,15 +99,12 @@ def measure(
     machine, fs = build(system, pm_size, splitfs_config, ras=ras,
                         observer=observer, device_profile=device_profile,
                         numa_remote=numa_remote)
-    t0 = time.perf_counter()
     ctx = setup(fs)
-    t1 = time.perf_counter()
     io_before = machine.pm.stats.snapshot()
     if observer is not None:
         observer.begin()
     with machine.clock.measure() as account:
         ops = body(fs, ctx)
-    t2 = time.perf_counter()
     io = machine.pm.stats.delta_since(io_before)
     extras = {
         # Cache lines still volatile when the workload finished: data a
@@ -137,8 +123,7 @@ def measure(
                     "enospc_retries"):
             extras[f"ras_{key}"] = float(getattr(fs.rstats, key))
     return Measurement(system, workload_name, ops, account.snapshot(), io,
-                       extras=extras, wall_setup_s=t1 - t0,
-                       wall_body_s=t2 - t1)
+                       extras=extras)
 
 
 # ---------------------------------------------------------------------------

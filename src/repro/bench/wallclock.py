@@ -1,47 +1,31 @@
-"""Wall-clock benchmark harness: how fast is the *simulator itself*?
+"""The wall-clock suite: the workloads the simulator's fast paths exist for.
 
 Every number this reproduction reports is simulated nanoseconds; those are
 deterministic and must never change when the simulator's implementation is
-optimized.  Wall-clock time — the host seconds Python spends computing a
-workload — is the cost of running the simulator, and the hot-path fast
-paths (bisect extent lookup, batched persistence-domain bookkeeping, VFS
-resolve cache) exist purely to reduce it.
+optimized.  The hot-path fast paths (bisect extent lookup, batched
+persistence-domain bookkeeping, VFS resolve cache) exist purely to cut the
+host seconds Python spends computing a workload.
 
-This module ties the two together:
-
-* ``run_suite`` runs a fixed set of micro-workloads plus a crashmc sweep,
-  recording for each the simulated-time split (the experiment's *result*)
-  and best-of-N wall seconds (the experiment's *cost*).
+* ``run_suite`` runs a fixed set of micro-workloads plus a crashmc sweep
+  and returns each one's simulated results: the time split of an IO
+  workload, the state count, verdict and report digest of the sweep.
 * The pre-optimization implementations of those fast paths live in the
   test suite (``tests/reference_impls.py``), which can swap them in
   class-wide; ``tests/bench/test_wallclock.py`` runs every workload both
-  ways and asserts identical simulated results.
-  Optimizations must be invisible in simulated time — bit-identical, not
-  approximately equal.
-* ``check_against_golden`` compares a fresh run's simulated results against
-  the committed ``BENCH_wallclock.json`` so CI catches accidental changes
-  to simulated behaviour.  Wall numbers are informational: they vary by
-  host and are never gated on.
-
-The committed golden also carries a ``reference`` block: the wall numbers
-recorded on the same host *before* the fast paths landed, so the speedup
-is documented alongside the current numbers.
+  ways and asserts identical results.  Optimizations must be invisible in
+  simulated time — bit-identical, not approximately equal.
+* ``repro bench --wallclock`` prints the results with ``repr`` and
+  ``goldens/bench-wallclock.txt`` commits that printout.  Host time is
+  ``perfbench/``'s to measure.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .harness import io_pattern_workload
-
-#: Simulated results must match to the last bit; exact equality, no epsilon.
-SIM_KEYS = ("data_ns", "meta_io_ns", "cpu_ns", "total_ns")
-
-GOLDEN_FILENAME = "BENCH_wallclock.json"
 
 
 @dataclass(frozen=True)
@@ -68,146 +52,40 @@ WORKLOADS = (
     WorkloadSpec("rand-write", "io", "ext4dax", "rand-write"),
     WorkloadSpec("append-fsync", "io", "ext4dax", "append", fsync_every=64),
     WorkloadSpec("crashmc-sweep", "crashmc", "splitfs-strict",
-                 nops=8, intra=2),
+                  nops=8, intra=2),
 )
 
 
-def _run_io(spec: WorkloadSpec) -> Dict[str, object]:
-    m = io_pattern_workload(spec.system, spec.pattern,
-                            file_bytes=spec.file_bytes,
-                            fsync_every=spec.fsync_every)
-    return {
-        "system": spec.system,
-        "data_ns": m.account.data_ns,
-        "meta_io_ns": m.account.meta_io_ns,
-        "cpu_ns": m.account.cpu_ns,
-        "total_ns": m.account.total_ns,
-        "wall_s": m.wall_s,
-    }
-
-
-def _run_crashmc(spec: WorkloadSpec) -> Dict[str, object]:
+def run_workload(spec: WorkloadSpec) -> Dict[str, object]:
+    """The simulated results of one workload, and nothing host-dependent."""
+    if spec.kind == "io":
+        account = io_pattern_workload(spec.system, spec.pattern,
+                                      file_bytes=spec.file_bytes,
+                                      fsync_every=spec.fsync_every).account
+        return {"system": spec.system,
+                "data_ns": account.data_ns,
+                "meta_io_ns": account.meta_io_ns,
+                "cpu_ns": account.cpu_ns,
+                "total_ns": account.total_ns}
     from ..crashmc import explore
 
-    t0 = time.perf_counter()
     report = explore(spec.system, nops=spec.nops, intra=spec.intra)
-    wall = time.perf_counter() - t0
-    digest = hashlib.sha256(report.format().encode()).hexdigest()
-    return {
-        "system": spec.system,
-        "states_explored": report.states_explored,
-        "ok": report.ok,
-        "sim_digest": digest,
-        "wall_s": wall,
-    }
+    return {"system": spec.system,
+            "states_explored": report.states_explored,
+            "ok": report.ok,
+            "sim_digest": hashlib.sha256(report.format().encode()).hexdigest()}
 
 
-def run_workload(spec: WorkloadSpec, repeats: int = 3) -> Dict[str, object]:
-    """Run ``spec`` ``repeats`` times; keep the best (minimum) wall time.
-
-    The simulator is deterministic, so every repeat produces identical
-    simulated results — asserted here — and repeats exist only to shave
-    scheduler noise off the wall measurement.
-    """
-    runner = _run_io if spec.kind == "io" else _run_crashmc
-    best: Optional[Dict[str, object]] = None
-    for _ in range(max(1, repeats)):
-        result = runner(spec)
-        if best is None:
-            best = result
-        else:
-            if sim_signature(result) != sim_signature(best):
-                raise AssertionError(
-                    f"{spec.name}: simulated results differ between repeats "
-                    f"— simulator is not deterministic")
-            if result["wall_s"] < best["wall_s"]:
-                best = result
-    assert best is not None
-    return best
-
-
-def sim_signature(result: Dict[str, object]) -> Dict[str, object]:
-    """The simulated-identity subset of a result (no wall numbers)."""
-    if "sim_digest" in result:
-        return {k: result[k] for k in ("states_explored", "ok", "sim_digest")}
-    return {k: result[k] for k in SIM_KEYS}
-
-
-def run_suite(repeats: int = 3,
-              specs: Optional[List[WorkloadSpec]] = None,
+def run_suite(specs: Optional[List[WorkloadSpec]] = None,
               ) -> Dict[str, Dict[str, object]]:
     """Run every workload; returns ``{name: result}`` in suite order."""
-    return {spec.name: run_workload(spec, repeats)
+    return {spec.name: run_workload(spec)
             for spec in (specs if specs is not None else list(WORKLOADS))}
 
 
-# -- golden-file handling -----------------------------------------------------
-
-def emit_golden(results: Dict[str, Dict[str, object]],
-                reference: Optional[Dict[str, Dict[str, object]]] = None,
-                extras: Optional[Dict[str, object]] = None,
-                ) -> Dict[str, object]:
-    """Build the ``BENCH_wallclock.json`` document.
-
-    ``reference`` is the pre-optimization run recorded once when the fast
-    paths landed; it is carried forward verbatim so the documented speedup
-    keeps its provenance.  ``extras`` holds informational measurements
-    (e.g. the crashmc fork-vs-replay deep-sweep speedup recorded when the
-    fork engine landed) that are never gated on.
-    """
-    doc: Dict[str, object] = {
-        "comment": (
-            "Wall-clock cost of the simulator itself. 'current' is the "
-            "committed run with the hot-path fast paths; 'reference' is the "
-            "pre-optimization run recorded on the same host. Simulated-ns "
-            "fields are deterministic and CI-gated (repro bench --wallclock "
-            "--check); wall_s fields vary by host and are informational."),
-        "current": results,
-    }
-    if reference:
-        doc["reference"] = reference
-        speedup: Dict[str, float] = {}
-        for name, cur in results.items():
-            ref = reference.get(name)
-            if ref and cur.get("wall_s"):
-                speedup[name] = round(
-                    float(ref["wall_s"]) / float(cur["wall_s"]), 2)
-        doc["wall_speedup_vs_reference"] = speedup
-    if extras:
-        doc["extras"] = extras
-    return doc
-
-
-def load_golden(path: str) -> Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_golden(doc: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=False)
-        fh.write("\n")
-
-
-def check_against_golden(results: Dict[str, Dict[str, object]],
-                         golden: Dict[str, object]) -> List[str]:
-    """Compare simulated results to a golden document's ``current`` block.
-
-    Wall numbers are ignored.  Returns mismatch descriptions; empty = pass.
-    """
-    committed = golden.get("current", {})
-    problems: List[str] = []
-    for name, result in results.items():
-        want = committed.get(name)
-        if want is None:
-            problems.append(f"{name}: missing from golden file")
-            continue
-        got_sig = sim_signature(result)
-        want_sig = {k: want.get(k) for k in got_sig}
-        if got_sig != want_sig:
-            problems.append(f"{name}: simulated results changed: "
-                            f"got {got_sig}, golden has {want_sig}")
-    for name in committed:
-        if name not in results:
-            problems.append(f"{name}: in golden file but not in suite")
-    return problems
+def render_suite(results: Dict[str, Dict[str, object]]) -> str:
+    """One line per workload, every result field printed with ``repr``."""
+    return "\n".join(
+        f"{name}: " + "  ".join(f"{key}={value!r}"
+                                for key, value in result.items())
+        for name, result in results.items())

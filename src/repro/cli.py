@@ -203,62 +203,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("repro bench: only --wallclock and --scaling are implemented",
               file=sys.stderr)
         return 2
-
-    results = wc.run_suite(repeats=args.repeats)
-    if args.attribution:
-        # Traced re-runs of the IO specs; simulated totals are identical to
-        # the untraced suite (the observer only listens), so attaching the
-        # per-layer rows to the golden extras never perturbs the SIM_KEYS
-        # that --check gates on.
-        from .obs.profile import profile_report, run_profile
-
-        profiled = run_profile("bench")
-        print(profile_report(profiled))
-        print()
-        for r in profiled:
-            name = r.workload[len("bench-"):]
-            if name in results:
-                results[name]["attribution"] = r.rows()
-                results[name]["attribution_residual_ns"] = r.residual_ns
-    golden = None
-    reference = None
-    extras = None
-    if args.check or args.output:
-        try:
-            golden = wc.load_golden(args.check or args.output)
-            reference = golden.get("reference")
-            extras = golden.get("extras")
-        except FileNotFoundError:
-            golden = None
-
-    rows = []
-    for name, r in results.items():
-        sim = (r["sim_digest"][:16] if "sim_digest" in r
-               else f"{r['total_ns']:.1f}")
-        ref_wall = (reference or {}).get(name, {}).get("wall_s")
-        speedup = (f"{float(ref_wall) / r['wall_s']:.2f}x"
-                   if ref_wall else "-")
-        rows.append([name, sim, f"{r['wall_s'] * 1e3:.1f}", speedup])
-    print(render_table(
-        "Wall-clock bench (simulated results gated, wall informational)",
-        ["workload", "simulated ns / digest", "wall ms", "vs reference"],
-        rows))
-
-    if args.check:
-        if golden is None:
-            print(f"check: golden file {args.check} not found",
-                  file=sys.stderr)
-            return 1
-        problems = wc.check_against_golden(results, golden)
-        if problems:
-            for line in problems:
-                print(f"CHECK FAIL {line}")
-            return 1
-        print(f"check: simulated results match {args.check}")
-    if args.output:
-        wc.write_golden(wc.emit_golden(results, reference, extras),
-                        args.output)
-        print(f"wrote {args.output}")
+    print(wc.render_suite(wc.run_suite()))
     return 0
 
 
@@ -525,9 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(implies --minimize)")
 
     p = sub.add_parser(
-        "bench", help="simulator wall-clock benchmarks")
+        "bench", help="the wall-clock suite's simulated results, or "
+                      "scaling curves")
     p.add_argument("--wallclock", action="store_true",
-                   help="run the wall-clock suite")
+                   help="print the simulated results of the workloads the "
+                        "simulator's fast paths are measured on")
     p.add_argument("--scaling", action="store_true",
                    help="throughput-vs-CPUs scaling curves per system on "
                         "the discrete-event scheduler (simulated time)")
@@ -550,18 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numa-remote", action="store_true",
                    help="NUMA-remote penalties for --scaling (implies "
                         "optane when no profile is named)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="runs per workload; best wall time is kept")
-    p.add_argument("--check", metavar="GOLDEN",
-                   help="fail if simulated results differ from this "
-                        "committed BENCH_wallclock.json")
-    p.add_argument("--output", metavar="PATH",
-                   help="write results (preserving any recorded reference "
-                        "block) to PATH")
-    p.add_argument("--attribution", action="store_true",
-                   help="also run the IO specs under tracing and embed the "
-                        "per-layer latency-attribution rows in the results "
-                        "(extra keys only; --check still gates on SIM_KEYS)")
 
     p = sub.add_parser(
         "profile",

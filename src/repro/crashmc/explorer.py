@@ -115,8 +115,8 @@ class ExplorationReport:
     def format(self, include_wall: bool = False) -> str:
         lines = [
             # "engine=fork" stays in the header: the crashmc-sweep digest
-            # in BENCH_wallclock.json and perfbench's crash-sweep digest
-            # hash these bytes.
+            # in goldens/bench-wallclock.txt and perfbench's crash-sweep
+            # digest hash these bytes.
             f"crashmc: {self.kind}  seed={self.seed}  ops={len(self.ops)}"
             "  engine=fork",
             f"  trace: {self.trace.fences} fences, {self.trace.stores} stores, "

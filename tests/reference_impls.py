@@ -24,7 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.bench.wallclock import WorkloadSpec, run_suite, sim_signature
+from repro.bench.wallclock import WorkloadSpec, run_suite
 from repro.crashmc.oracles import KindProps
 from repro.crashmc.workload import NUM_FILES, Op
 from repro.ext4.extents import ExtentMap, FileExtent
@@ -393,8 +393,7 @@ def reference_mode() -> Iterator[None]:
             setattr(cls, name, impl)
 
 
-def verify_equivalence(repeats: int = 1,
-                       specs: Optional[List[WorkloadSpec]] = None,
+def verify_equivalence(specs: Optional[List[WorkloadSpec]] = None,
                        ) -> List[str]:
     """Run the wall-clock suite under the fast paths and under
     :func:`reference_mode`.
@@ -403,12 +402,8 @@ def verify_equivalence(repeats: int = 1,
     every workload's simulated results are bit-identical across the two
     implementations.
     """
-    fast = run_suite(repeats, specs)
+    fast = run_suite(specs)
     with reference_mode():
-        ref = run_suite(repeats, specs)
-    mismatches: List[str] = []
-    for name, fast_result in fast.items():
-        a, b = sim_signature(fast_result), sim_signature(ref[name])
-        if a != b:
-            mismatches.append(f"{name}: fast {a} != reference {b}")
-    return mismatches
+        ref = run_suite(specs)
+    return [f"{name}: fast {result} != reference {ref[name]}"
+            for name, result in fast.items() if result != ref[name]]
