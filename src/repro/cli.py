@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "seeded jitter)")
         p.add_argument("--cpus", type=int, default=1,
                        help="serve CPUs: the FIFO becomes an M-server queue "
-                            "(one server per CPU; default 1 = legacy queue)")
+                            "(one server per CPU; default 1)")
         p.add_argument("--device-profile", default=None,
                        choices=PROFILE_NAMES,
                        help="attach the calibrated device model (off by "

@@ -80,9 +80,8 @@ class ServeConfig:
     backpressure_threshold: float = 0.5  # EWMA stall fraction that trips it
     backpressure_factor: int = 4  # admission-limit divisor while tripped
     #: Number of serve CPUs: the FIFO becomes an M-server queue (one server
-    #: per CPU) so capacity scales with cores.  At 1 (the default) the
-    #: engine's arithmetic reduces exactly to the legacy single-server
-    #: queue, keeping fixed-seed reports bit-identical.
+    #: per CPU) so capacity scales with cores.  1 (the default) is a
+    #: single-server FIFO.
     cpus: int = 1
     #: Attach the calibrated device model: a profile name from
     #: :data:`repro.pmem.devmodel.PROFILES` (``flat`` for the token bucket
@@ -314,14 +313,11 @@ class ServeEngine:
             # Windows live on the engine's virtual timeline (origin = 0).
             telem.begin(0)
         # In-flight completion times (admission control).  A min-heap: with
-        # M servers completions are not FIFO-monotone any more — the heap
-        # drains whichever completes first.  At cpus=1 pushes are already
-        # sorted, so pop order (and every derived count) matches the old
-        # monotone-list code exactly.
+        # M servers completions are not FIFO-monotone, so the heap drains
+        # whichever completes first.
         inflight: List[float] = []
         # Per-server virtual free times (the M-server queue): a request
-        # starts on the earliest-free server.  At cpus=1 this single slot
-        # tracks precisely what `inflight[-1]` used to.
+        # starts on the earliest-free server.
         servers: List[float] = [0.0] * cfg.cpus
         pressure = 0.0
         end_time = 0.0
@@ -403,16 +399,10 @@ class ServeEngine:
                     err = exc
             service = acct.total_ns
             served_spans = span_obs.events[ev0:] if ev0 >= 0 else ()
-            if cfg.cpus == 1:
-                # Bit-exact legacy arithmetic: the idle charge above pinned
-                # the clock to origin + start, so this equals start + service
-                # up to the clock's own float accumulation order.
-                end = clock.now_ns - origin
-            else:
-                # With M servers the machine clock is aggregate CPU work
-                # (other servers' service charged since origin), so the
-                # completion instant lives on the virtual timeline.
-                end = start + service
+            # With M servers the machine clock is aggregate CPU work (other
+            # servers' service charged since origin), so the completion
+            # instant lives on the virtual timeline.
+            end = start + service
             heapq.heappush(inflight, end)
             heapq.heapreplace(servers, end)
             end_time = max(end_time, end)
