@@ -52,7 +52,7 @@ WORKLOADS = (
     WorkloadSpec("rand-write", "io", "ext4dax", "rand-write"),
     WorkloadSpec("append-fsync", "io", "ext4dax", "append", fsync_every=64),
     WorkloadSpec("crashmc-sweep", "crashmc", "splitfs-strict",
-                  nops=8, intra=2),
+                 nops=8, intra=2),
 )
 
 
@@ -70,10 +70,11 @@ def run_workload(spec: WorkloadSpec) -> Dict[str, object]:
     from ..crashmc import explore
 
     report = explore(spec.system, nops=spec.nops, intra=spec.intra)
+    digest = hashlib.sha256(report.format().encode()).hexdigest()
     return {"system": spec.system,
             "states_explored": report.states_explored,
             "ok": report.ok,
-            "sim_digest": hashlib.sha256(report.format().encode()).hexdigest()}
+            "sim_digest": digest}
 
 
 def run_suite(specs: Optional[List[WorkloadSpec]] = None,

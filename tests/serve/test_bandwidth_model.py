@@ -3,8 +3,8 @@
 The bucket rides in the opt-in device model.  The hard requirement is that
 with no model attached (the default everywhere outside `repro serve
 --device-profile ...`) the device charges exactly what it always charged —
-every golden and simulated-ns oracle must stay bit-identical.  CI
-additionally guards `repro table1` output with `cmp`.
+every golden and simulated-ns oracle must stay bit-identical.  The
+`repro table1` output is also a committed golden (`goldens/table1.txt`).
 """
 
 import pytest

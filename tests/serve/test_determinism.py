@@ -2,8 +2,8 @@
 
 The engine owns every RNG it uses (arrival, jitter, workload); nothing may
 touch the ``random`` module's global state, and the rendered report may not
-contain wall-clock residue.  CI re-runs the same check with ``cmp`` on the
-CLI output; this is the in-process version.
+contain wall-clock residue.  ``tools/goldens.py --check`` runs the CLI
+twice against the committed reports; this is the in-process version.
 """
 
 import random

@@ -30,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List
 
@@ -46,7 +46,7 @@ DROP = re.compile(rb"^\s*wall: |^wrote ")
 class Output:
     returncode: int
     stdout: bytes
-    files: Dict[str, bytes] = field(default_factory=dict)
+    files: Dict[str, bytes]
     stderr: str = ""
 
 
