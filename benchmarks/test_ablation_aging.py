@@ -13,8 +13,9 @@ huge-aligned staging files.
 
 from conftest import run_once
 
-from repro.bench.harness import build
+from repro.bench.harness import DEFAULT_PM
 from repro.bench.report import render_table
+from repro.factory import make_filesystem
 from repro.posix import flags as F
 
 BLOCK = 4096
@@ -32,7 +33,7 @@ def churn(fs, rounds=2, nfiles=700) -> None:
 
 
 def workload(system: str, aged: bool):
-    machine, fs = build(system)
+    machine, fs = make_filesystem(system, pm_size=DEFAULT_PM)
     if aged:
         churn(fs)
     fd = fs.open("/hot", F.O_CREAT | F.O_RDWR)

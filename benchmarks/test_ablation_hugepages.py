@@ -16,9 +16,10 @@ included in the measurement):
 
 from conftest import run_once
 
-from repro.bench.harness import build
+from repro.bench.harness import DEFAULT_PM
 from repro.bench.report import render_table
 from repro.core.splitfs import SplitFSConfig
+from repro.factory import make_filesystem
 from repro.posix import flags as F
 
 FILE = 8 * 1024 * 1024
@@ -37,7 +38,8 @@ def fragment_pm(fs):
 
 
 def cold_read(config: SplitFSConfig, fragment: bool):
-    machine, fs = build("splitfs-posix", splitfs_config=config)
+    machine, fs = make_filesystem("splitfs-posix", pm_size=DEFAULT_PM,
+                                  splitfs_config=config)
     if fragment:
         fragment_pm(fs)
     fd = fs.open("/data", F.O_CREAT | F.O_RDWR)

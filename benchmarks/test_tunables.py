@@ -68,12 +68,13 @@ def test_staging_pool_sweep(benchmark, emit):
 
 
 def test_oplog_size_sweep(benchmark, emit):
-    from repro.bench.harness import build
+    from repro.bench.harness import DEFAULT_PM
+    from repro.factory import make_filesystem
     from repro.posix import flags as F
 
     def run_with_log(log_bytes):
-        machine, fs = build(
-            "splitfs-strict",
+        machine, fs = make_filesystem(
+            "splitfs-strict", pm_size=DEFAULT_PM,
             splitfs_config=SplitFSConfig(oplog_bytes=log_bytes))
         fd = fs.open("/f", F.O_CREAT | F.O_RDWR)
         with machine.clock.measure() as acct:

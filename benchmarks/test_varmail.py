@@ -9,14 +9,15 @@ ahead of ext4-DAX overall despite losing on open/close/unlink.
 from conftest import run_once
 
 from repro.apps.filebench import FilebenchConfig, run_personality
-from repro.bench.harness import build
+from repro.bench.harness import DEFAULT_PM
 from repro.bench.report import render_table
+from repro.factory import make_filesystem
 
 SYSTEMS = ["ext4dax", "splitfs-posix", "pmfs", "nova-strict", "splitfs-strict"]
 
 
 def run_varmail(system):
-    machine, fs = build(system)
+    machine, fs = make_filesystem(system, pm_size=DEFAULT_PM)
     cfg = FilebenchConfig(operations=400, nfiles=40)
     with machine.clock.measure() as acct:
         result = run_personality(fs, "varmail", cfg)

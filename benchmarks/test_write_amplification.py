@@ -8,8 +8,9 @@ some workloads.  We measure bytes actually written to the device.
 
 from conftest import run_once
 
-from repro.bench.harness import build
+from repro.bench.harness import DEFAULT_PM
 from repro.bench.report import render_table
+from repro.factory import make_filesystem
 from repro.posix import flags as F
 
 TOTAL = 8 * 1024 * 1024
@@ -19,7 +20,7 @@ SYSTEMS = ["splitfs-strict", "nova-strict", "strata", "ext4dax"]
 
 
 def append_and_settle(system):
-    machine, fs = build(system)
+    machine, fs = make_filesystem(system, pm_size=DEFAULT_PM)
     fd = fs.open("/wear", F.O_CREAT | F.O_RDWR)
     before = machine.pm.stats.snapshot()
     for i in range(TOTAL // BLOCK):

@@ -4,7 +4,6 @@ from . import harness, report, trace, wallclock
 from .harness import (
     Measurement,
     append_4k_workload,
-    build,
     io_pattern_workload,
     measure,
     redis_workload,
@@ -20,7 +19,6 @@ __all__ = [
     "trace",
     "wallclock",
     "Measurement",
-    "build",
     "measure",
     "append_4k_workload",
     "io_pattern_workload",

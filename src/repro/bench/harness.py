@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..core.splitfs import SplitFSConfig
 from ..factory import make_filesystem
-from ..kernel.machine import Machine
 from ..pmem.device import DeviceStats
 from ..pmem.timing import TimeAccount
 from ..posix import flags as F
@@ -60,20 +59,6 @@ class Measurement:
         return self.account.total_ns / 1e9
 
 
-def build(system: str, pm_size: int = DEFAULT_PM,
-          splitfs_config: Optional[SplitFSConfig] = None,
-          ras: bool = False,
-          observer=None,
-          device_profile=None,
-          numa_remote: bool = False,
-          ) -> Tuple[Machine, FileSystemAPI]:
-    return make_filesystem(system, pm_size=pm_size,
-                           splitfs_config=splitfs_config, ras=ras,
-                           observer=observer,
-                           device_profile=device_profile,
-                           numa_remote=numa_remote)
-
-
 def measure(
     system: str,
     workload_name: str,
@@ -96,9 +81,11 @@ def measure(
     the measured body — attribution totals equal ``account`` by
     construction.
     """
-    machine, fs = build(system, pm_size, splitfs_config, ras=ras,
-                        observer=observer, device_profile=device_profile,
-                        numa_remote=numa_remote)
+    machine, fs = make_filesystem(system, pm_size=pm_size,
+                                  splitfs_config=splitfs_config, ras=ras,
+                                  observer=observer,
+                                  device_profile=device_profile,
+                                  numa_remote=numa_remote)
     ctx = setup(fs)
     io_before = machine.pm.stats.snapshot()
     if observer is not None:
@@ -220,7 +207,7 @@ def syscall_latency_workload(system: str, iterations: int = 50
     open/close, unlink — measuring the mean latency of each call type.
     Returns {syscall: mean ns}.
     """
-    machine, fs = build(system)
+    machine, fs = make_filesystem(system, pm_size=DEFAULT_PM)
     lat: Dict[str, List[float]] = {k: [] for k in
                                    ("open", "close", "append", "fsync",
                                     "read", "unlink")}

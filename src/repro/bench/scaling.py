@@ -10,7 +10,7 @@ ext4-family fsyncs; NOVA's per-CPU free lists and per-inode logs barely
 contend; Strata appends to per-process logs and serialises only on digest).
 
 Everything is seeded and runs on the simulated clock, so a fixed-seed run is
-byte-deterministic — the ``sched-soak`` CI job cmp's two runs.
+byte-deterministic — ``tools/goldens.py --check`` compares two runs.
 """
 
 from __future__ import annotations
@@ -96,12 +96,9 @@ def run_point(system: str, cpus: int, clients: int = DEFAULT_CLIENTS,
     token bucket on the scheduler's virtual timeline, so the curve bends
     where the *device* saturates rather than only where the locks do.
     """
-    if system not in SYSTEM_NAMES:
-        raise ValueError(f"unknown system {system!r}")
     machine, fs = make_filesystem(system, pm_size=pm_size,
                                   device_profile=device_profile,
                                   numa_remote=numa_remote)
-    machine.seed = seed
     sched = machine.attach_scheduler(cpus)
     payload = bytes((i * 131 + seed) % 256 for i in range(PAYLOAD_BYTES))
     for c in range(clients):

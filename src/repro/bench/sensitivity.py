@@ -20,7 +20,7 @@ What the columns mean for the paper's argument:
 * ``optane+numa`` is the unpinned-process worst case: every access remote.
 
 Everything is seeded and runs on the simulated clock; a fixed-seed run is
-byte-deterministic (two-run ``cmp`` in the ``device-fidelity`` CI job).
+byte-deterministic (``tools/goldens.py --check`` compares two runs).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Per-kind construction and post-crash remount/recovery paths.
+"""Construction and per-kind post-crash remount/recovery paths.
 
 Mirrors how each system really comes back after a power failure: ext4-DAX
 runs journal recovery and must pass fsck; the SplitFS kinds additionally
@@ -9,49 +9,22 @@ state.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from ..core import Mode, SplitFS, recover
+from ..core import recover
 from ..ext4.filesystem import Ext4DaxFS
 from ..ext4.fsck import assert_clean
+from ..factory import SYSTEM_NAMES, make_filesystem
 from ..kernel.machine import Machine
 from ..nova.filesystem import NovaFS
 from ..pmfs.filesystem import PmfsFS
 from ..posix.api import FileSystemAPI
 from ..strata.filesystem import StrataFS
 
-_SPLITFS_MODES = {
-    "splitfs-posix": Mode.POSIX,
-    "splitfs-sync": Mode.SYNC,
-    "splitfs-strict": Mode.STRICT,
-}
-
-
-def fresh(kind: str, pm_size: int, seed: int = 0,
-          ras: bool = False) -> Tuple[Machine, FileSystemAPI]:
-    """A freshly formatted instance of ``kind`` on a seeded machine.
-
-    ``ras=True`` enables the RAS layer before formatting, so the sweep
-    exercises crash states with metadata replicas and repair on the
-    remount path (oracles must hold on *repaired* states too).
-    """
-    m = Machine(pm_size, seed=seed)
-    if ras:
-        m.enable_ras()
-    if kind == "ext4dax":
-        return m, Ext4DaxFS.format(m)
-    if kind == "pmfs":
-        return m, PmfsFS.format(m)
-    if kind == "nova-strict":
-        return m, NovaFS.format(m, strict=True)
-    if kind == "nova-relaxed":
-        return m, NovaFS.format(m, strict=False)
-    if kind == "strata":
-        return m, StrataFS.format(m)
-    if kind in _SPLITFS_MODES:
-        kfs = Ext4DaxFS.format(m)
-        return m, SplitFS(kfs, mode=_SPLITFS_MODES[kind])
-    raise ValueError(f"unknown file-system kind {kind!r}")
+#: A freshly formatted instance of a kind on a seeded machine, called as
+#: ``fresh(kind, pm_size, seed=..., ras=...)``.  ``ras=True`` enables the
+#: RAS layer before formatting, so the sweep exercises crash states with
+#: metadata replicas and repair on the remount path (oracles must hold on
+#: *repaired* states too).
+fresh = make_filesystem
 
 
 def remount(machine: Machine, kind: str) -> FileSystemAPI:
@@ -61,6 +34,8 @@ def remount(machine: Machine, kind: str) -> FileSystemAPI:
     explorer treats any exception here as a violation of the universal
     "always remountable" guarantee.
     """
+    if kind not in SYSTEM_NAMES:
+        raise ValueError(f"unknown file-system kind {kind!r}")
     if kind == "ext4dax":
         fs = Ext4DaxFS.mount(machine)
         assert_clean(fs)
@@ -73,8 +48,6 @@ def remount(machine: Machine, kind: str) -> FileSystemAPI:
         return NovaFS.mount(machine, strict=False)
     if kind == "strata":
         return StrataFS.mount(machine)
-    if kind in _SPLITFS_MODES:
-        kfs, _report = recover(machine, strict=kind == "splitfs-strict")
-        assert_clean(kfs)
-        return kfs
-    raise ValueError(f"unknown file-system kind {kind!r}")
+    kfs, _report = recover(machine, strict=kind == "splitfs-strict")
+    assert_clean(kfs)
+    return kfs

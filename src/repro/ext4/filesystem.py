@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..journal.jbd2 import Journal, Transaction
-from ..kernel.fsbase import FDTable, KernelCosts, OpenFile, new_offset
+from ..kernel.fsbase import ROOT_INO, FDTable, KernelFS, OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
 from ..pmem.allocator import Extent, ExtentAllocator
 from ..pmem.timing import META_IO, Category
 from ..posix import flags as F
-from ..posix.api import FileSystemAPI, Stat, split_path
+from ..posix.api import Stat
 from ..posix.errors import (
     DirectoryNotEmptyFSError,
     FileExistsFSError,
@@ -43,7 +43,6 @@ from ..posix.errors import (
     IsADirectoryFSError,
     NoSpaceFSError,
     NotADirectoryFSError,
-    PermissionFSError,
 )
 from .dirent import DirData
 from .inode import (Inode, cont_blocks_needed, deserialize_inode,
@@ -53,8 +52,6 @@ _SB_MAGIC = 0x45585434  # "EXT4"
 # magic, total_blocks, jstart, jblocks, itable_start, max_inodes, data_start,
 # ras_replica_start (first block of the RAS metadata mirror; 0 = none)
 _SB_FMT = "<IQIIIIII"
-
-ROOT_INO = 1
 
 _FREE_SLOT = free_inode_block()
 
@@ -67,7 +64,7 @@ class Ext4Config:
     max_inodes: int = 2048
 
 
-class Ext4DaxFS(FileSystemAPI, KernelCosts):
+class Ext4DaxFS(KernelFS):
     """The simulated ext4-DAX instance (K-Split in SplitFS terms)."""
 
     SPAN_PREFIX = "ext4"
@@ -355,35 +352,15 @@ class Ext4DaxFS(FileSystemAPI, KernelCosts):
             protected += ext.length * C.BLOCK_SIZE
         return protected
 
-    def _resolve(self, path: str) -> int:
-        comps = split_path(path)
-        ino = ROOT_INO
-        for comp in comps:
-            inode = self.inodes.get(ino)
-            if inode is None or not inode.is_dir:
-                raise NotADirectoryFSError(path)
-            child = self.dirs[ino].lookup(comp)
-            if child is None:
-                raise FileNotFoundFSError(path)
-            ino = child
-        return ino
+    def _file_size(self, ino: int) -> int:
+        return self.inodes[ino].size
 
-    def _resolve_parent(self, path: str) -> Tuple[int, str]:
-        comps = split_path(path)
-        if not comps:
-            raise InvalidArgumentFSError("cannot operate on /")
-        parent = ROOT_INO
-        for comp in comps[:-1]:
-            inode = self.inodes.get(parent)
-            if inode is None or not inode.is_dir:
-                raise NotADirectoryFSError(path)
-            child = self.dirs[parent].lookup(comp)
-            if child is None:
-                raise FileNotFoundFSError(path)
-            parent = child
-        if not self.inodes[parent].is_dir:
-            raise NotADirectoryFSError(path)
-        return parent, comps[-1]
+    def _is_dir(self, ino: int) -> bool:
+        inode = self.inodes.get(ino)
+        return inode is not None and inode.is_dir
+
+    def _dirent(self, dir_ino: int, name: str) -> Optional[int]:
+        return self.dirs[dir_ino].lookup(name)
 
     def _dir_add(self, dir_ino: int, name: str, ino: int) -> None:
         """Add a dirent, allocating a directory data block if needed."""
@@ -628,27 +605,6 @@ class Ext4DaxFS(FileSystemAPI, KernelCosts):
     # FileSystemAPI: data
     # ------------------------------------------------------------------
 
-    def _writable_of(self, fd: int) -> OpenFile:
-        of = self.fdt.get(fd)
-        if not F.writable(of.flags):
-            raise PermissionFSError(f"fd {fd} not open for writing")
-        return of
-
-    def _readable_of(self, fd: int) -> OpenFile:
-        of = self.fdt.get(fd)
-        if not F.readable(of.flags):
-            raise PermissionFSError(f"fd {fd} not open for reading")
-        return of
-
-    def read(self, fd: int, count: int) -> bytes:
-        of = self._readable_of(fd)
-        data = self._do_read(of, count, of.offset)
-        of.offset += len(data)
-        return data
-
-    def pread(self, fd: int, count: int, offset: int) -> bytes:
-        return self._do_read(self._readable_of(fd), count, offset)
-
     def _do_read(self, of: OpenFile, count: int, offset: int) -> bytes:
         self._trap()
         inode = self.inodes[of.ino]
@@ -666,17 +622,6 @@ class Ext4DaxFS(FileSystemAPI, KernelCosts):
         data = self._load_range(inode, offset, count, random_access)
         of.last_read_end = offset + count  # type: ignore[attr-defined]
         return data
-
-    def write(self, fd: int, data: bytes) -> int:
-        of = self._writable_of(fd)
-        if of.flags & F.O_APPEND:
-            of.offset = self.inodes[of.ino].size
-        n = self._do_write(of, data, of.offset)
-        of.offset += n
-        return n
-
-    def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        return self._do_write(self._writable_of(fd), data, offset)
 
     def _do_write(self, of: OpenFile, data: bytes, offset: int) -> int:
         self._trap()
@@ -722,16 +667,6 @@ class Ext4DaxFS(FileSystemAPI, KernelCosts):
         self.pm.sfence(category=Category.CPU)
         self.journal.commit(self.txn)
         self.txn = Transaction()
-
-    def lseek(self, fd: int, offset: int, whence: int = F.SEEK_SET) -> int:
-        of = self.fdt.get(fd)
-        of.offset = new_offset(of, self.inodes[of.ino].size, offset, whence)
-        return of.offset
-
-    def ftruncate(self, fd: int, length: int) -> None:
-        self._trap()
-        of = self._writable_of(fd)
-        self._truncate(self.inodes[of.ino], length)
 
     def _truncate(self, inode: Inode, length: int) -> None:
         if length < 0:
@@ -796,17 +731,6 @@ class Ext4DaxFS(FileSystemAPI, KernelCosts):
             st_blocks=inode.blocks,
             is_dir=inode.is_dir,
         )
-
-    def stat(self, path: str) -> Stat:
-        self._trap()
-        self._walk(path)
-        self.clock.charge_cpu(C.KERNEL_STAT_CPU_NS)
-        return self._stat_inode(self.inodes[self._resolve(path)])
-
-    def fstat(self, fd: int) -> Stat:
-        self._trap()
-        self.clock.charge_cpu(C.KERNEL_STAT_CPU_NS)
-        return self._stat_inode(self.inodes[self.fdt.get(fd).ino])
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         self._trap()

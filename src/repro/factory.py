@@ -60,15 +60,19 @@ def make_filesystem(
     observer=None,
     device_profile=None,
     numa_remote: bool = False,
+    seed: int = 0,
 ) -> Tuple[Machine, FileSystemAPI]:
     """Build a freshly formatted file system of the named kind.
 
+    This is the one place a kind name becomes a formatted system: the
+    crash explorer, the serve engine and the benchmarks all come here.
     Returns ``(machine, fs)``; the machine's clock and device stats hold
-    every measurement an experiment needs.  ``ras=True`` enables the online
-    RAS layer (checksums, metadata replication, scrubbing, degraded mode)
-    on the machine before formatting.  ``observer`` (a
-    :class:`~repro.obs.Observer`) binds span tracing and latency
-    attribution to the machine's clock before any setup work runs.
+    every measurement an experiment needs.  ``seed`` seeds a new machine's
+    crash RNG (see :class:`~repro.kernel.machine.Machine`).  ``ras=True``
+    enables the online RAS layer (checksums, metadata replication,
+    scrubbing, degraded mode) on the machine before formatting.
+    ``observer`` (a :class:`~repro.obs.Observer`) binds span tracing and
+    latency attribution to the machine's clock before any setup work runs.
     ``device_profile`` (a name from ``repro.pmem.devmodel.PROFILES`` or a
     ``DeviceProfile``) opts the machine into the calibrated device model
     before formatting, so the whole image — setup included — pays device
@@ -78,7 +82,7 @@ def make_filesystem(
     """
     if name not in SYSTEM_NAMES:
         raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
-    machine = machine or Machine(pm_size, observer=observer)
+    machine = machine or Machine(pm_size, seed=seed, observer=observer)
     if observer is not None and machine.obs is not observer:
         observer.bind(machine.clock)
     if device_profile is not None or numa_remote:

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..kernel.fsbase import FDTable, KernelCosts, OpenFile, new_offset
+from ..kernel.fsbase import ROOT_INO, FDTable, KernelFS, OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
 from ..pmem.allocator import Extent, ExtentAllocator
 from ..pmem.timing import Category
 from ..posix import flags as F
-from ..posix.api import FileSystemAPI, Stat, split_path
+from ..posix.api import Stat
 from ..posix.errors import (
     DirectoryNotEmptyFSError,
     FileExistsFSError,
@@ -41,7 +41,6 @@ from ..posix.errors import (
     IsADirectoryFSError,
     NoSpaceFSError,
     NotADirectoryFSError,
-    PermissionFSError,
 )
 from ..ext4.extents import ExtentMap
 from . import log as L
@@ -60,7 +59,6 @@ _REC_L0_FMT = "<IIII"
 _REC_L1_FMT = "<IIQIII"
 
 _FLAG_DIR = 0x1
-ROOT_INO = 1
 
 
 @dataclass
@@ -85,7 +83,7 @@ class NovaConfig:
     max_inodes: int = 2048
 
 
-class NovaFS(FileSystemAPI, KernelCosts):
+class NovaFS(KernelFS):
     """The simulated NOVA instance."""
 
     SPAN_PREFIX = "nova"
@@ -391,35 +389,15 @@ class NovaFS(FileSystemAPI, KernelCosts):
     # namespace helpers
     # ------------------------------------------------------------------
 
-    def _resolve(self, path: str) -> int:
-        comps = split_path(path)
-        ino = ROOT_INO
-        for comp in comps:
-            inode = self.inodes.get(ino)
-            if inode is None or not inode.is_dir:
-                raise NotADirectoryFSError(path)
-            child = inode.entries.get(comp)
-            if child is None:
-                raise FileNotFoundFSError(path)
-            ino = child
-        return ino
+    def _file_size(self, ino: int) -> int:
+        return self.inodes[ino].size
 
-    def _resolve_parent(self, path: str) -> Tuple[int, str]:
-        comps = split_path(path)
-        if not comps:
-            raise InvalidArgumentFSError("cannot operate on /")
-        parent = ROOT_INO
-        for comp in comps[:-1]:
-            inode = self.inodes.get(parent)
-            if inode is None or not inode.is_dir:
-                raise NotADirectoryFSError(path)
-            child = inode.entries.get(comp)
-            if child is None:
-                raise FileNotFoundFSError(path)
-            parent = child
-        if not self.inodes[parent].is_dir:
-            raise NotADirectoryFSError(path)
-        return parent, comps[-1]
+    def _is_dir(self, ino: int) -> bool:
+        inode = self.inodes.get(ino)
+        return inode is not None and inode.is_dir
+
+    def _dirent(self, dir_ino: int, name: str) -> Optional[int]:
+        return self.inodes[dir_ino].entries.get(name)
 
     def _new_inode(self, is_dir: bool, mode: int) -> NovaInode:
         if not self.free_inos:
@@ -539,27 +517,6 @@ class NovaFS(FileSystemAPI, KernelCosts):
     # FileSystemAPI: data
     # ------------------------------------------------------------------
 
-    def _readable_of(self, fd: int) -> OpenFile:
-        of = self.fdt.get(fd)
-        if not F.readable(of.flags):
-            raise PermissionFSError(f"fd {fd} not open for reading")
-        return of
-
-    def _writable_of(self, fd: int) -> OpenFile:
-        of = self.fdt.get(fd)
-        if not F.writable(of.flags):
-            raise PermissionFSError(f"fd {fd} not open for writing")
-        return of
-
-    def read(self, fd: int, count: int) -> bytes:
-        of = self._readable_of(fd)
-        data = self._do_read(of, count, of.offset)
-        of.offset += len(data)
-        return data
-
-    def pread(self, fd: int, count: int, offset: int) -> bytes:
-        return self._do_read(self._readable_of(fd), count, offset)
-
     def _do_read(self, of: OpenFile, count: int, offset: int) -> bytes:
         self._trap()
         self.clock.charge_cpu(C.NOVA_READ_PATH_CPU_NS)
@@ -581,17 +538,6 @@ class NovaFS(FileSystemAPI, KernelCosts):
                                         random_access=random_access))
         of.last_read_end = offset + count  # type: ignore[attr-defined]
         return b"".join(out)
-
-    def write(self, fd: int, data: bytes) -> int:
-        of = self._writable_of(fd)
-        if of.flags & F.O_APPEND:
-            of.offset = self.inodes[of.ino].size
-        n = self._do_write(of, data, of.offset)
-        of.offset += n
-        return n
-
-    def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        return self._do_write(self._writable_of(fd), data, offset)
 
     def _do_write(self, of: OpenFile, data: bytes, offset: int) -> int:
         self._trap()
@@ -709,16 +655,6 @@ class NovaFS(FileSystemAPI, KernelCosts):
         self._trap()
         self.fdt.get(fd)
 
-    def lseek(self, fd: int, offset: int, whence: int = F.SEEK_SET) -> int:
-        of = self.fdt.get(fd)
-        of.offset = new_offset(of, self.inodes[of.ino].size, offset, whence)
-        return of.offset
-
-    def ftruncate(self, fd: int, length: int) -> None:
-        self._trap()
-        of = self._writable_of(fd)
-        self._truncate(self.inodes[of.ino], length)
-
     def _truncate(self, inode: NovaInode, length: int) -> None:
         if length < 0:
             raise InvalidArgumentFSError("negative truncate length")
@@ -753,17 +689,6 @@ class NovaFS(FileSystemAPI, KernelCosts):
             st_nlink=inode.nlink, st_blocks=inode.extmap.blocks_used,
             is_dir=inode.is_dir,
         )
-
-    def stat(self, path: str) -> Stat:
-        self._trap()
-        self._walk(path)
-        self.clock.charge_cpu(C.KERNEL_STAT_CPU_NS)
-        return self._stat_inode(self.inodes[self._resolve(path)])
-
-    def fstat(self, fd: int) -> Stat:
-        self._trap()
-        self.clock.charge_cpu(C.KERNEL_STAT_CPU_NS)
-        return self._stat_inode(self.inodes[self.fdt.get(fd).ino])
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         self._trap()

@@ -42,7 +42,7 @@ real PM hardware punishes a scaled-up system:
 Everything here is **opt-in**: a machine without an attached model (the
 default everywhere) charges bit-identically to the seed tree — the off-path
 golden guards in ``tests/pmem/test_device_model_offpath.py`` and the
-``device-fidelity`` CI job enforce that byte-for-byte.
+committed goldens (``tools/goldens.py --check``) enforce that byte-for-byte.
 """
 
 from __future__ import annotations

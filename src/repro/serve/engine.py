@@ -52,6 +52,15 @@ DEFAULT_PM = 192 * 1024 * 1024
 #: Errnos the client treats as transient (retry with backoff).
 RETRYABLE_ERRNOS = ("EAGAIN", "ENOSPC")
 
+#: Bytes per value the workloads write.
+VALUE_SIZE = 256
+#: EWMA device-stall fraction at which backpressure trips.
+BACKPRESSURE_THRESHOLD = 0.5
+#: Divisor of the admission limit while backpressure is tripped.
+BACKPRESSURE_FACTOR = 4
+#: Telemetry windows retained (overflow counts ``dropped``).
+TELEMETRY_CAPACITY = 4096
+
 
 @dataclass
 class ServeConfig:
@@ -68,7 +77,6 @@ class ServeConfig:
     requests: int = 2000
     seed: int = 7
     records: int = 500
-    value_size: int = 256
     read_fraction: Optional[float] = None  # None = workload default
     pm_size: int = DEFAULT_PM
     # Robustness stack:
@@ -77,8 +85,6 @@ class ServeConfig:
     max_retries: int = 3
     backoff_base_us: float = 50.0
     backoff_cap_us: float = 800.0
-    backpressure_threshold: float = 0.5  # EWMA stall fraction that trips it
-    backpressure_factor: int = 4  # admission-limit divisor while tripped
     #: Number of serve CPUs: the FIFO becomes an M-server queue (one server
     #: per CPU) so capacity scales with cores.  1 (the default) is a
     #: single-server FIFO.
@@ -100,10 +106,6 @@ class ServeConfig:
     slo: bool = False
     #: Telemetry window width in simulated microseconds.
     telemetry_window_us: float = 500.0
-    #: Ring-buffer capacity (windows retained; overflow counts ``dropped``).
-    telemetry_capacity: int = 4096
-    #: Override the default objectives (tuple of ``obs.telemetry.Objective``).
-    slo_objectives: Optional[Tuple[Objective, ...]] = None
     #: Trace one request in k through its lifecycle (0 = tracing off).
     trace_sample_every: int = 0
     #: Capture the fs span tree for traced requests (binds an Observer).
@@ -203,17 +205,13 @@ class ServeEngine:
 
     def _build(self) -> Tuple[Machine, object, object]:
         cfg = self.cfg
-        machine = Machine(cfg.pm_size, seed=cfg.seed)
-        if cfg.device_profile is not None or cfg.numa_remote:
-            machine.enable_device_model(
-                profile=(cfg.device_profile
-                         if cfg.device_profile is not None else "optane"),
-                numa_remote=cfg.numa_remote)
         machine, fs = make_filesystem(cfg.system, pm_size=cfg.pm_size,
-                                      machine=machine)
+                                      seed=cfg.seed,
+                                      device_profile=cfg.device_profile,
+                                      numa_remote=cfg.numa_remote)
         workload = make_workload(cfg.app, self.workload_rng,
                                  records=cfg.records,
-                                 value_size=cfg.value_size,
+                                 value_size=VALUE_SIZE,
                                  read_fraction=cfg.read_fraction)
         ctx = workload.setup(fs)
         return machine, workload, ctx
@@ -300,14 +298,13 @@ class ServeEngine:
         if cfg.slo:
             telem = Telemetry(machine.metrics,
                               window_ns=int(cfg.telemetry_window_us * 1e3),
-                              capacity=cfg.telemetry_capacity)
+                              capacity=TELEMETRY_CAPACITY)
             machine.telemetry = telem
             arrivals_ctr = machine.metrics.counter("serve.window.arrivals")
             queue_gauge = machine.metrics.gauge("serve.queue.depth")
             pressure_gauge = machine.metrics.gauge("serve.backpressure.ewma")
-            objectives = (cfg.slo_objectives if cfg.slo_objectives is not None
-                          else default_serve_objectives(deadline_ns))
-            slo_engine = SLOEngine(objectives).attach(telem)
+            slo_engine = SLOEngine(
+                default_serve_objectives(deadline_ns)).attach(telem)
             # Baseline after setup: preload traffic and the up-front
             # ``generated`` total stay out of every window's deltas.
             # Windows live on the engine's virtual timeline (origin = 0).
@@ -346,9 +343,9 @@ class ServeEngine:
 
             # Admission control, clamped under device backpressure.
             limit = cfg.queue_limit
-            clamped = bw is not None and pressure >= cfg.backpressure_threshold
+            clamped = bw is not None and pressure >= BACKPRESSURE_THRESHOLD
             if clamped:
-                limit = max(1, cfg.queue_limit // cfg.backpressure_factor)
+                limit = max(1, cfg.queue_limit // BACKPRESSURE_FACTOR)
             if len(inflight) >= limit:
                 counters.rejections += 1
                 if clamped:

@@ -30,13 +30,13 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ext4.dirent import DirData
 from ..ext4.inode import (Inode, cont_blocks_needed, deserialize_inode,
                           serialize_inode)
-from ..kernel.fsbase import FDTable, KernelCosts, OpenFile, new_offset
+from ..kernel.fsbase import ROOT_INO, FDTable, KernelFS, OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
 from ..pmem.allocator import ExtentAllocator
 from ..pmem.timing import Category
 from ..posix import flags as F
-from ..posix.api import FileSystemAPI, Stat, split_path
+from ..posix.api import Stat
 from ..posix.errors import (
     DirectoryNotEmptyFSError,
     FileExistsFSError,
@@ -45,15 +45,12 @@ from ..posix.errors import (
     IsADirectoryFSError,
     NoSpaceFSError,
     NotADirectoryFSError,
-    PermissionFSError,
 )
 from . import log as L
 
 _SB_MAGIC = 0x53545241  # "STRA"
 # magic, total_blocks, log_start, log_blocks, itable_start, max_inodes, log_epoch
 _SB_FMT = "<IQIIIII"
-
-ROOT_INO = 1
 
 
 class StrataConfig:
@@ -64,7 +61,7 @@ class StrataConfig:
         self.digest_threshold = digest_threshold
 
 
-class StrataFS(FileSystemAPI, KernelCosts):
+class StrataFS(KernelFS):
     """The simulated Strata instance (single process-private log)."""
 
     SPAN_PREFIX = "strata"
@@ -500,33 +497,14 @@ class StrataFS(FileSystemAPI, KernelCosts):
             self.pm.store(addr * C.BLOCK_SIZE, content,
                           category=Category.META_IO)
 
-    def _resolve(self, path: str) -> int:
-        comps = split_path(path)
-        ino = ROOT_INO
-        for comp in comps:
-            if ino not in self.dirs:
-                raise NotADirectoryFSError(path)
-            child = self.dirs[ino].lookup(comp)
-            if child is None:
-                raise FileNotFoundFSError(path)
-            ino = child
-        return ino
+    def _file_size(self, ino: int) -> int:
+        return self.sizes.get(ino, 0)
 
-    def _resolve_parent(self, path: str) -> Tuple[int, str]:
-        comps = split_path(path)
-        if not comps:
-            raise InvalidArgumentFSError("cannot operate on /")
-        parent = ROOT_INO
-        for comp in comps[:-1]:
-            if parent not in self.dirs:
-                raise NotADirectoryFSError(path)
-            child = self.dirs[parent].lookup(comp)
-            if child is None:
-                raise FileNotFoundFSError(path)
-            parent = child
-        if parent not in self.dirs:
-            raise NotADirectoryFSError(path)
-        return parent, comps[-1]
+    def _is_dir(self, ino: int) -> bool:
+        return ino in self.dirs
+
+    def _dirent(self, dir_ino: int, name: str) -> Optional[int]:
+        return self.dirs[dir_ino].lookup(name)
 
     def _maybe_digest(self) -> None:
         if self.log_tail >= self.log_capacity * self.config.digest_threshold:
@@ -613,27 +591,6 @@ class StrataFS(FileSystemAPI, KernelCosts):
         # so replay keeps it alive via the name.  (At runtime we already
         # removed it from old_parent without touching the inode.)
 
-    def read(self, fd: int, count: int) -> bytes:
-        of = self._readable_of(fd)
-        data = self._do_read(of, count, of.offset)
-        of.offset += len(data)
-        return data
-
-    def pread(self, fd: int, count: int, offset: int) -> bytes:
-        return self._do_read(self._readable_of(fd), count, offset)
-
-    def _readable_of(self, fd: int) -> OpenFile:
-        of = self.fdt.get(fd)
-        if not F.readable(of.flags):
-            raise PermissionFSError(f"fd {fd} not open for reading")
-        return of
-
-    def _writable_of(self, fd: int) -> OpenFile:
-        of = self.fdt.get(fd)
-        if not F.writable(of.flags):
-            raise PermissionFSError(f"fd {fd} not open for writing")
-        return of
-
     def _do_read(self, of: OpenFile, count: int, offset: int) -> bytes:
         self.clock.charge_cpu(C.STRATA_READ_PATH_CPU_NS)
         ino = of.ino
@@ -668,17 +625,6 @@ class StrataFS(FileSystemAPI, KernelCosts):
             buf[s - offset : e - offset] = data
         return bytes(buf)
 
-    def write(self, fd: int, data: bytes) -> int:
-        of = self._writable_of(fd)
-        if of.flags & F.O_APPEND:
-            of.offset = self.sizes.get(of.ino, 0)
-        n = self._do_write(of, data, of.offset)
-        of.offset += n
-        return n
-
-    def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        return self._do_write(self._writable_of(fd), data, offset)
-
     def _do_write(self, of: OpenFile, data: bytes, offset: int) -> int:
         self.clock.charge_cpu(C.STRATA_WRITE_PATH_CPU_NS)
         if not data:
@@ -697,11 +643,6 @@ class StrataFS(FileSystemAPI, KernelCosts):
         # The log is synchronous; nothing to flush.
         self.fdt.get(fd)
         self.clock.charge_cpu(C.USPLIT_INTERCEPT_NS)
-
-    def lseek(self, fd: int, offset: int, whence: int = F.SEEK_SET) -> int:
-        of = self.fdt.get(fd)
-        of.offset = new_offset(of, self.sizes.get(of.ino, 0), offset, whence)
-        return of.offset
 
     def ftruncate(self, fd: int, length: int) -> None:
         of = self._writable_of(fd)

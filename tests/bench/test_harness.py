@@ -3,12 +3,13 @@
 import pytest
 
 from repro.bench.harness import (
-    build,
+    DEFAULT_PM,
     io_pattern_workload,
     measure,
     syscall_latency_workload,
 )
 from repro.core.splitfs import SplitFSConfig
+from repro.factory import make_filesystem
 from repro.posix import flags as F
 
 
@@ -51,7 +52,7 @@ class TestIOPatternWorkload:
 
     def test_append_builds_the_file(self):
         # The append workload must end with the full file in place.
-        machine, fs = build("splitfs-posix")
+        machine, fs = make_filesystem("splitfs-posix", pm_size=DEFAULT_PM)
         # replicate the workload manually through the public helper is
         # opaque; instead verify via measurement: data written >= file size.
         m = io_pattern_workload("splitfs-posix", "append", file_bytes=1 << 20,

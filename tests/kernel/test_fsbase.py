@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.factory import make_filesystem
 from repro.kernel.fsbase import FDTable, OpenFile, new_offset
+from repro.obs import Observer
 from repro.posix import flags as F
-from repro.posix.errors import BadFileDescriptorError, InvalidArgumentFSError
+from repro.posix.errors import (BadFileDescriptorError,
+                                InvalidArgumentFSError, IOFSError)
+
+#: Every kind whose descriptor syscalls come from ``KernelFS``.
+KERNEL_KINDS = ["ext4dax", "pmfs", "nova-strict", "nova-relaxed", "strata"]
+SMALL_PM = 96 * 1024 * 1024
 
 
 class TestFDTable:
@@ -69,3 +76,36 @@ class TestLseekMath:
     def test_bad_whence(self):
         with pytest.raises(InvalidArgumentFSError):
             new_offset(self.make(), 100, 0, 9)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+class TestSharedSyscallBoundary:
+    """The syscalls ``KernelFS`` defines keep the ``FileSystemAPI`` wrapper:
+    a ``<SPAN_PREFIX>.<name>`` span and the PMError-to-EIO translation."""
+
+    def test_each_shared_syscall_opens_its_span(self, kind):
+        machine, fs = make_filesystem(kind, pm_size=SMALL_PM,
+                                      observer=Observer())
+        fd = fs.open("/f", F.O_CREAT | F.O_RDWR)
+        fs.write(fd, b"abc")
+        fs.pwrite(fd, b"def", 3)
+        assert fs.lseek(fd, 0, F.SEEK_SET) == 0
+        assert fs.read(fd, 3) == b"abc"
+        assert fs.pread(fd, 3, 3) == b"def"
+        names = {span.name for span in machine.obs.events}
+        for call in ("read", "pread", "write", "pwrite", "lseek"):
+            assert f"{fs.SPAN_PREFIX}.{call}" in names, call
+
+    def test_sequential_read_of_poisoned_media_raises_eio(self, kind):
+        machine, fs = make_filesystem(kind, pm_size=SMALL_PM)
+        fd = fs.open("/victim", F.O_CREAT | F.O_RDWR)
+        fs.write(fd, b"x" * 8192)
+        fs.fsync(fd)
+        fs.lseek(fd, 0, F.SEEK_SET)
+        machine.faults.poison(0, machine.pm.size)
+        with pytest.raises(IOFSError) as exc_info:
+            fs.read(fd, 8192)
+        assert exc_info.value.errno_name == "EIO"
+        machine.faults.clear()
+        # The failed read did not move the offset.
+        assert fs.read(fd, 8192) == b"x" * 8192
