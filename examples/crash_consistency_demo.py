@@ -14,7 +14,7 @@ from repro.ext4 import Ext4DaxFS
 
 def scenario(mode: Mode) -> None:
     print(f"=== {mode.value} mode (equivalent to {mode.equivalent_systems}) ===")
-    machine = Machine(96 * 1024 * 1024)
+    machine = Machine()
     cfg = SplitFSConfig(sync_metadata_commits=True) if mode is Mode.SYNC else None
     fs = SplitFS(Ext4DaxFS.format(machine), mode=mode, config=cfg)
 

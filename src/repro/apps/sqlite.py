@@ -64,7 +64,15 @@ class SQLiteWAL:
         self._frames_in_wal = 0
         self.stats_commits = 0
         self.stats_checkpoints = 0
-        self._load_directory()
+        if fs.fstat(self.db_fd).st_size == 0:
+            # A new database file is allocated densely, as SQLite grows
+            # its file page by page: the header and every directory page
+            # exist before the first checkpoint, so no checkpoint write
+            # fills a hole below the committed size.
+            fs.pwrite(self.db_fd, bytes(FIRST_RECORD_PAGE * PAGE_SIZE), 0)
+            fs.fsync(self.db_fd)
+        else:
+            self._load_directory()
 
     # ------------------------------------------------------------------
     # pager
@@ -223,10 +231,8 @@ class SQLiteWAL:
         self._write_page(self._chunk_page(chunk), raw + b"\x00" * (PAGE_SIZE - len(raw)))
 
     def _load_directory(self) -> None:
-        """Read directory chunks from the main file (mount/open path)."""
-        size = self.fs.fstat(self.db_fd).st_size
-        if size == 0:
-            return
+        """Read the directory chunks (open and recovery path); ``_read_page``
+        overlays committed WAL pages on the main file."""
         for chunk in range(NCHUNKS):
             raw = self._read_page(self._chunk_page(chunk))
             (count,) = struct.unpack_from("<I", raw)
@@ -288,22 +294,8 @@ class SQLiteWAL:
             pos += _FRAME_HDR + PAGE_SIZE
         db.wal_fd = fs.open(db.wal_path, F.O_CREAT | F.O_RDWR)
         db._frames_in_wal = len(db.wal_pages)
-        # Rebuild the directory with the WAL overlay visible.
-        db._load_directory_with_overlay()
+        db._load_directory()
         return db
-
-    def _load_directory_with_overlay(self) -> None:
-        for chunk in range(NCHUNKS):
-            raw = self._read_page(self._chunk_page(chunk))
-            (count,) = struct.unpack_from("<I", raw)
-            pos = 4
-            for _ in range(count):
-                key_len, page = struct.unpack_from("<HI", raw, pos)
-                pos += 6
-                key = raw[pos : pos + key_len]
-                pos += key_len
-                self.directory[key] = page
-                self.next_page = max(self.next_page, page + 1)
 
     def close(self) -> None:
         self.checkpoint()

@@ -15,12 +15,14 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.splitfs import SplitFSConfig
 from ..factory import make_filesystem
+from ..kernel.machine import DEFAULT_PM_SIZE
 from ..pmem.device import DeviceStats
 from ..pmem.timing import TimeAccount
 from ..posix import flags as F
 from ..posix.api import FileSystemAPI
 
-DEFAULT_PM = 192 * 1024 * 1024
+#: The device size, under the name the benchmarks import.
+DEFAULT_PM = DEFAULT_PM_SIZE
 BLOCK = 4096
 
 
@@ -64,7 +66,6 @@ def measure(
     workload_name: str,
     setup: Callable[[FileSystemAPI], object],
     body: Callable[[FileSystemAPI, object], int],
-    pm_size: int = DEFAULT_PM,
     splitfs_config: Optional[SplitFSConfig] = None,
     ras: bool = False,
     observer=None,
@@ -81,9 +82,8 @@ def measure(
     the measured body — attribution totals equal ``account`` by
     construction.
     """
-    machine, fs = make_filesystem(system, pm_size=pm_size,
-                                  splitfs_config=splitfs_config, ras=ras,
-                                  observer=observer,
+    machine, fs = make_filesystem(system, splitfs_config=splitfs_config,
+                                  ras=ras, observer=observer,
                                   device_profile=device_profile,
                                   numa_remote=numa_remote)
     ctx = setup(fs)
@@ -207,7 +207,7 @@ def syscall_latency_workload(system: str, iterations: int = 50
     open/close, unlink — measuring the mean latency of each call type.
     Returns {syscall: mean ns}.
     """
-    machine, fs = make_filesystem(system, pm_size=DEFAULT_PM)
+    machine, fs = make_filesystem(system)
     lat: Dict[str, List[float]] = {k: [] for k in
                                    ("open", "close", "append", "fsync",
                                     "read", "unlink")}
@@ -244,7 +244,6 @@ def ycsb_workload(
     phase: str,  # "load" or a run workload letter A..F
     record_count: int = 1000,
     operation_count: int = 1500,
-    pm_size: int = DEFAULT_PM,
     observer=None,
     device_profile=None,
     numa_remote: bool = False,
@@ -273,9 +272,8 @@ def ycsb_workload(
         return cfg.operation_count
 
     name = "ycsb-load" if phase == "load" else f"ycsb-run{phase}"
-    return measure(system, name, setup, body, pm_size=pm_size,
-                   observer=observer, device_profile=device_profile,
-                   numa_remote=numa_remote)
+    return measure(system, name, setup, body, observer=observer,
+                   device_profile=device_profile, numa_remote=numa_remote)
 
 
 def redis_workload(system: str, n_sets: int = 3000,

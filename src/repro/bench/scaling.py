@@ -23,8 +23,10 @@ from ..posix import flags as F
 from .report import render_table
 
 # Every SplitFS client is its own U-Split instance with its own staging
-# pool, so the default device must fit 8 pools plus data.
-DEFAULT_PM = 512 * 1024 * 1024
+# pool, so the device must fit 8 pools plus data: at 256 MiB a staging
+# fallocate raises OutOfSpaceError (splitfs-posix: 2048 blocks wanted, 510
+# free).  The one device larger than ``DEFAULT_PM_SIZE``.
+PM_SIZE = 512 * 1024 * 1024
 DEFAULT_CPU_COUNTS = (1, 2, 4, 8)
 DEFAULT_CLIENTS = 8
 DEFAULT_OPS = 32
@@ -87,7 +89,6 @@ def _make_instance(fs, client: int):
 
 def run_point(system: str, cpus: int, clients: int = DEFAULT_CLIENTS,
               ops: int = DEFAULT_OPS, seed: int = 7,
-              pm_size: int = DEFAULT_PM,
               device_profile=None,
               numa_remote: bool = False) -> ScalingPoint:
     """Run the fixed concurrent workload for one (system, cpus) point.
@@ -96,7 +97,7 @@ def run_point(system: str, cpus: int, clients: int = DEFAULT_CLIENTS,
     token bucket on the scheduler's virtual timeline, so the curve bends
     where the *device* saturates rather than only where the locks do.
     """
-    machine, fs = make_filesystem(system, pm_size=pm_size,
+    machine, fs = make_filesystem(system, pm_size=PM_SIZE,
                                   device_profile=device_profile,
                                   numa_remote=numa_remote)
     sched = machine.attach_scheduler(cpus)
@@ -129,16 +130,14 @@ def run_point(system: str, cpus: int, clients: int = DEFAULT_CLIENTS,
 def run_scaling(systems: Optional[Sequence[str]] = None,
                 cpu_counts: Sequence[int] = DEFAULT_CPU_COUNTS,
                 clients: int = DEFAULT_CLIENTS, ops: int = DEFAULT_OPS,
-                seed: int = 7, pm_size: int = DEFAULT_PM,
-                device_profile=None, numa_remote: bool = False,
+                seed: int = 7, device_profile=None, numa_remote: bool = False,
                 ) -> List[ScalingPoint]:
     """The full sweep: every system at every CPU count, same total work."""
     points = []
     for system in systems or SYSTEM_NAMES:
         for cpus in cpu_counts:
             points.append(run_point(system, cpus, clients=clients, ops=ops,
-                                    seed=seed, pm_size=pm_size,
-                                    device_profile=device_profile,
+                                    seed=seed, device_profile=device_profile,
                                     numa_remote=numa_remote))
     return points
 

@@ -115,8 +115,7 @@ def cmd_crashmc(args: argparse.Namespace) -> int:
 
     kinds = list(SYSTEM_NAMES) if "all" in args.fs else args.fs
     # The minimizer and the reproducer re-explore with the sweep's options.
-    options = dict(pm_size=args.pm_mb << 20, intra=args.intra,
-                   max_states=args.max_states,
+    options = dict(intra=args.intra, max_states=args.max_states,
                    ras=args.ras or args.media_rate > 0,
                    media_rate=args.media_rate, prune=args.prune,
                    reorder=args.reorder)
@@ -145,18 +144,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     kinds = (tuple(SYSTEM_NAMES) if not args.fs or "all" in args.fs
              else tuple(args.fs))
-    pm_size = args.pm_mb << 20
     failed = False
     for seed in range(args.seed, args.seed + args.budget):
         ops = generate_ops(seed, args.ops)
-        report = run_differential(ops, kinds=kinds, pm_size=pm_size,
-                                  seed=seed)
+        report = run_differential(ops, kinds=kinds, seed=seed)
         print(report.format())
         if not report.ok:
             failed = True
             if args.minimize or args.emit_repro:
-                small = minimize_divergence(ops, kinds=kinds,
-                                            pm_size=pm_size)
+                small = minimize_divergence(ops, kinds=kinds)
                 print(f"  minimized to {len(small.ops)} op(s):")
                 for op in small.ops:
                     print(f"    {op.describe()}")
@@ -169,9 +165,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             continue
         if args.crash:
             crash_reports = run_crash_differential(
-                ops, kinds=kinds, seed=seed, pm_size=pm_size,
-                max_states=args.max_states, prune=args.crash_prune,
-                reorder=args.crash_reorder)
+                ops, kinds=kinds, seed=seed, max_states=args.max_states,
+                prune=args.crash_prune, reorder=args.crash_reorder)
             for kind, crep in crash_reports.items():
                 if crep.ok:
                     print(f"  crash-differential {kind}: ok "
@@ -270,7 +265,6 @@ def _serve_config(args: argparse.Namespace, **overrides):
         queue_limit=args.queue_limit,
         max_retries=args.max_retries,
         cpus=args.cpus,
-        pm_size=args.pm_mb << 20,
         device_profile=args.device_profile,
         numa_remote=args.numa_remote,
     )
@@ -354,7 +348,7 @@ def cmd_crashdemo(_args: argparse.Namespace) -> int:
     from .posix import flags as F
 
     for mode in (Mode.POSIX, Mode.SYNC, Mode.STRICT):
-        machine = Machine(96 * 1024 * 1024)
+        machine = Machine()
         fs = SplitFS(Ext4DaxFS.format(machine), mode=mode)
         fd = fs.open("/f", F.O_CREAT | F.O_RDWR)
         fs.write(fd, b"unsynced append")
@@ -417,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intra", type=int, default=0,
                    help="sampled intra-epoch crash states on top of the "
                         "exhaustive fence-boundary enumeration")
-    p.add_argument("--pm-mb", type=int, default=96)
     p.add_argument("--max-states", type=int, default=None,
                    help="bound total states explored (smoke runs)")
     p.add_argument("--minimize", action="store_true",
@@ -451,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(SYSTEM_NAMES) + ["all"],
                    help="file system kind to compare (repeatable; "
                         "default all)")
-    p.add_argument("--pm-mb", type=int, default=96)
     p.add_argument("--crash", action="store_true",
                    help="also project each clean sequence onto the crashmc "
                         "vocabulary and enumerate its crash states")
@@ -570,9 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--numa-remote", action="store_true",
                        help="add NUMA-remote access penalties (implies "
                             "optane when no profile is named)")
-        p.add_argument("--pm-mb", type=int, default=192,
-                       help="PM device size in MB (shrink it to provoke "
-                            "staging-ENOSPC degraded phases)")
         p.add_argument("--window-us", type=float, default=500.0,
                        help="telemetry window width in simulated "
                             "microseconds (default 500)")

@@ -89,13 +89,8 @@ class SplitFSConfig:
     #: Retry-with-backoff attempts (forced early relink to reclaim staged
     #: space) before giving up on U-Split and entering degraded mode.
     enospc_retries: int = 2
-    #: Simulated wait charged per ENOSPC retry.
-    enospc_backoff_ns: float = C.RAS_ENOSPC_BACKOFF_NS
     #: Minimum simulated time in degraded mode before re-probing staging.
     repromote_hysteresis_ns: float = C.RAS_REPROMOTE_HYSTERESIS_NS
-    #: Free kernel space required to re-promote to U-Split staging
-    #: (0 = one full staging file, so the pool can actually refill).
-    repromote_free_bytes: int = 0
 
 
 @dataclass
@@ -739,7 +734,7 @@ class SplitFS(FileSystemAPI):
         Returns a run, or ``None`` when the retries are exhausted."""
         for _ in range(self.config.enospc_retries):
             self.rstats.enospc_retries += 1
-            self.clock.charge_cpu(self.config.enospc_backoff_ns)
+            self.clock.charge_cpu(C.RAS_ENOSPC_BACKOFF_NS)
             try:
                 for uf in list(self.files.values()):
                     self._relink_file(uf, durable=False)
@@ -763,8 +758,9 @@ class SplitFS(FileSystemAPI):
         cfg = self.config
         if self.clock.now_ns - self.degraded_since < cfg.repromote_hysteresis_ns:
             return False
-        need = cfg.repromote_free_bytes or cfg.staging_size
-        if self.kfs.alloc.free_blocks * C.BLOCK_SIZE < need:
+        # Re-promote only once one whole staging file fits again, so the
+        # pool can actually refill.
+        if self.kfs.alloc.free_blocks * C.BLOCK_SIZE < cfg.staging_size:
             self.degraded_since = self.clock.now_ns  # re-arm the hysteresis
             return False
         self.degraded = False

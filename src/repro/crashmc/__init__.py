@@ -12,12 +12,12 @@ Entry points: :func:`explore`, :func:`minimize`, and the ``repro crashmc``
 CLI subcommand.
 """
 
-from .explorer import ExplorationReport, Violation, explore, record_trace
+from .explorer import (ExplorationReport, Violation, explore, fresh,
+                       record_trace, remount)
 from .mechanism import (MechanismProbe, PruneStats, mechanism_summary,
                         plan_pruned_fences)
 from .minimize import emit_reproducer, minimize
 from .oracles import KIND_PROPS, KindProps, check_state
-from .systems import fresh, remount
 from .trace import CrashTriggered, PersistenceTracer, Trace
 from .workload import Op, OpCursor, Shadow, generate_workload, run_workload
 

@@ -27,9 +27,9 @@ Three state families are enumerated, in one canonical temporal order:
 * **intra-epoch states** (``intra > 0``) — sampled crashes just before a
   chosen store, under a seeded probabilistic policy with tearing.
 
-Everything is pure in ``(kind, ops/seed, pm_size, intra, prune,
-reorder)``: two runs with the same inputs explore bit-for-bit identical
-states and produce identical reports (wall time is excluded from
+Everything is pure in ``(kind, ops/seed, intra, prune, reorder)``: two
+runs with the same inputs explore bit-for-bit identical states and produce
+identical reports (wall time is excluded from
 :meth:`ExplorationReport.format` unless asked for).
 """
 
@@ -41,16 +41,19 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..factory import make_filesystem as fresh, remount
+from ..kernel.machine import DEFAULT_PM_SIZE
 from ..pmem.cache import CrashPolicy
 from ..pmem.cow import CowStats
 from .mechanism import (MechanismProbe, PruneStats, mechanism_summary,
                         plan_pruned_fences)
 from .oracles import KIND_PROPS, check_state
-from .systems import fresh, remount
 from .trace import PersistenceTracer, Trace
 from .workload import Op, OpCursor, Shadow, generate_workload, run_workload
 
-DEFAULT_PM_SIZE = 96 * 1024 * 1024
+# Every state comes from the module globals ``fresh`` (called as
+# ``fresh(kind, DEFAULT_PM_SIZE, seed=..., ras=...)``) and ``remount``, so
+# a caller can wrap both: perfbench times set-up and recovery that way.
 
 
 @dataclass
@@ -312,8 +315,8 @@ def _budget_left(report: ExplorationReport, max_states: Optional[int]) -> bool:
 # -- recording --------------------------------------------------------------
 
 
-def record_trace(kind: str, ops: List[Op], pm_size: int = DEFAULT_PM_SIZE,
-                 seed: int = 0, ras: bool = False) -> Trace:
+def record_trace(kind: str, ops: List[Op], seed: int = 0,
+                 ras: bool = False) -> Trace:
     """One crash-free pass; returns the workload's persistence trace.
 
     A :class:`~repro.crashmc.mechanism.MechanismProbe` rides along on the
@@ -321,7 +324,7 @@ def record_trace(kind: str, ops: List[Op], pm_size: int = DEFAULT_PM_SIZE,
     (``trace.epoch_mechanisms``); the probe charges nothing, so the run is
     simulated-time identical to an unobserved one.
     """
-    machine, fs = fresh(kind, pm_size, seed=seed, ras=ras)
+    machine, fs = fresh(kind, DEFAULT_PM_SIZE, seed=seed, ras=ras)
     probe = MechanismProbe()
     probe.bind(machine.clock)
     tracer = PersistenceTracer(probe)
@@ -379,13 +382,12 @@ class _ForkEngine:
     """Single-pass exploration: run once, fork at every planned event."""
 
     def __init__(self, report: ExplorationReport, ops: List[Op],
-                 pm_size: int, seed: int, plan: _Plan, ras: bool,
+                 seed: int, plan: _Plan, ras: bool,
                  media_rate: float, reorder: int,
                  max_states: Optional[int],
                  state_hook: Optional[Callable]) -> None:
         self.report = report
         self.ops = ops
-        self.pm_size = pm_size
         self.seed = seed
         self.plan = plan
         self.ras = ras
@@ -403,7 +405,7 @@ class _ForkEngine:
         self.cursor = OpCursor()
 
     def run(self) -> None:
-        machine, fs = fresh(self.report.kind, self.pm_size, seed=self.seed,
+        machine, fs = fresh(self.report.kind, DEFAULT_PM_SIZE, seed=self.seed,
                             ras=self.ras)
         self.machine = machine
         self.shadow = Shadow(KIND_PROPS[self.report.kind])
@@ -488,7 +490,6 @@ def explore(
     ops: Optional[List[Op]] = None,
     nops: int = 12,
     seed: int = 0,
-    pm_size: int = DEFAULT_PM_SIZE,
     intra: int = 0,
     max_states: Optional[int] = None,
     ras: bool = False,
@@ -528,7 +529,7 @@ def explore(
         ops = generate_workload(seed, nops)
     report = ExplorationReport(kind=kind, seed=seed, ops=list(ops),
                                prune=prune, reorder=reorder)
-    report.trace = record_trace(kind, ops, pm_size, seed, ras=ras)
+    report.trace = record_trace(kind, ops, seed, ras=ras)
     report.mechanisms = mechanism_summary(report.trace.epoch_mechanisms)
     report.candidate_fence_states = report.trace.fences
     if ras:
@@ -540,7 +541,7 @@ def explore(
     report.prune_counters = prune_stats if prune_stats is not None else PruneStats()
     report.prune_counters.record(report.candidate_fence_states,
                                  len(plan.kept_fences), plan.pruned)
-    _ForkEngine(report, ops, pm_size, seed, plan, ras, media_rate, reorder,
+    _ForkEngine(report, ops, seed, plan, ras, media_rate, reorder,
                 max_states, state_hook).run()
     report.elapsed_wall_s = time.perf_counter() - t0
     return report

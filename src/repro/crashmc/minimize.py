@@ -31,7 +31,7 @@ def minimize(
 
     ``failing`` decides whether a report reproduces the problem (default:
     any violation).  ``options`` are :func:`explore`'s keyword arguments
-    (``pm_size``, ``intra``, ``reorder``, ``ras``, ...); every candidate is
+    (``intra``, ``reorder``, ``ras``, ...); every candidate is
     explored with them, so a violation only some state family exposes
     still reproduces.  Returns the exploration report of the minimised
     workload; its ``ops`` attribute is the reproducer sequence.

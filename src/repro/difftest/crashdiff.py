@@ -93,7 +93,6 @@ def run_crash_differential(
     ops: Sequence[FuzzOp],
     kinds: Sequence[str],
     seed: int = 0,
-    pm_size: int = 96 * 1024 * 1024,
     intra: int = 0,
     max_states: Optional[int] = None,
     prune: bool = False,
@@ -103,8 +102,7 @@ def run_crash_differential(
     crash_ops = to_crash_ops(ops)
     reports: Dict[str, ExplorationReport] = {}
     for kind in kinds:
-        reports[kind] = explore(kind, ops=crash_ops, seed=seed,
-                                pm_size=pm_size, intra=intra,
+        reports[kind] = explore(kind, ops=crash_ops, seed=seed, intra=intra,
                                 max_states=max_states, prune=prune,
                                 reorder=reorder)
     return reports

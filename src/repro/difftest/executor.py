@@ -31,11 +31,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..factory import SYSTEM_NAMES, make_filesystem
+from ..kernel.machine import DEFAULT_PM_SIZE
 from .model import OracleFS
 from .ops import FuzzOp, apply_op, format_outcome
-
-#: Matches tests/conftest.py — large enough for every workload here.
-DEFAULT_PM_SIZE = 96 * 1024 * 1024
 
 Snapshot = Dict[str, Tuple[str, Optional[bytes]]]
 
@@ -151,7 +149,6 @@ FsFactory = Callable[[str, int], tuple]
 def run_differential(
     ops: Sequence[FuzzOp],
     kinds: Sequence[str] = SYSTEM_NAMES,
-    pm_size: int = DEFAULT_PM_SIZE,
     seed: Optional[int] = None,
     fs_factory: Optional[FsFactory] = None,
     max_divergences_per_kind: int = 5,
@@ -159,8 +156,9 @@ def run_differential(
     """Replay ``ops`` on the oracle and on every system in ``kinds``.
 
     ``fs_factory(kind, pm_size) -> (machine, fs)`` overrides system
-    construction (tests use it to inject a synthetically broken system
-    and prove the pipeline catches it).
+    construction; it is called with ``DEFAULT_PM_SIZE`` (tests use it to
+    inject a synthetically broken system and prove the pipeline catches
+    it, or to run on another device size).
     """
     oracle = OracleFS()
     oracle_slots: Dict[int, int] = {}
@@ -180,7 +178,7 @@ def run_differential(
         lambda kind, size: make_filesystem(kind, pm_size=size))
 
     for kind in kinds:
-        machine, fs = factory(kind, pm_size)
+        machine, fs = factory(kind, DEFAULT_PM_SIZE)
         slots: Dict[int, int] = {}
         forked_at: Optional[int] = None
         in_window = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from .executor import DEFAULT_PM_SIZE, DiffReport, FsFactory, run_differential
+from .executor import DiffReport, FsFactory, run_differential
 from .ops import FuzzOp
 
 
@@ -52,18 +52,16 @@ def shrink(ops: Sequence[T], failing: Callable[[List[T]], bool]) -> List[T]:
 def minimize_divergence(
     ops: Sequence[FuzzOp],
     kinds: Sequence[str],
-    pm_size: int = DEFAULT_PM_SIZE,
     fs_factory: Optional[FsFactory] = None,
 ) -> DiffReport:
     """Shrink a divergent sequence; returns the minimised run's report."""
 
     def failing(candidate: List[FuzzOp]) -> bool:
-        return not run_differential(candidate, kinds=kinds, pm_size=pm_size,
+        return not run_differential(candidate, kinds=kinds,
                                     fs_factory=fs_factory).ok
 
     small = shrink(ops, failing)
-    return run_differential(small, kinds=kinds, pm_size=pm_size,
-                            fs_factory=fs_factory)
+    return run_differential(small, kinds=kinds, fs_factory=fs_factory)
 
 
 PYTEST_TEMPLATE = '''\

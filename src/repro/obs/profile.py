@@ -293,8 +293,7 @@ def telemetry_overhead_guard(repeats: int = 5, requests: int = 600,
     from ..serve.engine import ServeConfig, ServeEngine
 
     base = ServeConfig(system=system, requests=requests, records=200,
-                       clients=200, offered_rate=120_000.0,
-                       pm_size=96 * 1024 * 1024, seed=11)
+                       clients=200, offered_rate=120_000.0, seed=11)
     with_telem = dataclasses.replace(base, slo=True)
 
     def wall_once(cfg: ServeConfig) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from ..bench.harness import DEFAULT_PM, io_pattern_workload
+from ..bench.harness import io_pattern_workload
 from ..bench.report import render_ras_summary, render_table
 from ..core.modes import Mode
 from ..core.splitfs import SplitFS, SplitFSConfig
@@ -59,7 +59,7 @@ def _overhead_section(system: str, lines: List[str]) -> None:
 def _repair_section(lines: List[str], seed: int) -> None:
     results = []
     for replicate in (True, False):
-        machine = Machine(pm_size=64 * 1024 * 1024)
+        machine = Machine()
         ras = machine.enable_ras(RASConfig(replicate=replicate))
         fs = Ext4DaxFS.format(machine)
         payload = bytes(random.Random(seed).randrange(256)
@@ -100,6 +100,8 @@ def _repair_section(lines: List[str], seed: int) -> None:
 
 
 def _degradation_section(lines: List[str]) -> None:
+    # Small enough that the staging pool runs out of space: the section
+    # exists to show SplitFS degrading instead of failing writes.
     machine = Machine(pm_size=48 * 1024 * 1024)
     machine.enable_ras()
     kfs = Ext4DaxFS.format(machine, Ext4Config(journal_blocks=256,
@@ -133,8 +135,7 @@ def _degradation_section(lines: List[str]) -> None:
     lines.append("")
 
 
-def run_ras_report(system: str = "splitfs-posix", seed: int = 11,
-                   pm_size: int = DEFAULT_PM) -> str:
+def run_ras_report(system: str = "splitfs-posix", seed: int = 11) -> str:
     lines: List[str] = []
     _overhead_section(system, lines)
     _repair_section(lines, seed)

@@ -47,8 +47,6 @@ from .arrival import bursty_arrivals, poisson_arrivals
 from .reqtrace import RequestTracer
 from .workload import Request, make_workload
 
-DEFAULT_PM = 192 * 1024 * 1024
-
 #: Errnos the client treats as transient (retry with backoff).
 RETRYABLE_ERRNOS = ("EAGAIN", "ENOSPC")
 
@@ -78,7 +76,6 @@ class ServeConfig:
     seed: int = 7
     records: int = 500
     read_fraction: Optional[float] = None  # None = workload default
-    pm_size: int = DEFAULT_PM
     # Robustness stack:
     deadline_us: float = 400.0
     queue_limit: int = 64
@@ -205,8 +202,7 @@ class ServeEngine:
 
     def _build(self) -> Tuple[Machine, object, object]:
         cfg = self.cfg
-        machine, fs = make_filesystem(cfg.system, pm_size=cfg.pm_size,
-                                      seed=cfg.seed,
+        machine, fs = make_filesystem(cfg.system, seed=cfg.seed,
                                       device_profile=cfg.device_profile,
                                       numa_remote=cfg.numa_remote)
         workload = make_workload(cfg.app, self.workload_rng,

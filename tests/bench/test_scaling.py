@@ -5,7 +5,7 @@ import pytest
 from repro.bench.scaling import (ScalingPoint, render_scaling_report,
                                  run_point, run_scaling)
 
-SMALL = dict(clients=4, ops=4, seed=7, pm_size=192 * 1024 * 1024)
+SMALL = dict(clients=4, ops=4, seed=7)
 
 
 class TestScaling:

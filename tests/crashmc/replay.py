@@ -20,9 +20,9 @@ import repro.crashmc.explorer as explorer
 from repro.crashmc.explorer import (ExplorationReport, _budget_left, _examine,
                                     _Plan, _reorder_subsets)
 from repro.crashmc.oracles import KIND_PROPS
-from repro.crashmc.systems import fresh
 from repro.crashmc.trace import CrashTriggered
 from repro.crashmc.workload import Op, Shadow, run_workload
+from repro.factory import make_filesystem
 from repro.pmem.cache import CrashPolicy
 
 
@@ -89,7 +89,7 @@ class CrashTrigger:
         self.stores_this_epoch = 0
 
 
-def _replay_until(kind: str, ops: List[Op], pm_size: int, seed: int,
+def _replay_until(kind: str, ops: List[Op], seed: int,
                   trigger: CrashTrigger, ras: bool = False):
     """Run the workload on a fresh machine until ``trigger`` fires.
 
@@ -97,7 +97,7 @@ def _replay_until(kind: str, ops: List[Op], pm_size: int, seed: int,
     the PM state frozen at the trigger instant (or at workload end if the
     trigger never fired).
     """
-    machine, fs = fresh(kind, pm_size, seed=seed, ras=ras)
+    machine, fs = make_filesystem(kind, seed=seed, ras=ras)
     shadow = Shadow(KIND_PROPS[kind])
     machine.pm.attach_observer(trigger)
     try:
@@ -107,7 +107,7 @@ def _replay_until(kind: str, ops: List[Op], pm_size: int, seed: int,
     return machine, shadow, outcome
 
 
-def _run_replay(report: ExplorationReport, ops: List[Op], pm_size: int,
+def _run_replay(report: ExplorationReport, ops: List[Op],
                 seed: int, plan: _Plan, ras: bool, media_rate: float,
                 reorder: int, max_states: Optional[int],
                 state_hook: Optional[Callable]) -> None:
@@ -119,7 +119,7 @@ def _run_replay(report: ExplorationReport, ops: List[Op], pm_size: int,
         if item.fence is not None:
             trigger = CrashTrigger(fence_index=item.fence)
             machine, shadow, outcome = _replay_until(
-                kind, ops, pm_size, seed, trigger, ras=ras)
+                kind, ops, seed, trigger, ras=ras)
             if not outcome.crashed:
                 report.skipped_triggers += 1
                 continue
@@ -136,7 +136,7 @@ def _run_replay(report: ExplorationReport, ops: List[Op], pm_size: int,
                     if not _budget_left(report, max_states):
                         break
                     m2, s2, o2 = _replay_until(
-                        kind, ops, pm_size, seed,
+                        kind, ops, seed,
                         CrashTrigger(fence_index=item.fence), ras=ras)
                     if not o2.crashed:  # pragma: no cover - deterministic
                         report.skipped_triggers += 1
@@ -151,7 +151,7 @@ def _run_replay(report: ExplorationReport, ops: List[Op], pm_size: int,
         else:
             trigger = CrashTrigger(epoch=item.epoch, store_index=item.store)
             machine, shadow, outcome = _replay_until(
-                kind, ops, pm_size, seed, trigger, ras=ras)
+                kind, ops, seed, trigger, ras=ras)
             if not outcome.crashed:
                 report.skipped_triggers += 1
                 continue

@@ -8,8 +8,6 @@ from repro.cli import main
 from repro.crashmc import KindProps, emit_reproducer, explore, minimize
 from repro.crashmc.workload import Op, generate_workload
 
-PM = 96 * 1024 * 1024
-
 
 class TestMinimizePredicate:
     def test_minimizes_to_single_triggering_op(self):
@@ -20,14 +18,14 @@ class TestMinimizePredicate:
         def failing(report):
             return any(o.kind == "append" for o in report.ops)
 
-        small = minimize("ext4dax", ops, pm_size=PM, failing=failing)
+        small = minimize("ext4dax", ops, failing=failing)
         assert len(small.ops) == 1
         assert small.ops[0].kind == "append"
 
     def test_passing_workload_rejected(self):
         ops = [Op("append", 0, size=10, fill=7)]
         with pytest.raises(ValueError):
-            minimize("ext4dax", ops, pm_size=PM)
+            minimize("ext4dax", ops)
 
 
 class TestBrokenOracle:
@@ -49,10 +47,10 @@ class TestBrokenOracle:
             Op("overwrite", 0, offset=100, size=50, fill=3),
             Op("fsync", 0),
         ]
-        report = explore("ext4dax", ops=ops, seed=3, pm_size=PM)
+        report = explore("ext4dax", ops=ops, seed=3)
         assert not report.ok  # unsynced data now (wrongly) required durable
 
-        small = minimize("ext4dax", ops, seed=3, pm_size=PM)
+        small = minimize("ext4dax", ops, seed=3)
         # The 1-op cores cannot fail (a lone data op fences nothing, a lone
         # fsync has no data): ddmin must land on one data op + one fsync.
         assert len(small.ops) == 2
@@ -60,7 +58,7 @@ class TestBrokenOracle:
         assert small.ops[1].kind == "fsync"
         assert small.violations
 
-        script = emit_reproducer(small, pm_size=PM)
+        script = emit_reproducer(small)
         compile(script, "<reproducer>", "exec")  # must be valid python
         assert "explore(" in script
         assert f"SEED = 3" in script
@@ -84,7 +82,7 @@ class TestSweepOptions:
                     messages=["synthetic reorder-only violation"]))
 
         monkeypatch.setattr(explorer_mod, "_examine", examine)
-        assert explore("pmfs", nops=6, pm_size=PM).ok
+        assert explore("pmfs", nops=6).ok
         assert main(["crashmc", "--fs", "pmfs", "--ops", "6",
                      "--reorder", "2", "--minimize"]) == 1
         out = capsys.readouterr().out

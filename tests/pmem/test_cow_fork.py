@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.crashmc.systems import fresh, remount
+from repro.factory import make_filesystem as fresh, remount
 from repro.kernel.machine import Machine
 from repro.pmem.cow import SEGMENT_SIZE, CowBuffer, CowStats
 from repro.posix import flags as F

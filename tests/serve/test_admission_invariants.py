@@ -16,14 +16,12 @@ import pytest
 
 from repro.serve import ServeConfig, ServeEngine, run_sweep
 
-PM = 96 * 1024 * 1024
-
 
 def _overloaded(**overrides):
     """A run pushed far past service capacity with a tight queue."""
     base = dict(app="kv", offered_rate=5_000_000.0, requests=400,
                 records=120, queue_limit=8, max_retries=1,
-                deadline_us=150.0, pm_size=PM, track_outcomes=True)
+                deadline_us=150.0, track_outcomes=True)
     base.update(overrides)
     return ServeEngine(ServeConfig(**base)).run()
 
@@ -79,8 +77,7 @@ class TestGracefulDegradation:
         """1x and 2x capacity with the flat (token-bucket) device model on
         (write-heavy aof)."""
         base = ServeConfig(app="aof", arrival="poisson", requests=300,
-                           records=120, device_profile="flat", pm_size=PM,
-                           seed=7)
+                           records=120, device_profile="flat", seed=7)
         capacity, results = run_sweep(base, multipliers=(1.0, 2.0))
         return capacity, results
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.serve import ServeConfig, ServeEngine, render_serve_report
 
-FAST = dict(requests=250, records=120, clients=200, pm_size=96 * 1024 * 1024)
+FAST = dict(requests=250, records=120, clients=200)
 
 
 def _run(seed=7, **overrides):

@@ -12,8 +12,6 @@ from repro.posix.errors import FSError, NoSpaceFSError, TryAgainFSError
 from repro.serve import ServeConfig, ServeEngine
 from repro.serve.engine import RETRYABLE_ERRNOS
 
-PM = 96 * 1024 * 1024
-
 
 class _FlakyEngine(ServeEngine):
     """Wraps the workload so every service attempt raises ``exc_cls`` until
@@ -44,8 +42,7 @@ def _calm_config(**overrides):
     """Low offered load, roomy queue and deadline: admission control stays
     out of the way so only the error path is exercised."""
     cfg = dict(app="kv", offered_rate=20_000.0, requests=40, records=60,
-               queue_limit=512, deadline_us=1_000_000.0, pm_size=PM,
-               track_outcomes=True)
+               queue_limit=512, deadline_us=1_000_000.0, track_outcomes=True)
     cfg.update(overrides)
     return ServeConfig(**cfg)
 

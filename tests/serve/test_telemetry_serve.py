@@ -15,8 +15,7 @@ from repro.serve import ServeConfig, ServeEngine, render_monitor_report
 from repro.serve.report import LATENCY_HIST, render_serve_report
 from repro.serve.reqtrace import to_chrome_trace
 
-FAST = dict(requests=250, records=120, clients=200,
-            pm_size=96 * 1024 * 1024)
+FAST = dict(requests=250, records=120, clients=200)
 
 #: Offered load far above single-server capacity (~1.8 Mreq/s closed-loop)
 #: so windows carry retries, sheds, and deadline misses — the interesting
