@@ -28,6 +28,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Union
 
 from ..pmem import constants as C
@@ -53,7 +54,12 @@ _NS_FMT = "<HBBIIII"  # magic,type,name_len,seq,parent,child,crc
 MAX_LOG_NAME = ENTRY_SIZE - struct.calcsize(_NS_FMT)
 
 _ZERO_SLOT = bytes(ENTRY_SIZE)
-_ZERO_PAGE = bytes(C.BLOCK_SIZE)
+
+
+@lru_cache(maxsize=4)
+def _zero_image(size: int) -> bytes:
+    """One shared image of a zeroed log region per log size."""
+    return bytes(size)
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,8 @@ class OperationLog:
 
     def initialize(self) -> None:
         """Zero the log region so recovery can identify valid entries."""
-        self.pm.store(self.base, b"\x00" * self.size, category=Category.META_IO)
+        self.pm.store(self.base, _zero_image(self.size),
+                      category=Category.META_IO)
         self.pm.sfence(category=Category.META_IO)
         self.tail = 0
 
@@ -214,12 +221,10 @@ class OperationLog:
         # The scan streams the region page by page (sequential bandwidth,
         # not per-line latency).  Every page is loaded and charged; only a
         # non-zero page has slots worth decoding.
-        pages = self.pm.load_each(
+        pages = self.pm.load_nonzero(
             range(self.base, self.base + self.size, C.BLOCK_SIZE),
             C.BLOCK_SIZE, META_IO)
-        for raw in pages:
-            if raw == _ZERO_PAGE:
-                continue
+        for _, raw in pages:
             for slot_off in range(0, C.BLOCK_SIZE, ENTRY_SIZE):
                 entry = decode_entry(raw[slot_off : slot_off + ENTRY_SIZE])
                 if entry is not None:

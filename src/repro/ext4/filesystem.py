@@ -53,8 +53,6 @@ _SB_MAGIC = 0x45585434  # "EXT4"
 # ras_replica_start (first block of the RAS metadata mirror; 0 = none)
 _SB_FMT = "<IQIIIIII"
 
-_FREE_SLOT = free_inode_block()
-
 
 @dataclass
 class Ext4Config:
@@ -203,31 +201,32 @@ class Ext4DaxFS(KernelFS):
         )
         if ras_replica_start:
             fs.alloc.reserve(ras_replica_start, 1 + max_inodes)
-        fs.free_inos = []
 
         load = machine.pm.load
 
         def read_cont(block_no: int) -> bytes:
             return load(block_no * C.BLOCK_SIZE, C.BLOCK_SIZE, category=META_IO)
 
-        # Every slot is loaded and charged; only a slot that is not free is
-        # worth deserializing.  The slot loads and the continuation-block
-        # loads between them charge the same 4 KiB sequential META_IO cost,
-        # so the slots can be charged in one batch.
+        # Every slot is loaded and charged; only a slot that is not free
+        # (a free slot is all zeros) is worth deserializing.  The slot loads
+        # and the continuation-block loads between them charge the same
+        # 4 KiB sequential META_IO cost, so the slots can be charged in one
+        # batch.
         inos = range(max_inodes - 1, 0, -1)
-        slots = machine.pm.load_each([fs._inode_addr(ino) for ino in inos],
-                                     C.BLOCK_SIZE, META_IO)
-        for ino, raw in zip(inos, slots):
-            inode = (None if raw == _FREE_SLOT
-                     else deserialize_inode(raw, read_block=read_cont))
+        slots = machine.pm.load_nonzero(
+            range((itable_start + max_inodes - 1) * C.BLOCK_SIZE,
+                  itable_start * C.BLOCK_SIZE, -C.BLOCK_SIZE),
+            C.BLOCK_SIZE, META_IO)
+        for i, raw in slots:
+            inode = deserialize_inode(raw, read_block=read_cont)
             if inode is None or inode.nlink == 0:
-                fs.free_inos.append(ino)
                 continue
-            fs.inodes[ino] = inode
+            fs.inodes[inos[i]] = inode
             for ext in inode.extmap.physical_extents():
                 fs.alloc.reserve(ext.start, ext.length)
             for block in inode.cont_blocks:
                 fs.alloc.reserve(block, 1)
+        fs.free_inos = [ino for ino in inos if ino not in fs.inodes]
         if ROOT_INO not in fs.inodes:
             raise ValueError("image has no root inode")
         for ino, inode in fs.inodes.items():
@@ -695,25 +694,23 @@ class Ext4DaxFS(KernelFS):
         of = self._writable_of(fd)
         inode = self.inodes[of.ino]
         nblocks = (length + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
-        missing = [
-            lb for lb in range(nblocks) if inode.extmap.lookup_block(lb) is None
-        ]
-        if missing and huge_aligned and not inode.extmap.extents:
+        holes = []  # (first logical block, length), ascending
+        pos = 0
+        for piece in inode.extmap.slice_mappings(0, nblocks):
+            if piece.logical > pos:
+                holes.append((pos, piece.logical - pos))
+            pos = piece.logical_end
+        if pos < nblocks:
+            holes.append((pos, nblocks - pos))
+        if holes and huge_aligned and not inode.extmap.extents:
             ext = self.alloc.alloc_aligned(nblocks, C.BLOCKS_PER_HUGE_PAGE)
             if ext is not None:
                 inode.extmap.insert(0, ext.start, ext.length)
-                missing = []
-        i = 0
-        while i < len(missing):
-            run_start = missing[i]
-            run_len = 1
-            while i + run_len < len(missing) and missing[i + run_len] == run_start + run_len:
-                run_len += 1
-            cursor = run_start
+                holes = []
+        for cursor, run_len in holes:
             for ext in self.alloc.alloc(run_len):
                 inode.extmap.insert(cursor, ext.start, ext.length)
                 cursor += ext.length
-            i += run_len
         if length > inode.size:
             inode.size = length
         self._journal_inode(inode)

@@ -18,8 +18,9 @@ invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set
 
+from ..kernel.claims import OUTSIDE, BlockClaims
 from ..pmem import constants as C
 from .filesystem import Ext4DaxFS, ROOT_INO
 
@@ -40,23 +41,26 @@ class FsckReport:
         self.errors.append(message)
 
 
+def _claim(report: FsckReport, claimed: BlockClaims, block: int, length: int,
+           ino: int, what: str) -> None:
+    """Give ``length`` blocks from ``block`` to ``ino``; a block may be
+    claimed again by the same ino, never by another."""
+    outside = 0
+    for b, owner in claimed.claim(block, length, ino):
+        if owner is OUTSIDE:
+            outside += 1
+            report.error(f"ino {ino}: {what} block {b} outside data region")
+        elif owner != ino:
+            report.error(
+                f"block {b} claimed by both ino {owner} and ino {ino} ({what})"
+            )
+    report.blocks_claimed += length - outside
+
+
 def fsck(fs: Ext4DaxFS) -> FsckReport:
     """Check a mounted file system; returns a report (raises nothing)."""
     report = FsckReport()
-    claimed: Dict[int, int] = {}  # physical block -> owning ino
-
-    def claim(block: int, length: int, ino: int, what: str) -> None:
-        for b in range(block, block + length):
-            if b < fs.data_start or b >= fs.total_blocks:
-                report.error(f"ino {ino}: {what} block {b} outside data region")
-                continue
-            owner = claimed.get(b)
-            if owner is not None and owner != ino:
-                report.error(
-                    f"block {b} claimed by both ino {owner} and ino {ino} ({what})"
-                )
-            claimed[b] = ino
-            report.blocks_claimed += 1
+    claimed = BlockClaims(fs.data_start, fs.total_blocks)  # block -> ino
 
     # -- per-inode structural checks ---------------------------------------
     for ino, inode in fs.inodes.items():
@@ -70,9 +74,9 @@ def fsck(fs: Ext4DaxFS) -> FsckReport:
             if ext.logical <= last_logical:
                 report.error(f"ino {ino}: extents out of order at {ext}")
             last_logical = ext.logical_end - 1
-            claim(ext.phys, ext.length, ino, "data")
+            _claim(report, claimed, ext.phys, ext.length, ino, "data")
         for block in inode.cont_blocks:
-            claim(block, 1, ino, "extent-continuation")
+            _claim(report, claimed, block, 1, ino, "extent-continuation")
         if inode.is_dir:
             d = fs.dirs.get(ino)
             if d is None:
@@ -84,12 +88,9 @@ def fsck(fs: Ext4DaxFS) -> FsckReport:
                     f"ino {ino}: dir size {inode.size} < dirent capacity {needed}"
                 )
         else:
+            # A size beyond every mapping is a sparse tail, which reads as
+            # zeros; only mappings a whole block past EOF are an error.
             max_mapped = max((e.logical_end for e in inode.extmap), default=0)
-            if inode.size > 0 and max_mapped * C.BLOCK_SIZE < inode.size:
-                # Sparse tails are fine only if the tail is a hole; a mapped
-                # size beyond all extents means reads return zeros, which is
-                # legal — flag only mappings beyond EOF by a whole block.
-                pass
             if max_mapped * C.BLOCK_SIZE >= inode.size + C.BLOCK_SIZE and inode.size > 0:
                 report.error(
                     f"ino {ino}: mappings extend a full block past EOF "

@@ -11,8 +11,9 @@ Invariants checked on a mounted instance:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
+from ..kernel.claims import OUTSIDE, BlockClaims
 from .filesystem import NovaFS, ROOT_INO
 
 
@@ -29,27 +30,29 @@ class NovaFsckReport:
         self.errors.append(message)
 
 
+def _claim(report: NovaFsckReport, claimed: BlockClaims, block: int,
+           length: int, what: str) -> None:
+    """Give ``length`` blocks from ``block`` to ``what``; any second claim
+    of a block is an error."""
+    for b, owner in claimed.claim(block, length, what):
+        if owner is OUTSIDE:
+            report.error(f"{what}: block {b} outside data region")
+        else:
+            report.error(f"block {b} claimed by {owner} and {what}")
+
+
 def fsck(fs: NovaFS) -> NovaFsckReport:
     report = NovaFsckReport()
-    claimed: Dict[int, str] = {}
-
-    def claim(block: int, length: int, what: str) -> None:
-        for b in range(block, block + length):
-            if b < fs.data_start or b >= fs.total_blocks:
-                report.error(f"{what}: block {b} outside data region")
-                continue
-            if b in claimed:
-                report.error(f"block {b} claimed by {claimed[b]} and {what}")
-            claimed[b] = what
+    claimed = BlockClaims(fs.data_start, fs.total_blocks)  # block -> what
 
     for ino, inode in fs.inodes.items():
         report.inodes_checked += 1
         if inode.nlink <= 0:
             report.error(f"ino {ino}: live inode with nlink={inode.nlink}")
         for ext in inode.extmap:
-            claim(ext.phys, ext.length, f"ino {ino} data")
+            _claim(report, claimed, ext.phys, ext.length, f"ino {ino} data")
         for page in inode.log_pages:
-            claim(page, 1, f"ino {ino} log")
+            _claim(report, claimed, page, 1, f"ino {ino} log")
 
     if ROOT_INO not in fs.inodes:
         report.error("no root inode")

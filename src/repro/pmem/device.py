@@ -16,11 +16,11 @@ this reproduction sits on.  It combines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from . import constants as C
 from .cache import CrashPolicy, PersistenceDomain
-from .cow import CowBuffer
+from .cow import SEGMENT_MASK, SEGMENT_SHIFT, SEGMENT_SIZE, CowBuffer
 from .timing import DATA, Category, SimClock
 
 
@@ -254,31 +254,42 @@ class PersistentMemory:
                 self.clock.charge(delay, category)
         return self.buf.read(addr, addr + size)
 
-    def load_each(self, addrs: Iterable[int], size: int,
-                  category: Category = DATA) -> Iterator[bytes]:
+    def load_nonzero(self, addrs: Sequence[int], size: int,
+                     category: Category = DATA) -> Iterator[Tuple[int, bytes]]:
         """``load(addr, size, category)`` for each of ``addrs`` in order,
-        as an iterator over the bytes read.
+        as an iterator over ``(i, bytes)`` for the loads whose bytes are
+        not all zero, ``i`` indexing ``addrs``.
 
-        The recovery scans call this for runs of equal sequential loads.
+        The recovery scans call this for runs of equal sequential loads
+        that mostly find zeros: free inode slots, unused log pages.
         Without poison, RAS or a device model nothing differs between such
         loads, so the first ``next`` makes the bounds checks, counter
         updates and clock charges of all of them, which leaves every
-        account bit-identical (:meth:`SimClock.charge_each`), and each
-        read happens as its item is consumed.  Otherwise every item is a
-        ``load`` call made as it is consumed, so the repairs,
-        verifications and bandwidth charges interleave with the caller's
-        other loads exactly as one ``load`` per address would.
+        account bit-identical (:meth:`SimClock.charge_each`).  The bytes
+        are then looked up in their buffer segment as items are consumed:
+        a record in a zero segment costs nothing, and one in an owned
+        segment is compared in place and copied only if it is not zero.
+        Otherwise every load is a ``load`` call made as it is consumed, so
+        the repairs, verifications and bandwidth charges interleave with
+        the caller's other loads exactly as one ``load`` per address would.
+        The caller must not store to the device while it iterates.
         """
+        zeros = bytes(max(size, 0))
         faults = self.faults
         if (self.ras is not None or self.model is not None
                 or (faults is not None and faults.poisoned)):
-            for addr in addrs:
-                yield self.load(addr, size, category)
+            for i, addr in enumerate(addrs):
+                raw = self.load(addr, size, category)
+                if raw != zeros:
+                    yield i, raw
             return
-        addrs = list(addrs)
-        count = len(addrs)
-        if addrs and (size < 0 or min(addrs) < 0
-                      or max(addrs) + size > self.size):
+        if type(addrs) is range:
+            ends = (addrs[0], addrs[-1]) if addrs else ()
+        else:
+            addrs = ends = list(addrs)
+        total = count = len(addrs)
+        if count and (size < 0 or min(ends) < 0
+                      or max(ends) + size > self.size):
             # Charge the loads before the first bad address, as the
             # separate calls would have, then raise at it.
             count = next(i for i, addr in enumerate(addrs)
@@ -289,10 +300,23 @@ class PersistentMemory:
         self.clock.charge_each(
             C.PM_SEQ_READ_LATENCY_NS + size * C.PM_READ_NS_PER_BYTE,
             category, count)
-        read = self.buf.read
-        for addr in addrs[:count]:
-            yield read(addr, addr + size)
-        if count < len(addrs):
+        buf = self.buf
+        n = -1
+        seg = None
+        for i in range(count):
+            addr = addrs[i]
+            off = addr & SEGMENT_MASK
+            if off + size > SEGMENT_SIZE:  # straddles two segments
+                raw = buf.read(addr, addr + size)
+                if raw != zeros:
+                    yield i, raw
+                continue
+            if addr >> SEGMENT_SHIFT != n:
+                n = addr >> SEGMENT_SHIFT
+                seg = buf.segment(n)
+            if seg is not None and not seg.startswith(zeros, off):
+                yield i, bytes(seg[off : off + size])
+        if count < total:
             self._check(addrs[count], size)
 
     def peek(self, addr: int, size: int) -> bytes:

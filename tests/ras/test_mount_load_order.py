@@ -1,10 +1,10 @@
 """Under poison and RAS, the ext4 mount still loads the inode table slot by slot.
 
 ``Ext4DaxFS.mount`` reads its inode slots through
-``PersistentMemory.load_each``.  With poison armed and RAS attached, a
-repair charges between two loads, so ``load_each`` must fall back to one
-``load`` per slot, made in descending inode order as the mount consumes
-it, interleaved with each inode's continuation-block loads.  The mount's
+``PersistentMemory.load_nonzero``.  With poison armed and RAS attached, a
+repair charges between two loads, so ``load_nonzero`` must fall back to
+one ``load`` per slot, made in descending inode order as the mount
+consumes it, interleaved with each inode's continuation-block loads.  The mount's
 clock must equal the plain per-slot loop's bit for bit, and so must the
 sequences of loads and charges: a fallback that loaded every slot up
 front, or in another order, moves float additions, though whether that
@@ -58,8 +58,11 @@ class ChargeLog(Observer):
 
 
 def per_slot(self, addrs, size, category=DATA):
-    for addr in addrs:
-        yield self.load(addr, size, category)
+    zeros = bytes(size)
+    for i, addr in enumerate(addrs):
+        raw = self.load(addr, size, category)
+        if raw != zeros:
+            yield i, raw
 
 
 def mount_poisoned(machine, itable, loads):
@@ -86,7 +89,7 @@ def test_mount_clock_under_poison_equals_the_per_slot_loop(monkeypatch):
 
     monkeypatch.setattr(PersistentMemory, "load", logged_load)
     batched = mount_poisoned(parent.fork(), itable, loads)
-    monkeypatch.setattr(PersistentMemory, "load_each", per_slot)
+    monkeypatch.setattr(PersistentMemory, "load_nonzero", per_slot)
     separate = mount_poisoned(parent.fork(), itable, loads)
     assert batched == separate
     assert batched[1]["media_repaired"] > 1000

@@ -10,6 +10,15 @@ takes the instance first, so it can be called directly or bound as a
 method; the persistence domain's original is a whole class,
 :class:`LinePersistenceDomain`, one dict entry per dirty line.
 
+The ext4 and NOVA fsck checkers (``ext4/fsck.py``, ``nova/fsck.py``)
+claim blocks by the range (``kernel/claims.py``);
+:func:`ext4_fsck_claims` and :func:`nova_fsck_claims` are their per-block
+loops over a dict, which the claim property test holds them to.
+
+``Ext4DaxFS.fallocate`` (``ext4/filesystem.py``) allocates the holes
+between a file's mapped ranges; :func:`ext4_fallocate` is the version
+that looked up every block of the file.
+
 The fault injector (``pmem/faults.py``) keeps its poison list sorted and
 looks only at a bisected window of it; :class:`ListPoison` is the linear
 scan it replaced.  The crash oracle's shadow (``crashmc/workload.py``)
@@ -362,6 +371,85 @@ class SetShadow:
             for pos in range(op.offset, end):
                 self.floor[op.file][pos] = op.fill
                 self.allowed[op.file][pos] = {op.fill}
+
+
+# -- ext4 fallocate: one extent lookup per block ---------------------------------
+
+
+def ext4_fallocate(self, fd: int, length: int,
+                   huge_aligned: bool = False) -> None:
+    self._trap()
+    of = self._writable_of(fd)
+    inode = self.inodes[of.ino]
+    nblocks = (length + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
+    missing = [
+        lb for lb in range(nblocks) if inode.extmap.lookup_block(lb) is None
+    ]
+    if missing and huge_aligned and not inode.extmap.extents:
+        ext = self.alloc.alloc_aligned(nblocks, C.BLOCKS_PER_HUGE_PAGE)
+        if ext is not None:
+            inode.extmap.insert(0, ext.start, ext.length)
+            missing = []
+    i = 0
+    while i < len(missing):
+        run_start = missing[i]
+        run_len = 1
+        while (i + run_len < len(missing)
+               and missing[i + run_len] == run_start + run_len):
+            run_len += 1
+        cursor = run_start
+        for ext in self.alloc.alloc(run_len):
+            inode.extmap.insert(cursor, ext.start, ext.length)
+            cursor += ext.length
+        i += run_len
+    if length > inode.size:
+        inode.size = length
+    self._journal_inode(inode)
+
+
+# -- fsck block claims: one dict entry per block --------------------------------
+
+#: A claim as the checkers make it: ``(block, length, ino, what)``.
+Claim = Tuple[int, int, int, str]
+
+
+def ext4_fsck_claims(claims: Iterable[Claim], data_start: int,
+                     total_blocks: int) -> Tuple[List[str], int, int]:
+    """``(errors, blocks_claimed, blocks with an owner)`` of ext4's fsck."""
+    errors: List[str] = []
+    claimed: Dict[int, int] = {}  # physical block -> owning ino
+    blocks_claimed = 0
+    for block, length, ino, what in claims:
+        for b in range(block, block + length):
+            if b < data_start or b >= total_blocks:
+                errors.append(f"ino {ino}: {what} block {b} outside data region")
+                continue
+            owner = claimed.get(b)
+            if owner is not None and owner != ino:
+                errors.append(
+                    f"block {b} claimed by both ino {owner} and ino {ino} ({what})"
+                )
+            claimed[b] = ino
+            blocks_claimed += 1
+    return errors, blocks_claimed, len(claimed)
+
+
+def nova_fsck_claims(claims: Iterable[Claim], data_start: int,
+                     total_blocks: int) -> Tuple[List[str], int]:
+    """``(errors, blocks with an owner)`` of NOVA's fsck, whose owner is
+    the claim's ``f"ino {ino} {what}"``."""
+    errors: List[str] = []
+    claimed: Dict[int, str] = {}
+    for block, length, ino, what in claims:
+        what = f"ino {ino} {what}"
+        for b in range(block, block + length):
+            if b < data_start or b >= total_blocks:
+                errors.append(f"{what}: block {b} outside data region")
+                continue
+            if b in claimed:
+                errors.append(f"block {b} claimed by {claimed[b]} and {what}")
+            claimed[b] = what
+    return errors, len(claimed)
 
 
 #: (class or module, attribute, reference implementation) for

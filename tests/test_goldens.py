@@ -1,4 +1,4 @@
-"""The golden manifest: each fast entry reproduces its committed output, and
+"""The golden manifest: each entry reproduces its committed output, and
 the check fails on every way an output can move."""
 
 import json
@@ -11,11 +11,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import goldens  # noqa: E402
 
 ENTRIES = goldens.load_manifest()
-#: The two 200-op crashmc sweeps run only in the CI ``goldens`` job.
-FAST = [e for e in ENTRIES if not e.get("slow")]
 
 
-@pytest.mark.parametrize("entry", FAST, ids=[e["name"] for e in FAST])
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
 def test_entry_reproduces_its_golden(entry):
     problems = goldens.check(entry, runs=1)
     assert not problems, "\n".join(problems)

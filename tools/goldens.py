@@ -1,11 +1,11 @@
 """Committed outputs of every ``repro`` command CI runs, and their check.
 
 ``goldens/manifest.json`` lists the entries.  Each has a ``name``, the
-``argv`` that follows ``python -m repro``, optional ``aliases`` (other
-argvs that must print the same bytes) and ``slow`` for the sweeps the
-tier-1 suite leaves to CI.  For an entry ``NAME``, ``goldens/NAME.txt`` is
-its filtered stdout and ``goldens/NAME/`` holds every file it wrote into
-its working directory (commands that take ``--out-dir out`` write there).
+``argv`` that follows ``python -m repro`` and optional ``aliases`` (other
+argvs that must print the same bytes).  For an entry ``NAME``,
+``goldens/NAME.txt`` is its filtered stdout and ``goldens/NAME/`` holds
+every file it wrote into its working directory (commands that take
+``--out-dir out`` write there).
 
 Usage, from the repository root::
 
