@@ -1,6 +1,6 @@
 """Benchmark harness regenerating every table and figure in the paper."""
 
-from . import harness, report, trace, wallclock
+from . import harness, report, wallclock
 from .harness import (
     Measurement,
     append_4k_workload,
@@ -16,7 +16,6 @@ from .harness import (
 __all__ = [
     "harness",
     "report",
-    "trace",
     "wallclock",
     "Measurement",
     "measure",

@@ -1,33 +1,20 @@
-"""Trace record/replay tests."""
+"""Trace record/replay: :class:`repro.difftest.Recorder` records a run's
+calls as ``FuzzOp``s, and ``apply_op`` over fresh slots replays them."""
 
 import pytest
 
 from repro import make_filesystem
-from repro.bench.trace import TraceRecorder, _decode_payload, _encode_payload, replay
+from repro.difftest import FuzzOp, Recorder, apply_op, generate_ops, snapshot
 from repro.posix import flags as F
-from repro.posix.errors import FileNotFoundFSError
+from repro.posix.errors import BadFileDescriptorError, FileNotFoundFSError
 
 PM = 96 * 1024 * 1024
 
 
-class TestPayloadCodec:
-    def test_fill_compression(self):
-        data = b"\xab" * 5000
-        text = _encode_payload(data)
-        assert text.startswith("fill:")
-        assert len(text) < 20
-        assert _decode_payload(text) == data
-
-    def test_hex_fallback(self):
-        data = bytes(range(64))
-        assert _decode_payload(_encode_payload(data)) == data
-
-    def test_empty(self):
-        assert _decode_payload(_encode_payload(b"")) == b""
-
-    def test_bad_payload(self):
-        with pytest.raises(ValueError):
-            _decode_payload("nope:123")
+def replay(fs, ops):
+    """Apply ``ops`` to ``fs`` over a fresh slots dict; the outcomes."""
+    slots = {}
+    return [apply_op(fs, slots, op) for op in ops]
 
 
 class TestRecordReplay:
@@ -52,89 +39,74 @@ class TestRecordReplay:
 
     def test_replay_reproduces_state_across_systems(self):
         _, src = make_filesystem("ext4dax", pm_size=PM)
-        rec = TraceRecorder(src)
+        rec = Recorder(src)
         self.workload(rec)
-        trace = rec.dump()
         expected = self.final_state(src)
 
         for system in ("splitfs-strict", "nova-strict", "pmfs", "strata"):
             _, dst = make_filesystem(system, pm_size=PM)
-            ops = replay(dst, trace)
-            assert ops > 10
+            outcomes = replay(dst, rec.ops)
+            assert len(outcomes) > 10
+            assert all(status == "ok" for status, _ in outcomes), system
             assert self.final_state(dst) == expected, system
 
     def test_recorder_is_transparent(self):
         _, plain = make_filesystem("ext4dax", pm_size=PM)
         _, wrapped_inner = make_filesystem("ext4dax", pm_size=PM)
-        wrapped = TraceRecorder(wrapped_inner)
+        wrapped = Recorder(wrapped_inner)
         self.workload(plain)
         self.workload(wrapped)
         assert self.final_state(plain) == self.final_state(wrapped)
 
-    def test_strict_replay_raises_on_error(self):
-        _, dst = make_filesystem("ext4dax", pm_size=PM)
+    def test_failing_call_replays_to_its_errno(self):
+        """A call is recorded before it is made, so failures replay too."""
+        _, src = make_filesystem("ext4dax", pm_size=PM)
+        rec = Recorder(src)
         with pytest.raises(FileNotFoundFSError):
-            replay(dst, "unlink\t/missing\n")
+            rec.unlink("/missing")
+        rec.mkdir("/ok")
+        assert rec.ops == [FuzzOp("unlink", path="/missing"),
+                           FuzzOp("mkdir", path="/ok")]
+
+        _, dst = make_filesystem("ext4dax", pm_size=PM)
+        assert replay(dst, rec.ops) == [("err", "ENOENT"), ("ok", None)]
+        assert dst.exists("/ok")
 
     def test_lenient_replay_skips_errors(self):
+        """A call that fails only on the replay target stops nothing."""
+        _, src = make_filesystem("ext4dax", pm_size=PM)
+        rec = Recorder(src)
+        rec.mkdir("/d")
+        rec.write_file("/d/f", b"data")
+
         _, dst = make_filesystem("ext4dax", pm_size=PM)
-        trace = "unlink\t/missing\nmkdir\t/ok\n"
-        assert replay(dst, trace, strict=False) == 1
-        assert dst.exists("/ok")
+        dst.mkdir("/d")
+        outcomes = replay(dst, rec.ops)
+        assert outcomes[0] == ("err", "EEXIST")
+        assert all(status == "ok" for status, _ in outcomes[1:])
+        assert dst.read_file("/d/f") == b"data"
 
     def test_unknown_op_rejected(self):
         _, dst = make_filesystem("ext4dax", pm_size=PM)
-        with pytest.raises(ValueError):
-            replay(dst, "frobnicate\t/x\n")
-
-    def test_unknown_op_error_names_line(self):
-        _, dst = make_filesystem("ext4dax", pm_size=PM)
-        trace = "mkdir\t/ok\nfrobnicate\t/x\n"
-        with pytest.raises(ValueError, match=r"trace line 2: .*frobnicate"):
-            replay(dst, trace)
-
-    def test_bad_field_count_names_line(self):
-        _, dst = make_filesystem("ext4dax", pm_size=PM)
-        # open needs path, flags and a token; two fields is malformed.
-        with pytest.raises(ValueError, match=r"trace line 1"):
-            replay(dst, "open\t/x\n")
-
-    def test_bad_payload_names_line(self):
-        _, dst = make_filesystem("ext4dax", pm_size=PM)
-        trace = "open\t/x\t66\t0\nwrite\t0\tnope:12\n"
-        with pytest.raises(ValueError, match=r"trace line 2"):
-            replay(dst, trace)
-
-    def test_unknown_token_names_line(self):
-        _, dst = make_filesystem("ext4dax", pm_size=PM)
-        with pytest.raises(ValueError, match=r"trace line 1"):
-            replay(dst, "write\t7\tfill:4:97\n")
-
-    def test_line_numbers_count_blank_lines(self):
-        """Errors report physical line numbers, as an editor shows them."""
-        _, dst = make_filesystem("ext4dax", pm_size=PM)
-        trace = "\nmkdir\t/ok\n\nfrobnicate\t/x\n"
-        with pytest.raises(ValueError, match=r"trace line 4"):
-            replay(dst, trace)
-
-    def test_lenient_replay_still_rejects_malformed_lines(self):
-        """strict=False forgives FS errors, never trace corruption."""
-        _, dst = make_filesystem("ext4dax", pm_size=PM)
-        with pytest.raises(ValueError, match=r"trace line 1"):
-            replay(dst, "frobnicate\t/x\n", strict=False)
+        status, detail = apply_op(dst, {}, FuzzOp("frobnicate", path="/x"))
+        assert status == "crash"
+        assert "unknown fuzz call 'frobnicate'" in detail
 
     def test_fd_tokens_are_stable(self):
         """Two systems with different fd numbering replay the same trace."""
         _, src = make_filesystem("splitfs-posix", pm_size=PM)  # fds ~1000+
-        rec = TraceRecorder(src)
+        rec = Recorder(src)
         fd1 = rec.open("/x", F.O_CREAT | F.O_RDWR)
         fd2 = rec.open("/y", F.O_CREAT | F.O_RDWR)
         rec.write(fd1, b"one")
         rec.write(fd2, b"two")
         rec.close(fd1)
         rec.close(fd2)
+        with pytest.raises(BadFileDescriptorError):
+            rec.close(fd1)  # no longer open: slot -1, EBADF on replay too
+        assert [op.slot for op in rec.ops] == [0, 1, 0, 1, 0, 1, -1]
         _, dst = make_filesystem("ext4dax", pm_size=PM)  # fds ~3+
-        replay(dst, rec.dump())
+        assert replay(dst, rec.ops)[-1] == ("err", "EBADF")
         assert dst.read_file("/x") == b"one"
         assert dst.read_file("/y") == b"two"
 
@@ -143,49 +115,38 @@ class TestRoundTripProperty:
     """Record -> replay over the difftest generator: post-states identical.
 
     The fuzz generator produces adversarial sequences (bad fds, colliding
-    paths, vectored IO, renames over open files); whatever subset succeeds
-    gets recorded, and replaying the trace on a fresh instance must land in
-    the identical visible namespace.
+    paths, vectored IO, renames over open files).  Every call is recorded,
+    failing ones included, and replaying the recording on a fresh instance
+    must land in the identical visible namespace.
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_record_replay_identical_post_state(self, seed):
-        from repro.difftest.executor import snapshot
-        from repro.difftest.generator import generate_ops
-        from repro.difftest.ops import apply_op
-
         ops = generate_ops(seed, 120, faults=False)
         _, src = make_filesystem("ext4dax", pm_size=PM)
-        rec = TraceRecorder(src)
+        rec = Recorder(src)
         slots = {}
         for op in ops:
             status, detail = apply_op(rec, slots, op)
             # The recorder must be POSIX-transparent: errors surface as
             # FSError ("err"), never as raw recorder exceptions.
             assert status != "crash", (op.describe(), detail)
-
-        trace = rec.dump()
         expected = snapshot(src)
 
         _, dst = make_filesystem("ext4dax", pm_size=PM)
-        replay(dst, trace)
+        replay(dst, rec.ops)
         assert snapshot(dst) == expected
 
     def test_roundtrip_across_systems(self):
-        from repro.difftest.executor import snapshot
-        from repro.difftest.generator import generate_ops
-        from repro.difftest.ops import apply_op
-
         ops = generate_ops(7, 80, faults=False)
         _, src = make_filesystem("ext4dax", pm_size=PM)
-        rec = TraceRecorder(src)
+        rec = Recorder(src)
         slots = {}
         for op in ops:
             apply_op(rec, slots, op)
-        trace = rec.dump()
         expected = snapshot(src)
 
         for system in ("splitfs-strict", "nova-strict"):
             _, dst = make_filesystem(system, pm_size=PM)
-            replay(dst, trace)
+            replay(dst, rec.ops)
             assert snapshot(dst) == expected, system

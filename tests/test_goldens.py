@@ -37,43 +37,47 @@ def test_filter_drops_only_wall_and_wrote_lines():
         b"wall-clock bench\nthe wall: stays\n  wrote: stays\nend")
 
 
-# -- mutants: each one must make the check fail -------------------------------
+# -- mutants: each one must make the check fail, for both kinds of entry ----
 
 ENTRY = {"name": "e", "argv": ["serve"], "aliases": [["serve", "--alias"]]}
+SCRIPT = {"name": "s", "script": "benchmarks/s.py"}
+BOTH = [ENTRY, SCRIPT]
 GOOD = goldens.Output(0, b"head\nbody\n", {"out/t.json": b"{\n}\n"})
 
 
 class FakeRunner:
-    """Returns ``GOOD`` unless an argv or a call number is told otherwise."""
+    """Returns ``GOOD`` unless a command or a call number is told otherwise."""
 
-    def __init__(self, by_argv=None, by_call=None):
-        self.by_argv = by_argv or {}
+    def __init__(self, by_command=None, by_call=None):
+        self.by_command = by_command or {}
         self.by_call = by_call or {}
         self.calls = 0
 
-    def __call__(self, argv):
+    def __call__(self, entry):
         self.calls += 1
         return self.by_call.get(
-            self.calls, self.by_argv.get(tuple(argv), GOOD))
+            self.calls, self.by_command.get(goldens.shown(entry), GOOD))
 
 
 @pytest.fixture
 def recorded(tmp_path, monkeypatch):
-    """``ENTRY`` recorded from ``GOOD`` into a scratch goldens dir."""
+    """``ENTRY`` and ``SCRIPT`` recorded from ``GOOD`` into a scratch
+    goldens dir."""
     monkeypatch.setattr(goldens, "GOLDENS", tmp_path)
-    (tmp_path / "manifest.json").write_text(json.dumps({"entries": [ENTRY]}))
-    monkeypatch.setattr(goldens, "run_repro", FakeRunner())
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": BOTH}))
+    monkeypatch.setattr(goldens, "run", FakeRunner())
     assert goldens.main(["--update"]) == 0
     assert goldens.main(["--check"]) == 0
     return tmp_path
 
 
 def test_changed_stdout_byte_fails(recorded, capsys):
-    stdout = recorded / "e.txt"
-    stdout.write_bytes(stdout.read_bytes().replace(b"body", b"bodY"))
-    assert goldens.main(["--check", "e"]) == 1
-    out = capsys.readouterr().out
-    assert "-bodY\n+body\n" in out and "FAIL e" in out
+    for entry in BOTH:
+        stdout = recorded / f"{entry['name']}.txt"
+        stdout.write_bytes(stdout.read_bytes().replace(b"body", b"bodY"))
+        assert goldens.main(["--check", entry["name"]]) == 1
+        out = capsys.readouterr().out
+        assert "-bodY\n+body\n" in out and f"FAIL {entry['name']}" in out
 
 
 @pytest.mark.parametrize("files, message", [
@@ -84,19 +88,33 @@ def test_changed_stdout_byte_fails(recorded, capsys):
 def test_changed_missing_or_extra_file_fails(recorded, monkeypatch,
                                              files, message):
     bad = goldens.Output(0, GOOD.stdout, files)
-    monkeypatch.setattr(goldens, "run_repro",
-                        FakeRunner(by_argv={("serve",): bad}))
-    problems = goldens.check(ENTRY)
-    assert problems and message in "".join(problems)
+    for entry in BOTH:
+        monkeypatch.setattr(goldens, "run", FakeRunner(
+            by_command={goldens.shown(entry): bad}))
+        problems = goldens.check(entry)
+        assert problems and message in "".join(problems), entry["name"]
 
 
 def test_nonzero_exit_fails_even_with_matching_output(recorded, monkeypatch):
-    monkeypatch.setattr(goldens, "run_repro", FakeRunner(
-        by_argv={("serve",): goldens.Output(1, GOOD.stdout, GOOD.files,
-                                            "Traceback")}))
-    problems = goldens.check(ENTRY)
-    assert problems == [f"run {i} of `repro serve`: exit status 1\n"
-                        f"Traceback" for i in (1, 2)]
+    for entry in BOTH:
+        command = goldens.shown(entry)
+        monkeypatch.setattr(goldens, "run", FakeRunner(by_command={
+            command: goldens.Output(1, GOOD.stdout, GOOD.files, "Traceback")}))
+        problems = goldens.check(entry)
+        assert problems == [f"run {i} of `{command}`: exit status 1\n"
+                            f"Traceback" for i in (1, 2)]
+
+
+def test_update_refuses_a_script_that_exits_1(recorded, monkeypatch):
+    """A failing claim cannot be re-recorded."""
+    failing = goldens.Output(1, GOOD.stdout + b"\nclaim FAILED: r = 1 > 2\n",
+                             {})
+    monkeypatch.setattr(goldens, "run", FakeRunner(
+        by_command={"benchmarks/s.py": failing}))
+    with pytest.raises(SystemExit, match="s: exit status 1"):
+        goldens.main(["--update", "s"])
+    assert (recorded / "s.txt").read_bytes() == GOOD.stdout
+    assert (recorded / "s" / "out" / "t.json").is_file()
 
 
 def test_real_nonzero_exit_is_reported(tmp_path, monkeypatch):
@@ -110,16 +128,17 @@ def test_real_nonzero_exit_is_reported(tmp_path, monkeypatch):
 
 def test_second_run_that_differs_fails(recorded, monkeypatch):
     drift = goldens.Output(0, b"head\nbody 2\n", GOOD.files)
-    monkeypatch.setattr(goldens, "run_repro",
-                        FakeRunner(by_call={2: drift}))
-    (problem,) = goldens.check(ENTRY)
-    assert problem.startswith("--- goldens/e.txt\n+++ run 2 of `repro serve`")
+    for entry in BOTH:
+        monkeypatch.setattr(goldens, "run", FakeRunner(by_call={2: drift}))
+        (problem,) = goldens.check(entry)
+        assert problem.startswith(f"--- goldens/{entry['name']}.txt\n"
+                                  f"+++ run 2 of `{goldens.shown(entry)}`")
 
 
 def test_alias_that_prints_something_else_fails(recorded, monkeypatch):
     other = goldens.Output(0, b"head\nother\n", GOOD.files)
-    monkeypatch.setattr(goldens, "run_repro", FakeRunner(
-        by_argv={("serve", "--alias"): other}))
+    monkeypatch.setattr(goldens, "run", FakeRunner(
+        by_command={"repro serve --alias": other}))
     problems = goldens.check(ENTRY)
     assert len(problems) == 2
     assert all("`repro serve --alias`" in p for p in problems)

@@ -1,21 +1,24 @@
-"""Committed outputs of every ``repro`` command CI runs, and their check.
+"""Golden outputs: every command whose output is committed, and their check.
 
-``goldens/manifest.json`` lists the entries.  Each has a ``name``, the
-``argv`` that follows ``python -m repro`` and optional ``aliases`` (other
-argvs that must print the same bytes).  For an entry ``NAME``,
-``goldens/NAME.txt`` is its filtered stdout and ``goldens/NAME/`` holds
-every file it wrote into its working directory (commands that take
-``--out-dir out`` write there).
+``goldens/manifest.json`` lists the entries.  Each has a ``name`` and
+either the ``argv`` that follows ``python -m repro``, with optional
+``aliases`` (other argvs that must print the same bytes), or a ``script``,
+a path from the repository root run as ``python SCRIPT`` (the paper's
+tables and figures, ``benchmarks/<name>.py``, whose failing claims make a
+non-zero exit).  For an entry ``NAME``, ``goldens/NAME.txt`` is its
+filtered stdout and ``goldens/NAME/`` holds every file it wrote into its
+working directory (commands that take ``--out-dir out`` write there).
 
 Usage, from the repository root::
 
     python tools/goldens.py --check [NAME ...]    # run twice, compare
     python tools/goldens.py --update [NAME ...]   # rewrite committed files
 
-Each run is a fresh ``python -m repro`` process in an empty temporary
-directory: module-level caches make an in-process run a different program.
-The check compares every run, byte for byte, with the committed files and
-prints a unified diff for each mismatch; a non-zero exit also fails.
+Each run is a fresh process in an empty temporary directory: module-level
+caches make an in-process run a different program.  The check compares
+every run, byte for byte, with the committed files and prints a unified
+diff for each mismatch; a non-zero exit also fails, and ``--update``
+refuses to record one.
 """
 
 from __future__ import annotations
@@ -61,12 +64,21 @@ def read_tree(top: Path) -> Dict[str, bytes]:
             for p in sorted(top.rglob("*")) if p.is_file()}
 
 
-def run_repro(argv: List[str]) -> Output:
+def shown(entry: dict) -> str:
+    """The entry's command as labels show it."""
+    return entry.get("script") or " ".join(["repro", *entry["argv"]])
+
+
+def run(entry: dict) -> Output:
+    """One fresh run of an entry's ``script`` or ``repro`` ``argv``."""
+    if "script" in entry:
+        command = [sys.executable, str(ROOT / entry["script"])]
+    else:
+        command = [sys.executable, "-m", "repro", *entry["argv"]]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PYTHONIOENCODING="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
-                              cwd=tmp, env=env, capture_output=True)
+        proc = subprocess.run(command, cwd=tmp, env=env, capture_output=True)
         files = read_tree(Path(tmp))
     return Output(proc.returncode, filter_stdout(proc.stdout), files,
                   proc.stderr.decode("utf-8", "replace"))
@@ -114,18 +126,18 @@ def compare(name: str, want: Output, got: Output, label: str) -> List[str]:
 
 
 def check(entry: dict, runs: int = 2) -> List[str]:
-    """Run the entry's argv and aliases ``runs`` times each."""
+    """Run the entry and each of its aliases ``runs`` times."""
     want = committed(entry["name"])
     problems = []
-    for argv in [entry["argv"], *entry.get("aliases", [])]:
+    for variant in [entry, *({"argv": a} for a in entry.get("aliases", []))]:
         for i in range(runs):
-            label = f"run {i + 1} of `repro {' '.join(argv)}`"
-            problems += compare(entry["name"], want, run_repro(argv), label)
+            label = f"run {i + 1} of `{shown(variant)}`"
+            problems += compare(entry["name"], want, run(variant), label)
     return problems
 
 
 def update(entry: dict) -> None:
-    out = run_repro(entry["argv"])
+    out = run(entry)
     if out.returncode != 0:
         raise SystemExit(f"{entry['name']}: exit status {out.returncode}\n"
                          f"{out.stderr}")
