@@ -9,7 +9,9 @@ paper makes about it, and exits 1 if any claim fails::
 A line gives the measured value, the relation and the bound; where the
 bound is non-zero, also the margin as a percentage of the bound (negative
 when the claim fails).  Numbers have four significant digits, so a change
-that erodes a claim moves a committed line before it flips the claim.
+that erodes a claim moves a committed line before it flips the claim; a
+value that differs from its bound gets more digits when four would print
+them the same.
 
 Run one script from the repository root with
 ``PYTHONPATH=src python benchmarks/<name>.py``; ``tools/goldens.py``
@@ -26,6 +28,17 @@ RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 def _num(x: float) -> str:
     return f"{x:.4g}"
+
+
+def _value(x: float, bounds) -> str:
+    """``_num(x)``, with more digits while it prints the same as a bound
+    it differs from, so a holding claim never reads ``1 > 1``."""
+    text = _num(x)
+    digits = 4
+    while digits < 17 and any(b != x and _num(b) == text for b in bounds):
+        digits += 1
+        text = f"{x:.{digits}g}"
+    return text
 
 
 def _margin(value, rel, bound):
@@ -69,7 +82,8 @@ class Claims:
         else:
             ok = RELATIONS[rel](value, bound)
             shown = f"{rel} {_num(bound)}"
-        text = f"{what} = {_num(value)} {shown}"
+        bounds = bound if rel == "in" else (bound,)
+        text = f"{what} = {_value(value, bounds)} {shown}"
         margin = _margin(value, rel, bound)
         if margin is not None:
             text += f" (margin {_num(100 * margin)}%)"

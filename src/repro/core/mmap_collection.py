@@ -57,9 +57,6 @@ class MmapCollection:
         self._regions: Dict[Tuple[int, int], object] = {}
         self.stats = MmapStats()
 
-    def _region_of(self, offset: int) -> int:
-        return offset // self.map_size
-
     def ensure(self, ino: int, offset: int, length: int, extmap: ExtentMap) -> None:
         """Make sure every region under ``[offset, offset+length)`` is mapped.
 
@@ -67,11 +64,13 @@ class MmapCollection:
         MAP_POPULATE (charging VMA setup and populate faults); on a hit only
         the lookup cost is charged by the caller.
         """
-        first = self._region_of(offset)
-        last = self._region_of(max(offset, offset + length - 1))
+        map_size = self.map_size
+        first = offset // map_size
+        last = max(offset, offset + length - 1) // map_size
+        regions = self._regions
         for region in range(first, last + 1):
             key = (ino, region)
-            if key in self._regions:
+            if key in regions:
                 self.stats.lookup_hits += 1
                 continue
             start_block = region * (self.map_size // C.BLOCK_SIZE)
@@ -97,8 +96,8 @@ class MmapCollection:
         """
         if length <= 0:
             return
-        first = self._region_of(offset)
-        last = self._region_of(offset + length - 1)
+        first = offset // self.map_size
+        last = (offset + length - 1) // self.map_size
         for region in range(first, last + 1):
             key = (ino, region)
             if key not in self._regions:

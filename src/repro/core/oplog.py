@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from ..pmem import constants as C
 from ..pmem.device import PersistentMemory
@@ -55,6 +54,11 @@ MAX_LOG_NAME = ENTRY_SIZE - struct.calcsize(_NS_FMT)
 
 _ZERO_SLOT = bytes(ENTRY_SIZE)
 
+_pack_data = struct.Struct(_DATA_FMT).pack
+_pack_data_crc = struct.Struct("<BIIIIQQ").pack
+#: What follows a data entry's fields in its slot.
+_DATA_PAD = bytes(ENTRY_SIZE - struct.calcsize(_DATA_FMT))
+
 
 @lru_cache(maxsize=4)
 def _zero_image(size: int) -> bytes:
@@ -62,8 +66,11 @@ def _zero_image(size: int) -> bytes:
     return bytes(size)
 
 
-@dataclass(frozen=True)
-class DataEntry:
+# Named tuples, not frozen dataclasses: strict mode builds one entry per
+# data operation, and a tuple is built without a Python ``__init__``.
+
+
+class DataEntry(NamedTuple):
     op: int
     seq: int
     target_ino: int
@@ -73,8 +80,7 @@ class DataEntry:
     staging_off: int
 
 
-@dataclass(frozen=True)
-class NamespaceEntry:
+class NamespaceEntry(NamedTuple):
     op: int
     seq: int
     parent_ino: int
@@ -87,8 +93,8 @@ LogEntryT = Union[DataEntry, NamespaceEntry]
 
 def _crc_data(op: int, seq: int, tino: int, sino: int, size: int,
               toff: int, soff: int) -> int:
-    return zlib.crc32(struct.pack("<BIIIIQQ", op, seq, tino, sino, size,
-                                  toff, soff)) & 0xFFFFFFFF
+    return zlib.crc32(_pack_data_crc(op, seq, tino, sino, size,
+                                     toff, soff)) & 0xFFFFFFFF
 
 
 def _crc_ns(op: int, seq: int, parent: int, child: int, name: bytes) -> int:
@@ -98,9 +104,8 @@ def _crc_ns(op: int, seq: int, parent: int, child: int, name: bytes) -> int:
 def encode_data_entry(e: DataEntry) -> bytes:
     crc = _crc_data(e.op, e.seq, e.target_ino, e.staging_ino, e.size,
                     e.target_off, e.staging_off)
-    raw = struct.pack(_DATA_FMT, _MAGIC, e.op, 0, e.seq, e.target_ino,
-                      e.staging_ino, e.size, e.target_off, e.staging_off, crc)
-    return raw + b"\x00" * (ENTRY_SIZE - len(raw))
+    return _pack_data(_MAGIC, e.op, 0, e.seq, e.target_ino, e.staging_ino,
+                      e.size, e.target_off, e.staging_off, crc) + _DATA_PAD
 
 
 def encode_ns_entry(e: NamespaceEntry) -> bytes:
@@ -184,19 +189,18 @@ class OperationLog:
             if isinstance(entry, DataEntry)
             else encode_ns_entry(entry)
         )
-        self.pm.clock.charge_cpu(C.USPLIT_LOG_COMPOSE_NS)
+        pm = self.pm
+        pm.clock.charge_cpu(C.USPLIT_LOG_COMPOSE_NS)
         if self.two_fence:
             # Ablation: NOVA-style — entry, fence, persistent tail, fence.
             addr = self.base + (2 * self.tail) * ENTRY_SIZE
-            self.pm.store(addr, raw, category=Category.META_IO)
-            self.pm.sfence(category=Category.META_IO)
+            pm.store(addr, raw, META_IO)
+            pm.sfence(META_IO)
             tail_line = raw[:8] + b"\x00" * (ENTRY_SIZE - 8)
-            self.pm.persist(addr + ENTRY_SIZE, tail_line,
-                            category=Category.META_IO)
+            pm.persist(addr + ENTRY_SIZE, tail_line, META_IO)
         else:
-            addr = self.base + self.tail * ENTRY_SIZE
-            self.pm.store(addr, raw, category=Category.META_IO)
-            self.pm.sfence(category=Category.META_IO)  # the one and only fence
+            pm.store(self.base + self.tail * ENTRY_SIZE, raw, META_IO)
+            pm.sfence(META_IO)  # the one and only fence
         self.tail += 1
         self.appends += 1
 

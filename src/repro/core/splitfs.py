@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from ..ext4.filesystem import Ext4DaxFS
 from ..kernel.process import Process, SharedMemoryStore
 from ..pmem import constants as C
-from ..pmem.timing import Category
+from ..pmem.timing import DATA, Category
 from ..posix import flags as F
 from ..posix.api import FileSystemAPI, Stat
 from ..posix.errors import (
@@ -182,6 +182,10 @@ class SplitFS(FileSystemAPI):
         # replay/fork determinism — a function of the machine's history, not
         # of how many SplitFS instances this *process* ever created.
         self.instance_id = self.machine.next_instance_id()
+        # Names of the staging and oplog locks (``machine.lock`` makes each
+        # on first use).
+        self._staging_lock = f"usplit.i{self.instance_id}.staging"
+        self._oplog_lock = f"usplit.i{self.instance_id}.oplog"
 
         self.files: Dict[int, UFile] = {}  # ino -> UFile
         self.path_cache: Dict[str, int] = {}  # path -> ino
@@ -294,7 +298,7 @@ class SplitFS(FileSystemAPI):
         """Append to the operation log, checkpointing when full."""
         if self.oplog is None:
             return
-        with self.machine.lock(f"usplit.i{self.instance_id}.oplog"), \
+        with self.machine.lock(self._oplog_lock), \
                 self.clock.obs.span("usplit.oplog_append", cat="oplog"):
             try:
                 self.oplog.append(entry)
@@ -602,7 +606,7 @@ class SplitFS(FileSystemAPI):
         if not data:
             return 0
         ufile = desc.ufile
-        committed = self._committed_size(ufile)
+        committed = self.kfs.inodes[ufile.ino].size
         end = offset + len(data)
         if offset < committed and end > committed:
             if self.mode.stages_overwrites and self.config.use_staging:
@@ -669,45 +673,51 @@ class SplitFS(FileSystemAPI):
 
     def _stage_data(self, ufile: UFile, data: bytes, offset: int, op: int) -> None:
         """Route bytes to staging, extending the active run when the write
-        continues it (both appends and strict-mode sequential overwrites)."""
-        with self.machine.lock(f"usplit.i{self.instance_id}.staging"), \
+        continues it (both appends and strict-mode sequential overwrites),
+        then log the operation in strict mode."""
+        with self.machine.lock(self._staging_lock), \
                 self.clock.obs.span("usplit.stage_data", cat="staging"):
-            self._stage_data_locked(ufile, data, offset, op)
-
-    def _stage_data_locked(self, ufile: UFile, data: bytes, offset: int,
-                           op: int) -> None:
-        if self.degraded and not self._maybe_repromote():
-            self._degraded_write(ufile, data, offset)
-            return
-        run = ufile.active_run
-        if (
-            run is not None
-            and run.dram_buffer is None
-            and run.target_off + run.length == offset
-            and run.carve.remaining() >= len(data)
-        ):
-            self._staged_store(run, data)
-        else:
-            if run is not None:
-                ufile.staged_runs.append(run)
-                ufile.active_run = None
-            try:
-                run = self._new_staged_run(ufile, offset,
-                                           is_append=op == OP_APPEND,
-                                           size=len(data))
-            except NoSpaceFSError:
-                if not self._degradation_enabled:
-                    raise
-                run = self._retry_staging(ufile, offset, op, len(data))
-                if run is None:
-                    self._enter_degraded()
-                    self._degraded_write(ufile, data, offset)
-                    return
-            self._staged_store(run, data)
-            ufile.active_run = run
-        if self.mode.sync_data or op == OP_OVERWRITE:
-            self.pm.sfence(category=Category.CPU)
-        self._log_data_op(op, ufile, run, tail=len(data))
+            if self.degraded and not self._maybe_repromote():
+                self._degraded_write(ufile, data, offset)
+                return
+            size = len(data)
+            run = ufile.active_run
+            if (
+                run is not None
+                and run.dram_buffer is None
+                and run.target_off + run.length == offset
+                and run.carve.capacity - run.carve.used >= size
+            ):
+                self._staged_store(run, data)
+            else:
+                if run is not None:
+                    ufile.staged_runs.append(run)
+                    ufile.active_run = None
+                try:
+                    run = self._new_staged_run(ufile, offset,
+                                               is_append=op == OP_APPEND,
+                                               size=size)
+                except NoSpaceFSError:
+                    if not self._degradation_enabled:
+                        raise
+                    run = self._retry_staging(ufile, offset, op, size)
+                    if run is None:
+                        self._enter_degraded()
+                        self._degraded_write(ufile, data, offset)
+                        return
+                self._staged_store(run, data)
+                ufile.active_run = run
+            if self.mode.sync_data or op == OP_OVERWRITE:
+                self.pm.sfence(category=Category.CPU)
+            if self.mode.logs_operations and run.dram_buffer is None:
+                # One entry for this write: the run's last ``size`` bytes.
+                oplog = self.oplog
+                seq = oplog.seq
+                oplog.seq = seq + 1
+                carve = run.carve
+                self._log(DataEntry(op, seq, ufile.ino, carve.staging.ino,
+                                    size, run.target_off + run.length - size,
+                                    carve.offset + run.length - size))
 
     def _new_staged_run(self, ufile: UFile, target_off: int, is_append: bool,
                         size: int) -> StagedRun:
@@ -783,19 +793,24 @@ class SplitFS(FileSystemAPI):
 
     def _staged_store(self, run: StagedRun, data: bytes) -> None:
         """movnt ``data`` into the run's staging region (no kernel trap)."""
-        staging_inode = self.kfs.inodes[run.staging_ino]
-        off = run.carve.offset + run.length
-        npages = (len(data) + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
+        carve = run.carve
+        ino = carve.staging.ino
+        extmap = self.kfs.inodes[ino].extmap
+        size = len(data)
+        off = carve.offset + run.length
+        npages = (size + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
         self.clock.charge_cpu(npages * C.USPLIT_PER_PAGE_CPU_NS)
-        self.mmaps.ensure(run.staging_ino, off, len(data), staging_inode.extmap)
+        self.mmaps.ensure(ino, off, size, extmap)
+        pieces = extmap.map_byte_range(off, size)
+        whole = len(pieces) == 1
         pos = 0
-        for addr, n in staging_inode.extmap.map_byte_range(off, len(data)):
+        for addr, n in pieces:
             if addr is None:
                 raise AssertionError("staging file not pre-allocated")
-            self.pm.store(addr, data[pos : pos + n], category=Category.DATA)
+            self.pm.store(addr, data if whole else data[pos : pos + n], DATA)
             pos += n
-        run.length += len(data)
-        run.carve.used = run.length
+        run.length += size
+        carve.used = run.length
 
     def _dram_stage(self, ufile: UFile, data: bytes, offset: int) -> None:
         """Section 4 ablation: staging in DRAM instead of PM."""
@@ -815,23 +830,6 @@ class SplitFS(FileSystemAPI):
         run.dram_buffer.extend(data)
         run.length += len(data)
         self.clock.charge_cpu(len(data) * C.DRAM_WRITE_NS_PER_BYTE)
-
-    def _log_data_op(self, op: int, ufile: UFile, run: StagedRun,
-                     tail: Optional[int] = None) -> None:
-        if not self.mode.logs_operations or run.dram_buffer is not None:
-            return
-        if tail is None:
-            size = run.length
-            soff = run.staging_off
-            toff = run.target_off
-        else:
-            size = tail
-            soff = run.staging_off + run.length - tail
-            toff = run.target_off + run.length - tail
-        self._log(
-            DataEntry(op, self.oplog.next_seq(), ufile.ino, run.staging_ino,
-                      size, toff, soff)
-        )
 
     # ------------------------------------------------------------------
     # fsync / relink

@@ -49,9 +49,6 @@ class Carve:
     capacity: int
     used: int = 0
 
-    def remaining(self) -> int:
-        return self.capacity - self.used
-
 
 class StagingManager:
     """Pool of staging files with phase-aligned carving."""

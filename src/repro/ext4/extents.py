@@ -19,15 +19,13 @@ wall-clock bench tests assert the fast paths agree with them bit-for-bit.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from ..pmem import constants as C
 from ..pmem.allocator import Extent
 
 
-@dataclass(frozen=True)
-class FileExtent:
+class FileExtent(NamedTuple):
     """``length`` blocks mapping logical block ``logical`` → physical ``phys``."""
 
     logical: int
@@ -88,17 +86,19 @@ class ExtentMap:
         if i < len(exts):
             e = exts[i]
             if e.logical <= logical:
-                if logical < e.logical_end:
+                if logical < e.logical + e.length:
                     return i
                 if i + 1 < len(exts):
-                    e2 = exts[i + 1]
-                    if e2.logical <= logical < e2.logical_end:
+                    e = exts[i + 1]
+                    if e.logical <= logical < e.logical + e.length:
                         self._cursor = i + 1
                         return i + 1
         i = bisect_right(self._starts, logical) - 1
-        if i >= 0 and logical < exts[i].logical_end:
-            self._cursor = i
-            return i
+        if i >= 0:
+            e = exts[i]
+            if logical < e.logical + e.length:
+                self._cursor = i
+                return i
         return -1
 
     def lookup_block(self, logical: int) -> Optional[int]:
@@ -119,31 +119,43 @@ class ExtentMap:
         """
         if offset < 0 or size < 0:
             raise ValueError("negative offset/size")
+        exts = self.extents
+        if not exts or not size:
+            return [(None, size)] if size else []
+        end = offset + size
+        # Start at the cursor's extent when it holds ``offset``, else at
+        # the last extent starting at or before it (bisect): no extent
+        # before that one reaches ``offset``.
+        i = self._cursor
+        if i < len(exts):
+            ext = exts[i]
+            ext_start = ext.logical * block_size
+            ext_end = ext_start + ext.length * block_size
+        else:
+            ext_start = ext_end = -1
+        if not ext_start <= offset < ext_end:
+            i = bisect_right(self._starts, offset // block_size) - 1
+            if i < 0:
+                i = 0
+            ext = exts[i]
+            ext_start = ext.logical * block_size
+            ext_end = ext_start + ext.length * block_size
+        if ext_start <= offset and end <= ext_end:
+            # The whole range inside one extent: the common case.
+            self._cursor = i
+            return [(ext.phys * block_size + (offset - ext_start), size)]
         out: List[Tuple[Optional[int], int]] = []
         pos = offset
-        end = offset + size
-        exts = self.extents
-        if not exts:
-            if size:
-                out.append((None, size))
-            return out
-        # First extent that could contain pos (cursor hint, then bisect).
-        i = self._cursor
-        if not (
-            i < len(exts)
-            and exts[i].logical * block_size <= pos
-            and (i == 0 or exts[i - 1].logical_end * block_size <= pos)
-        ):
-            i = max(0, bisect_right(self._starts, pos // block_size) - 1)
+        n = len(exts)
         while pos < end:
-            while i < len(exts) and exts[i].logical_end * block_size <= pos:
+            while i < n and (exts[i].logical + exts[i].length) * block_size <= pos:
                 i += 1
-            if i == len(exts) or exts[i].logical * block_size >= end:
+            if i == n or exts[i].logical * block_size >= end:
                 out.append((None, end - pos))
                 break
             ext = exts[i]
             ext_start = ext.logical * block_size
-            ext_end = ext.logical_end * block_size
+            ext_end = (ext.logical + ext.length) * block_size
             if pos < ext_start:
                 out.append((None, ext_start - pos))
                 pos = ext_start
@@ -151,7 +163,32 @@ class ExtentMap:
             addr = ext.phys * block_size + (pos - ext_start)
             out.append((addr, run))
             pos += run
-        self._cursor = min(i, len(exts) - 1)
+        self._cursor = min(i, n - 1)
+        return out
+
+    def holes(self, first: int, end: int) -> List[Tuple[int, int]]:
+        """The unmapped runs of logical blocks ``[first, end)``, in order,
+        as ``(first block, length)``."""
+        out: List[Tuple[int, int]] = []
+        if first >= end:
+            return out
+        exts = self.extents
+        n = len(exts)
+        i = bisect_right(self._starts, first) - 1
+        if i < 0 or exts[i].logical + exts[i].length <= first:
+            i += 1
+        pos = first
+        while i < n:
+            e = exts[i]
+            if e.logical >= end:
+                break
+            if e.logical > pos:
+                out.append((pos, e.logical - pos))
+            pos = e.logical + e.length
+            if pos >= end:
+                return out
+            i += 1
+        out.append((pos, end - pos))
         return out
 
     # -- mutation --------------------------------------------------------------------
@@ -163,37 +200,37 @@ class ExtentMap:
         exts = self.extents
         starts = self._starts
         i = bisect_right(starts, logical)
+        end = logical + length
         # exts[i-1] starts at or before `logical`; exts[i] starts after it.
-        if i > 0 and exts[i - 1].logical_end > logical:
+        left = exts[i - 1] if i > 0 else None
+        right = exts[i] if i < len(exts) else None
+        if left is not None and left.logical + left.length > logical:
             raise ValueError(
-                f"insert {FileExtent(logical, phys, length)} overlaps {exts[i - 1]}"
+                f"insert {FileExtent(logical, phys, length)} overlaps {left}"
             )
-        if i < len(exts) and exts[i].logical < logical + length:
+        if right is not None and right.logical < end:
             raise ValueError(
-                f"insert {FileExtent(logical, phys, length)} overlaps {exts[i]}"
+                f"insert {FileExtent(logical, phys, length)} overlaps {right}"
             )
         merge_left = (
-            i > 0
-            and exts[i - 1].logical_end == logical
-            and exts[i - 1].phys_end == phys
+            left is not None
+            and left.logical + left.length == logical
+            and left.phys + left.length == phys
         )
         merge_right = (
-            i < len(exts)
-            and exts[i].logical == logical + length
-            and exts[i].phys == phys + length
+            right is not None
+            and right.logical == end
+            and right.phys == phys + length
         )
         if merge_left and merge_right:
-            left, right = exts[i - 1], exts[i]
             exts[i - 1] = FileExtent(
                 left.logical, left.phys, left.length + length + right.length
             )
             del exts[i]
             del starts[i]
         elif merge_left:
-            left = exts[i - 1]
             exts[i - 1] = FileExtent(left.logical, left.phys, left.length + length)
         elif merge_right:
-            right = exts[i]
             exts[i] = FileExtent(logical, phys, length + right.length)
             starts[i] = logical
         else:

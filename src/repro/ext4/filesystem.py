@@ -32,7 +32,7 @@ from ..kernel.fsbase import ROOT_INO, FDTable, KernelFS, OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
 from ..pmem.allocator import Extent, ExtentAllocator
-from ..pmem.timing import META_IO, Category
+from ..pmem.timing import DATA, META_IO, Category
 from ..posix import flags as F
 from ..posix.api import Stat
 from ..posix.errors import (
@@ -45,8 +45,8 @@ from ..posix.errors import (
     NotADirectoryFSError,
 )
 from .dirent import DirData
-from .inode import (Inode, cont_blocks_needed, deserialize_inode,
-                    free_inode_block, serialize_inode)
+from .inode import (MAX_EXTENTS_PRIMARY, Inode, cont_blocks_needed,
+                    deserialize_inode, free_inode_block, serialize_inode)
 
 _SB_MAGIC = 0x45585434  # "EXT4"
 # magic, total_blocks, jstart, jblocks, itable_start, max_inodes, data_start,
@@ -250,6 +250,7 @@ class Ext4DaxFS(KernelFS):
     # -- journal hooks (PMFS overrides these with its undo journal) -----
 
     def _init_journal(self, jstart: int, jblocks: int) -> None:
+        self._commit_threshold = max(8, jblocks // 8)
         self.journal = Journal(self.pm, jstart, jblocks)
         self.journal.lock = self.machine.lock("jbd2")
         self.journal.format()
@@ -260,6 +261,7 @@ class Ext4DaxFS(KernelFS):
                                              self.journal.stats, replace=True)
 
     def _recover_journal(self, jstart: int, jblocks: int) -> None:
+        self._commit_threshold = max(8, jblocks // 8)
         self.journal = Journal(self.pm, jstart, jblocks)
         self.journal.lock = self.machine.lock("jbd2")
         self.journal.recover()
@@ -289,14 +291,14 @@ class Ext4DaxFS(KernelFS):
         Called only at operation entry, never mid-operation, so each
         metadata operation stays atomic within one transaction.
         """
-        if self.journal is not None and len(self.txn) >= max(
-            8, self.journal.nblocks // 8
-        ):
+        if (self.journal is not None
+                and len(self.txn.blocks) >= self._commit_threshold):
             self.journal.commit(self.txn)
             self.txn = Transaction()
 
     def _journal_inode(self, inode: Inode) -> None:
-        self._provision_cont_blocks(inode)
+        if len(inode.extmap.extents) > MAX_EXTENTS_PRIMARY:
+            self._provision_cont_blocks(inode)
         blocks = serialize_inode(inode)
         self.txn.add_block(self._inode_addr(inode.ino), blocks[0])
         for addr, content in zip(inode.cont_blocks, blocks[1:]):
@@ -419,31 +421,22 @@ class Ext4DaxFS(KernelFS):
         self._journal_inode_free(ino)
         self.free_inos.append(ino)
 
-    def _record_dirty(self, ino: int, addr: int, length: int) -> None:
-        self.dirty_data.setdefault(ino, []).append((addr, length))
-
     # ------------------------------------------------------------------
     # block provisioning and raw IO on a file
     # ------------------------------------------------------------------
 
-    def _ensure_blocks(self, inode: Inode, offset: int, size: int) -> None:
-        """Allocate (and zero) any holes under ``[offset, offset+size)``."""
+    def _ensure_blocks(self, inode: Inode, offset: int, size: int) -> bool:
+        """Allocate (and zero) any holes under ``[offset, offset+size)``;
+        returns whether it allocated."""
         first = offset // C.BLOCK_SIZE
         last = (offset + size - 1) // C.BLOCK_SIZE
-        hole_runs: List[Tuple[int, int]] = []
-        run_start = None
-        for lb in range(first, last + 1):
-            if inode.extmap.lookup_block(lb) is None:
-                if run_start is None:
-                    run_start = lb
-            elif run_start is not None:
-                hole_runs.append((run_start, lb - run_start))
-                run_start = None
-        if run_start is not None:
-            hole_runs.append((run_start, last + 1 - run_start))
+        extmap = inode.extmap
+        hole_runs = extmap.holes(first, last + 1)
+        if not hole_runs:
+            return False
         for logical, nblocks in hole_runs:
             exts = None
-            if logical == 0 and not inode.extmap.extents:
+            if logical == 0 and not extmap.extents:
                 # mballoc-style goal alignment: start a file's data on a
                 # 2 MB boundary when possible, so contiguous growth stays
                 # huge-page eligible.
@@ -453,7 +446,7 @@ class Ext4DaxFS(KernelFS):
                     exts = [aligned]
             elif logical > 0:
                 # Allocation goal: continue right after the previous block.
-                prev = inode.extmap.lookup_block(logical - 1)
+                prev = extmap.lookup_block(logical - 1)
                 if prev is not None:
                     goal = self.alloc.alloc_at(prev + 1, nblocks)
                     if goal is not None:
@@ -461,7 +454,7 @@ class Ext4DaxFS(KernelFS):
             if exts is None:
                 exts = self.alloc.alloc(nblocks)
             for ext in exts:
-                inode.extmap.insert(logical, ext.start, ext.length)
+                extmap.insert(logical, ext.start, ext.length)
                 # New blocks are zeroed before exposure (as ext4 does); only
                 # the parts the caller will not overwrite strictly need it,
                 # but charging the full zeroing keeps the model honest.
@@ -471,21 +464,22 @@ class Ext4DaxFS(KernelFS):
                     and (offset + size) % C.BLOCK_SIZE
                 )
                 if partial_head or partial_tail:
-                    self.pm.store(
-                        ext.start * C.BLOCK_SIZE,
-                        b"\x00" * (ext.length * C.BLOCK_SIZE),
-                        category=Category.DATA,
-                    )
+                    self.pm.store(ext.start * C.BLOCK_SIZE,
+                                  bytes(ext.length * C.BLOCK_SIZE), DATA)
                 logical += ext.length
+        return True
 
     def _store_range(self, inode: Inode, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset`` over already-provisioned blocks."""
+        pieces = inode.extmap.map_byte_range(offset, len(data))
+        whole = len(pieces) == 1
+        dirty = self.dirty_data.setdefault(inode.ino, [])
         pos = 0
-        for addr, run in inode.extmap.map_byte_range(offset, len(data)):
+        for addr, run in pieces:
             if addr is None:
                 raise AssertionError("write over unprovisioned hole")
-            self.pm.store(addr, data[pos : pos + run], category=Category.DATA)
-            self._record_dirty(inode.ino, addr, run)
+            self.pm.store(addr, data if whole else data[pos : pos + run], DATA)
+            dirty.append((addr, run))
             pos += run
 
     def _load_range(self, inode: Inode, offset: int, size: int, random_access: bool) -> bytes:
@@ -631,25 +625,29 @@ class Ext4DaxFS(KernelFS):
         inode = self.inodes[of.ino]
         if inode.is_dir:
             raise IsADirectoryFSError(of.path)
-        end = offset + len(data)
-        extmap_len = len(inode.extmap)
-        if end > inode.size:
+        size = len(data)
+        end = offset + size
+        grows = end > inode.size
+        if grows:
             self.clock.charge_cpu(self.cost_append_extra)
-        self._ensure_blocks(inode, offset, len(data))
+        allocated = self._ensure_blocks(inode, offset, size)
         self._store_range(inode, offset, data)
-        if end > inode.size or len(inode.extmap) != extmap_len:
-            inode.size = max(inode.size, end)
+        # A new block changes the extent map even when it merges into a
+        # neighbouring extent and the size stays (a write into a hole).
+        if grows or allocated:
+            if grows:
+                inode.size = end
             self._journal_inode(inode)
-        return len(data)
+        return size
 
     def fsync(self, fd: int) -> None:
         self._trap()
         of = self.fdt.get(fd)
         # DAX fsync: walk the file's dirty ranges, write back each cache
         # line, fence, then commit the running journal transaction.
-        ranges = self.dirty_data.pop(of.ino, [])
-        lines = sum((length + C.CACHELINE_SIZE - 1) // C.CACHELINE_SIZE
-                    for _, length in ranges)
+        lines = 0
+        for _, length in self.dirty_data.pop(of.ino, ()):
+            lines += (length + C.CACHELINE_SIZE - 1) // C.CACHELINE_SIZE
         if lines:
             self.clock.charge_cpu(lines * C.CLWB_NS)
         self.pm.sfence(category=Category.CPU)
@@ -694,14 +692,7 @@ class Ext4DaxFS(KernelFS):
         of = self._writable_of(fd)
         inode = self.inodes[of.ino]
         nblocks = (length + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
-        holes = []  # (first logical block, length), ascending
-        pos = 0
-        for piece in inode.extmap.slice_mappings(0, nblocks):
-            if piece.logical > pos:
-                holes.append((pos, piece.logical - pos))
-            pos = piece.logical_end
-        if pos < nblocks:
-            holes.append((pos, nblocks - pos))
+        holes = inode.extmap.holes(0, nblocks)
         if holes and huge_aligned and not inode.extmap.extents:
             ext = self.alloc.alloc_aligned(nblocks, C.BLOCKS_PER_HUGE_PAGE)
             if ext is not None:

@@ -28,6 +28,9 @@ _HDR_FMT = "<IIIIIQII"  # magic, ino, mode, flags, nlink, size, nextents, ncont
 _HDR_SIZE = struct.calcsize(_HDR_FMT)
 _EXT_FMT = "<III"  # logical, phys, length (blocks)
 _EXT_SIZE = struct.calcsize(_EXT_FMT)
+_HDR = struct.Struct(_HDR_FMT)
+_EXT = struct.Struct(_EXT_FMT)
+_U32 = struct.Struct("<I")
 
 #: Continuation-block pointers held in the primary record.
 MAX_CONT_BLOCKS = 16
@@ -69,45 +72,50 @@ def cont_blocks_needed(nextents: int) -> int:
     return (overflow + EXTENTS_PER_CONT - 1) // EXTENTS_PER_CONT
 
 
-def serialize_inode(inode: Inode) -> List[bytes]:
+def serialize_inode(inode: Inode) -> List[bytearray]:
     """Render an inode into its block images: ``[primary, cont0, ...]``.
 
     The caller must have provisioned ``inode.cont_blocks`` to exactly
     :func:`cont_blocks_needed` entries.
     """
-    extents = list(inode.extmap)
+    extents = inode.extmap.extents
     nextents = len(extents)
     if nextents > MAX_EXTENTS_PER_INODE:
         raise NoSpaceFSError(
             f"inode {inode.ino} has {nextents} extents; "
             f"max {MAX_EXTENTS_PER_INODE} (file too fragmented)"
         )
-    needed = cont_blocks_needed(nextents)
-    if len(inode.cont_blocks) != needed:
+    needed = (cont_blocks_needed(nextents)
+              if nextents > MAX_EXTENTS_PRIMARY else 0)
+    cont_blocks = inode.cont_blocks
+    if len(cont_blocks) != needed:
         raise AssertionError(
-            f"inode {inode.ino}: {len(inode.cont_blocks)} continuation "
+            f"inode {inode.ino}: {len(cont_blocks)} continuation "
             f"blocks provisioned, {needed} needed"
         )
-    flags = _FLAG_DIR if inode.is_dir else 0
-    header = struct.pack(
-        _HDR_FMT, INODE_MAGIC, inode.ino, inode.mode, flags,
-        inode.nlink, inode.size, nextents, needed,
+    primary = bytearray(C.BLOCK_SIZE)
+    _HDR.pack_into(
+        primary, 0, INODE_MAGIC, inode.ino, inode.mode,
+        _FLAG_DIR if inode.is_dir else 0, inode.nlink, inode.size,
+        nextents, needed,
     )
-    cont_table = b"".join(struct.pack("<I", b) for b in inode.cont_blocks)
-    cont_table += b"\x00" * (_CONT_TABLE_SIZE - len(cont_table))
-
-    primary_exts = extents[:MAX_EXTENTS_PRIMARY]
-    primary = header + cont_table + b"".join(
-        struct.pack(_EXT_FMT, e.logical, e.phys, e.length) for e in primary_exts
-    )
-    blocks = [primary + b"\x00" * (C.BLOCK_SIZE - len(primary))]
-    rest = extents[MAX_EXTENTS_PRIMARY:]
+    pos = _HDR_SIZE
+    for block in cont_blocks:
+        _U32.pack_into(primary, pos, block)
+        pos += 4
+    pos = _HDR_SIZE + _CONT_TABLE_SIZE
+    for e in extents[:MAX_EXTENTS_PRIMARY]:
+        _EXT.pack_into(primary, pos, e.logical, e.phys, e.length)
+        pos += _EXT_SIZE
+    blocks = [primary]
     for i in range(needed):
-        chunk = rest[i * EXTENTS_PER_CONT : (i + 1) * EXTENTS_PER_CONT]
-        raw = b"".join(
-            struct.pack(_EXT_FMT, e.logical, e.phys, e.length) for e in chunk
-        )
-        blocks.append(raw + b"\x00" * (C.BLOCK_SIZE - len(raw)))
+        block = bytearray(C.BLOCK_SIZE)
+        first = MAX_EXTENTS_PRIMARY + i * EXTENTS_PER_CONT
+        pos = 0
+        for e in extents[first : first + EXTENTS_PER_CONT]:
+            _EXT.pack_into(block, pos, e.logical, e.phys, e.length)
+            pos += _EXT_SIZE
+        blocks.append(block)
     return blocks
 
 

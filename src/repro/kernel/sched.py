@@ -152,12 +152,16 @@ class SimLock:
         self._owner = None
         self._depth = 0
 
+    # Both are no-ops without a scheduler; skip the call then.
+
     def __enter__(self) -> "SimLock":
-        self.acquire()
+        if self.machine.sched is not None:
+            self.acquire()
         return self
 
     def __exit__(self, *exc) -> None:
-        self.release()
+        if self.machine.sched is not None:
+            self.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimLock({self.name!r}, free_at={self.free_at})"

@@ -13,9 +13,9 @@ machine, and packages the collected data as:
 
 ``overhead_guard`` is the CI guard for the instrumentation itself: it
 interleaves runs of the normal (NullObserver) hot path with runs where
-``SimClock.charge`` is temporarily stripped back to its pre-observability
-form, and fails if the disabled-mode instrumentation costs more than a
-small tolerance in wall-clock time.
+``SimClock.charge`` and ``charge_cpu`` are temporarily stripped of the
+observer hook, and fails if the disabled-mode instrumentation costs more
+than a small tolerance in wall-clock time.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from ..pmem.timing import CPU, DATA, META_IO
 from .export import (
     attribution_rows,
     render_attribution_table,
@@ -215,15 +216,31 @@ def results_to_json(workload: str, results: Iterable[ProfileResult],
 # -- overhead guard -----------------------------------------------------------
 
 
-def _plain_charge(self, ns, category=None):
-    """``SimClock.charge`` as it was before the observability layer."""
-    from ..pmem.timing import Category
+def _plain_charge(self, ns, category=CPU):
+    """``SimClock.charge`` without the observer hook: the same account
+    and scope updates, no ``obs.enabled`` test."""
+    if ns < 0:
+        raise ValueError(f"negative charge: {ns}")
+    account = self.account
+    if category is DATA:
+        account.data_ns += ns
+    elif category is META_IO:
+        account.meta_io_ns += ns
+    else:
+        account.cpu_ns += ns
+    if self._scopes:
+        for scope in self._scopes:
+            scope.charge(ns, category)
 
-    if category is None:
-        category = Category.CPU
-    self.account.charge(ns, category)
-    for scope in self._scopes:
-        scope.charge(ns, category)
+
+def _plain_charge_cpu(self, ns):
+    """``SimClock.charge_cpu`` without the observer hook."""
+    if ns < 0:
+        raise ValueError(f"negative charge: {ns}")
+    self.account.cpu_ns += ns
+    if self._scopes:
+        for scope in self._scopes:
+            scope.charge(ns, CPU)
 
 
 def overhead_guard(repeats: int = 5, total_mb: int = 4,
@@ -233,10 +250,11 @@ def overhead_guard(repeats: int = 5, total_mb: int = 4,
 
     Interleaves ``repeats`` pairs of the Table 1 append workload: one run
     on the normal hot path (instrumentation present, NullObserver bound)
-    and one with ``SimClock.charge`` temporarily swapped for its
-    pre-observability form.  Best-of wall times are compared; the guard
-    passes when the instrumented run is within ``threshold`` (relative)
-    plus ``slack_s`` (absolute, absorbs scheduler noise on short runs).
+    and one with ``SimClock.charge`` and ``charge_cpu`` temporarily
+    swapped for their forms without the observer hook.  Best-of wall
+    times are compared; the guard passes when the instrumented run is
+    within ``threshold`` (relative) plus ``slack_s`` (absolute, absorbs
+    scheduler noise on short runs).
     """
     import time
 
@@ -249,15 +267,15 @@ def overhead_guard(repeats: int = 5, total_mb: int = 4,
         return time.perf_counter() - t0
 
     current = baseline = float("inf")
-    original = SimClock.charge
+    original = SimClock.charge, SimClock.charge_cpu
     wall_once()  # warm caches/imports outside the comparison
     for _ in range(max(1, repeats)):
         current = min(current, wall_once())
-        SimClock.charge = _plain_charge
+        SimClock.charge, SimClock.charge_cpu = _plain_charge, _plain_charge_cpu
         try:
             baseline = min(baseline, wall_once())
         finally:
-            SimClock.charge = original
+            SimClock.charge, SimClock.charge_cpu = original
     limit = baseline * (1.0 + threshold) + slack_s
     return {
         "system": system,

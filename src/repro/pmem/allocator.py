@@ -13,8 +13,8 @@ call through the machine clock.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import List, Optional
+from operator import attrgetter
+from typing import List, NamedTuple, Optional
 
 from . import constants as C
 from ..kernel.sched import NULL_LOCK
@@ -22,9 +22,13 @@ from ..posix.errors import NoSpaceFSError
 from .timing import SimClock
 
 
-@dataclass(frozen=True, order=True)
-class Extent:
-    """A contiguous run of blocks: ``[start, start + length)``."""
+class Extent(NamedTuple):
+    """A contiguous run of blocks: ``[start, start + length)``.
+
+    A named tuple, not a frozen dataclass: the allocator and the extent
+    maps make several per append, and a tuple is built without running a
+    Python ``__init__`` per field.
+    """
 
     start: int
     length: int
@@ -32,6 +36,9 @@ class Extent:
     @property
     def end(self) -> int:
         return self.start + self.length
+
+
+_START = attrgetter("start")
 
 
 class OutOfSpaceError(NoSpaceFSError):
@@ -141,18 +148,21 @@ class ExtentAllocator:
         if nblocks <= 0:
             raise ValueError("nblocks must be positive")
         self._charge()
-        for i, free in enumerate(self._free):
-            if free.start <= start and start + nblocks <= free.end:
-                if start > free.start:
-                    head = Extent(free.start, start - free.start)
-                    tail_len = free.end - start
-                    self._free[i] = head
-                    self._free.insert(i + 1, Extent(start, tail_len))
-                    return self._carve(i + 1, self._free[i + 1], nblocks)
-                return self._carve(i, free, nblocks)
-            if free.start > start:
-                return None
-        return None
+        # Only the last free extent starting at or before ``start`` can
+        # hold it: the free list is sorted and disjoint.
+        i = bisect.bisect_right(self._free, start, key=_START) - 1
+        if i < 0:
+            return None
+        free = self._free[i]
+        free_end = free.start + free.length
+        if start + nblocks > free_end:
+            return None
+        if start > free.start:
+            self._free[i] = Extent(free.start, start - free.start)
+            i += 1
+            free = Extent(start, free_end - start)
+            self._free.insert(i, free)
+        return self._carve(i, free, nblocks)
 
     def alloc_aligned(self, nblocks: int, align: int) -> Optional[Extent]:
         """Allocate one extent whose start block is a multiple of ``align``.
@@ -239,8 +249,7 @@ class ExtentAllocator:
             return
         if ext.start < self.first_block or ext.end > self.first_block + self.total_blocks:
             raise ValueError(f"extent {ext} outside allocator range")
-        starts = [e.start for e in self._free]
-        i = bisect.bisect_left(starts, ext.start)
+        i = bisect.bisect_left(self._free, ext.start, key=_START)
         # Overlap checks against neighbours.
         if i > 0 and self._free[i - 1].end > ext.start:
             raise ValueError(f"double free: {ext} overlaps {self._free[i - 1]}")

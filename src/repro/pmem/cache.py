@@ -194,11 +194,22 @@ class PersistenceDomain:
         end = (addr + size - 1) // CACHELINE_SIZE + 1
         runs = self._runs
         self._seq = seq = self._seq + 1
+        if not runs or runs[-1][1] <= first:
+            # Past every tracked line: the first store after a fence that
+            # drained every run, or the next block of an append.
+            runs.append((first, end, seq, first,
+                         self.buf.read(first * CACHELINE_SIZE,
+                                       end * CACHELINE_SIZE),
+                         nontemporal))
+            self._dirty += end - first
+            if nontemporal:
+                self._pending += end - first
+            return
         if end - first == 1:
             # One line: oplog entries, journal records and inode fields
             # dominate metadata-heavy workloads, mostly right after a fence
             # has emptied the domain.
-            i = bisect_left(runs, (end,)) if runs else 0
+            i = bisect_left(runs, (end,))
             if i and runs[i - 1][1] > first:
                 run = runs[i - 1]
                 if run[5] != nontemporal:
@@ -215,11 +226,14 @@ class PersistenceDomain:
             if nontemporal:
                 self._pending += 1
             return
-        lo, hi = self._overlapping(first, end)
+        # ``_overlapping``, inline.
+        i = bisect_left(runs, (first + 1,))
+        lo = i - 1 if i and runs[i - 1][1] > first else i
+        hi = bisect_left(runs, (end,), lo)
         buf = self.buf
         if lo == hi:
-            # Nothing in the range is tracked yet (the log re-zero, a 4 KiB
-            # append): one run, its durable image captured with one read.
+            # Nothing in the range is tracked yet: one run, its durable
+            # image captured with one read.
             runs.insert(lo, (first, end, seq, first,
                              buf.read(first * CACHELINE_SIZE,
                                       end * CACHELINE_SIZE),
@@ -228,6 +242,17 @@ class PersistenceDomain:
             if nontemporal:
                 self._pending += end - first
             return
+        pos = first
+        for k in range(lo, hi):
+            run = runs[k]
+            if run[0] > pos or run[5] != nontemporal:
+                break
+            pos = run[1]
+        else:
+            if pos >= end:
+                # Runs carrying the store's flag already cover the range
+                # (a data store over its own zero fill): nothing changes.
+                return
         # Tracked lines keep their preimage and seq and take the store's
         # flag; each untracked gap becomes a run of this store.
         out: List[Run] = []

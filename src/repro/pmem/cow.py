@@ -160,17 +160,16 @@ class CowBuffer:
         """Bytes of ``[start, stop)``, from owned segments or the base."""
         if start >= stop:
             return b""
-        first = start >> SEGMENT_SHIFT
-        if first == (stop - 1) >> SEGMENT_SHIFT:
-            seg = self._own.get(first)
+        off = start & SEGMENT_MASK
+        if off + stop - start <= SEGMENT_SIZE:  # inside one segment
+            seg = self._own.get(start >> SEGMENT_SHIFT)
             if seg is None:
                 if self.base is None:
                     return bytes(stop - start)
-                seg = self.segment(first)
+                seg = self.segment(start >> SEGMENT_SHIFT)
                 if seg is None:
                     return bytes(stop - start)
-            off = start & SEGMENT_MASK
-            return bytes(seg[off : off + stop - start])
+            return bytes(memoryview(seg)[off : off + stop - start])
         parts = []
         nonzero = False
         pos = start
@@ -194,18 +193,15 @@ class CowBuffer:
         size = len(data)
         if size == 0:
             return
-        stop = start + size
-        first = start >> SEGMENT_SHIFT
-        if first == (stop - 1) >> SEGMENT_SHIFT and size != SEGMENT_SIZE:
-            try:
-                seg = self._own[first]
-            except KeyError:
-                seg = None
+        off = start & SEGMENT_MASK
+        if off + size <= SEGMENT_SIZE and size < SEGMENT_SIZE:
+            # Part of one segment.
+            seg = self._own.get(start >> SEGMENT_SHIFT)
             if seg is None:
-                seg = self._own_segment(first)
-            off = start & SEGMENT_MASK
+                seg = self._own_segment(start >> SEGMENT_SHIFT)
             seg[off : off + size] = data
             return
+        stop = start + size
         view = memoryview(data)
         pos = start
         while pos < stop:

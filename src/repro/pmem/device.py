@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 from . import constants as C
+from .constants import CACHELINE_SIZE, PM_WRITE_NS_PER_BYTE, STORE_NS
 from .cache import CrashPolicy, PersistenceDomain
 from .cow import SEGMENT_MASK, SEGMENT_SHIFT, SEGMENT_SIZE, CowBuffer
 from .timing import DATA, Category, SimClock
@@ -135,14 +136,14 @@ class PersistentMemory:
         stores are cheap but stay volatile until ``clwb`` + fence.
         """
         size = len(data)
-        if addr < 0 or size < 0 or addr + size > self.size:
+        if addr < 0 or addr + size > self.size:
             raise PMError(f"access [{addr}, {addr + size}) outside device of {self.size}")
         if size == 0:
             return
         # One batched domain update covers the whole (possibly multi-line)
         # store; the line bookkeeping inside is range arithmetic, not a
         # per-line loop.
-        self.domain.note_store(addr, size, nontemporal=nontemporal)
+        self.domain.note_store(addr, size, nontemporal)
         self.buf.write(addr, data)
         stats = self.stats
         stats.stores += 1
@@ -152,10 +153,10 @@ class PersistentMemory:
         else:
             stats.meta_bytes_written += size
         if nontemporal:
-            transfer_ns = size * C.PM_WRITE_NS_PER_BYTE
+            transfer_ns = size * PM_WRITE_NS_PER_BYTE
         else:
-            lines = (size + C.CACHELINE_SIZE - 1) // C.CACHELINE_SIZE
-            transfer_ns = lines * C.STORE_NS
+            lines = (size + CACHELINE_SIZE - 1) // CACHELINE_SIZE
+            transfer_ns = lines * STORE_NS
         self.clock.charge(transfer_ns, category)
         model = self.model
         if model is not None:
@@ -168,8 +169,10 @@ class PersistentMemory:
                                             self._device_now())
             if delay:
                 self.clock.charge(delay, category)
-        if self.faults is not None:
-            self.faults.on_store(addr, size)
+        faults = self.faults
+        if faults is not None and faults.poisoned:
+            # ``on_store`` returns at once when nothing is poisoned.
+            faults.on_store(addr, size)
         if self.ras is not None:
             self.ras.on_store(addr, size)
 

@@ -65,6 +65,8 @@ _SYSCALLS = (
 def _errno_boundary(func, syscall_name=None):
     name = syscall_name or func.__name__
 
+    # One frame per syscall: the translation is written out twice so that,
+    # traced, it still runs inside the syscall span.
     @functools.wraps(func)
     def wrapper(self, *a, **kw):
         obs = self._observer()
@@ -74,23 +76,32 @@ def _errno_boundary(func, syscall_name=None):
             # deeper span (trap, journal, alloc, fault, ...) claims it.
             with obs.span(f"{self.SPAN_PREFIX}.{name}",
                           cat=self.SPAN_CATEGORY):
-                return _call(self, a, kw)
-        return _call(self, a, kw)
-
-    def _call(self, a, kw):
+                try:
+                    return func(self, *a, **kw)
+                except FSError:
+                    raise
+                except Exception as exc:
+                    _reraise_as_eio(exc)
+                    raise
         try:
             return func(self, *a, **kw)
         except FSError:
             raise
         except Exception as exc:
-            from ..pmem.device import PMError
-
-            if isinstance(exc, PMError):
-                raise IOFSError(str(exc)) from exc
+            _reraise_as_eio(exc)
             raise
 
     wrapper._errno_wrapped = True
     return wrapper
+
+
+def _reraise_as_eio(exc: Exception) -> None:
+    """Raise EIO from a device-level :class:`~repro.pmem.device.PMError`;
+    return for any other exception, which the caller re-raises."""
+    from ..pmem.device import PMError
+
+    if isinstance(exc, PMError):
+        raise IOFSError(str(exc)) from exc
 
 
 class FileSystemAPI(abc.ABC):

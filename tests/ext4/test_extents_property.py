@@ -209,3 +209,21 @@ def test_sequential_scan_uses_cursor_and_stays_correct():
         em.lookup_block(lb)
         assert (em.lookup_block(lb + 6)
                 == ref_impl.extent_lookup_block(em, lb + 6))
+
+
+@given(spec=extent_spec_st, ranges=st.lists(
+    st.tuples(st.integers(min_value=0, max_value=MAX_LOGICAL + 16),
+              st.integers(min_value=-2, max_value=24)),
+    max_size=25))
+@settings(max_examples=150)
+def test_holes_match_reference(spec, ranges):
+    maps = _build_maps(spec)
+    if maps is None:
+        return
+    fast, _ = maps
+    for first, length in ranges:
+        got = fast.holes(first, first + length)
+        assert got == ref_impl.extent_holes(fast, first, first + length)
+        # The holes and the mapped pieces tile the range.
+        mapped = sum(p.length for p in fast.slice_mappings(first, length))
+        assert sum(n for _, n in got) + mapped == max(length, 0)

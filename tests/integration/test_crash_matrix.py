@@ -92,6 +92,24 @@ class TestFsyncedDataSurvives:
         after = remount(m, kind)
         assert after.exists("/created")
 
+    @pytest.mark.parametrize("kind", ALL)
+    def test_fsynced_hole_fill_survives(self, kind):
+        """A write inside EOF into a hole allocates a block that merges into
+        its neighbour's extent, so neither the size nor the extent count
+        changes; the extent-map update must still be journaled."""
+        m, fs = fresh(kind)
+        fd = fs.open("/h", F.O_CREAT | F.O_RDWR)
+        fs.pwrite(fd, b"A" * BLOCK_SIZE, 0)
+        fs.ftruncate(fd, 3 * BLOCK_SIZE)
+        fs.fsync(fd)
+        fs.pwrite(fd, b"B" * BLOCK_SIZE, BLOCK_SIZE)
+        fs.fsync(fd)
+        m.crash()
+        after = remount(m, kind)
+        fd = after.open("/h", F.O_RDONLY)
+        assert after.pread(fd, 3 * BLOCK_SIZE, 0) == (
+            b"A" * BLOCK_SIZE + b"B" * BLOCK_SIZE + bytes(BLOCK_SIZE))
+
 
 class TestSynchronousData:
     """Table 3 'sync data ops': durable without fsync."""

@@ -75,17 +75,17 @@ class TestDisabledModeNeutrality:
         byte-identical output whether the observability hooks are compiled
         in (the default NullObserver path) or stripped back out."""
         from repro.cli import main
-        from repro.obs.profile import _plain_charge
+        from repro.obs.profile import _plain_charge, _plain_charge_cpu
         from repro.pmem.timing import SimClock
 
         assert main(["table1", "--total-mb", "1", "--persistence"]) == 0
         instrumented = capsys.readouterr().out
-        original = SimClock.charge
-        SimClock.charge = _plain_charge
+        original = SimClock.charge, SimClock.charge_cpu
+        SimClock.charge, SimClock.charge_cpu = _plain_charge, _plain_charge_cpu
         try:
             assert main(["table1", "--total-mb", "1", "--persistence"]) == 0
         finally:
-            SimClock.charge = original
+            SimClock.charge, SimClock.charge_cpu = original
         stripped = capsys.readouterr().out
         assert instrumented == stripped
 

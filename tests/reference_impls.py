@@ -17,7 +17,13 @@ loops over a dict, which the claim property test holds them to.
 
 ``Ext4DaxFS.fallocate`` (``ext4/filesystem.py``) allocates the holes
 between a file's mapped ranges; :func:`ext4_fallocate` is the version
-that looked up every block of the file.
+that looked up every block of the file.  ``ExtentMap.holes``, which
+``fallocate`` and the write path's block provisioning use, lists the
+holes in one pass; :func:`extent_holes` looks up every block.
+
+The block allocator (``pmem/allocator.py``) bisects its free list for a
+goal allocation and for a free; :func:`allocator_alloc_at` and
+:func:`allocator_free_one` are the linear scans they replaced.
 
 The fault injector (``pmem/faults.py``) keeps its poison list sorted and
 looks only at a bisected window of it; :class:`ListPoison` is the linear
@@ -30,6 +36,7 @@ production code to them after every step.
 
 from __future__ import annotations
 
+import bisect
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -40,6 +47,7 @@ from repro.ext4.extents import ExtentMap, FileExtent
 from repro.kernel.vfs import VFS
 from repro.pmem import constants as C
 from repro.pmem import device
+from repro.pmem.allocator import Extent, ExtentAllocator
 from repro.pmem.cache import CrashPolicy, DomainObserver
 from repro.pmem.constants import CACHELINE_SIZE
 from repro.pmem.cow import CowBuffer
@@ -109,6 +117,65 @@ def extent_insert(self: ExtentMap, logical: int, phys: int,
             merged.append(e)
     self.extents = merged
     self._reindex()
+
+
+def extent_holes(self: ExtentMap, first: int,
+                 end: int) -> List[Tuple[int, int]]:
+    out: List[Tuple[int, int]] = []
+    run_start = None
+    for lb in range(first, end):
+        if self.lookup_block(lb) is None:
+            if run_start is None:
+                run_start = lb
+        elif run_start is not None:
+            out.append((run_start, lb - run_start))
+            run_start = None
+    if run_start is not None:
+        out.append((run_start, end - run_start))
+    return out
+
+
+# -- block allocator: linear scans of the free list ----------------------------
+
+
+def allocator_alloc_at(self: ExtentAllocator, start: int,
+                       nblocks: int) -> Optional[Extent]:
+    if nblocks <= 0:
+        raise ValueError("nblocks must be positive")
+    self._charge()
+    for i, free in enumerate(self._free):
+        if free.start <= start and start + nblocks <= free.end:
+            if start > free.start:
+                head = Extent(free.start, start - free.start)
+                tail_len = free.end - start
+                self._free[i] = head
+                self._free.insert(i + 1, Extent(start, tail_len))
+                return self._carve(i + 1, self._free[i + 1], nblocks)
+            return self._carve(i, free, nblocks)
+        if free.start > start:
+            return None
+    return None
+
+
+def allocator_free_one(self: ExtentAllocator, ext: Extent) -> None:
+    if ext.length <= 0:
+        return
+    if ext.start < self.first_block or ext.end > self.first_block + self.total_blocks:
+        raise ValueError(f"extent {ext} outside allocator range")
+    starts = [e.start for e in self._free]
+    i = bisect.bisect_left(starts, ext.start)
+    if i > 0 and self._free[i - 1].end > ext.start:
+        raise ValueError(f"double free: {ext} overlaps {self._free[i - 1]}")
+    if i < len(self._free) and ext.end > self._free[i].start:
+        raise ValueError(f"double free: {ext} overlaps {self._free[i]}")
+    self._free.insert(i, ext)
+    self._free_blocks += ext.length
+    if i + 1 < len(self._free) and self._free[i].end == self._free[i + 1].start:
+        right = self._free.pop(i + 1)
+        self._free[i] = Extent(self._free[i].start, self._free[i].length + right.length)
+    if i > 0 and self._free[i - 1].end == self._free[i].start:
+        left = self._free.pop(i - 1)
+        self._free[i - 1] = Extent(left.start, left.length + self._free[i - 1].length)
 
 
 # -- persistence domain: one Python loop per cache line ------------------------
@@ -458,6 +525,9 @@ SWAPS = (
     (ExtentMap, "lookup_block", extent_lookup_block),
     (ExtentMap, "map_byte_range", extent_map_byte_range),
     (ExtentMap, "insert", extent_insert),
+    (ExtentMap, "holes", extent_holes),
+    (ExtentAllocator, "alloc_at", allocator_alloc_at),
+    (ExtentAllocator, "_free_one", allocator_free_one),
     (device, "PersistenceDomain", LinePersistenceDomain),
     (VFS, "resolve", vfs_resolve),
 )
@@ -468,8 +538,9 @@ def reference_mode() -> Iterator[None]:
     """Swap in the reference implementations, class-wide.
 
     Affects every instance used inside the ``with`` block: linear extent
-    lookup/insert and uncached VFS path resolution; devices built inside
-    it keep per-line persistence bookkeeping.
+    lookup/insert, per-block hole search, linear free-list scans and
+    uncached VFS path resolution; devices built inside it keep per-line
+    persistence bookkeeping.
     """
     saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in SWAPS]
     try:

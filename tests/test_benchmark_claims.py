@@ -39,6 +39,21 @@ def test_four_significant_digits_show_a_tenth_of_a_percent(capsys):
     assert first != second
 
 
+def test_a_value_never_prints_equal_to_a_bound_it_differs_from(capsys):
+    claims = Claims()
+    claims.compare("r", 1.0002, ">", 1)
+    claims.compare("r", 0.99999999, "<", 1)
+    claims.compare("r", 1.0, ">=", 1)
+    claims.compare("amplification", 2.30001, "in", (1.8, 2.3))
+    assert printed(capsys) == [
+        "claim ok: r = 1.0002 > 1 (margin 0.02%)",
+        "claim ok: r = 0.99999999 < 1 (margin 1e-06%)",
+        "claim ok: r = 1 >= 1 (margin 0%)",
+        "claim FAILED: amplification = 2.30001 in (1.8, 2.3) "
+        "(margin -0.0004348%)",
+    ]
+
+
 def test_worst_case_names_where_it_occurs(capsys):
     claims = Claims()
     claims.compare("speedup", {"a": 2.0, "b": 1.1, "c": 3.0}, ">", 1)

@@ -117,6 +117,18 @@ def test_update_refuses_a_script_that_exits_1(recorded, monkeypatch):
     assert (recorded / "s" / "out" / "t.json").is_file()
 
 
+def test_update_refusal_names_the_failed_claims(recorded, monkeypatch):
+    failing = goldens.Output(
+        1, b"table\n\nclaim ok: q = 3 > 2 (margin 50%)\n"
+           b"claim FAILED: r = 1 > 2 (margin -50%)\n", {}, "")
+    monkeypatch.setattr(goldens, "run", FakeRunner(
+        by_command={"benchmarks/s.py": failing}))
+    with pytest.raises(SystemExit) as refused:
+        goldens.main(["--update", "s"])
+    assert str(refused.value) == (
+        "s: exit status 1\nclaim FAILED: r = 1 > 2 (margin -50%)\n")
+
+
 def test_real_nonzero_exit_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(goldens, "GOLDENS", tmp_path)
     (tmp_path / "bad.txt").write_bytes(b"")

@@ -139,8 +139,13 @@ def check(entry: dict, runs: int = 2) -> List[str]:
 def update(entry: dict) -> None:
     out = run(entry)
     if out.returncode != 0:
+        # A paper script prints its failed claims to stdout.
+        failed = "".join(
+            line + "\n"
+            for line in out.stdout.decode("utf-8", "replace").splitlines()
+            if line.startswith("claim FAILED"))
         raise SystemExit(f"{entry['name']}: exit status {out.returncode}\n"
-                         f"{out.stderr}")
+                         f"{failed}{out.stderr}")
     (GOLDENS / f"{entry['name']}.txt").write_bytes(out.stdout)
     tree = GOLDENS / entry["name"]
     shutil.rmtree(tree, ignore_errors=True)
