@@ -206,25 +206,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     from .obs.profile import (
-        overhead_guard,
         profile_report,
         results_to_json,
         run_profile,
         write_outputs,
     )
-
-    if args.guard:
-        guard = overhead_guard(repeats=args.guard_repeats)
-        if args.json:
-            print(json.dumps(guard, indent=1))
-        else:
-            print(f"overhead guard: instrumented "
-                  f"{guard['instrumented_wall_s'] * 1e3:.1f} ms vs baseline "
-                  f"{guard['baseline_wall_s'] * 1e3:.1f} ms "
-                  f"(ratio {guard['overhead_ratio']:.3f}, "
-                  f"limit {guard['limit_wall_s'] * 1e3:.1f} ms) -> "
-                  f"{'ok' if guard['ok'] else 'FAIL'}")
-        return 0 if guard["ok"] else 1
 
     results = run_profile(
         args.workload, systems=args.system, total_mb=args.total_mb,
@@ -294,18 +280,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     import dataclasses as _dc
     import json
     import os
-
-    if args.guard:
-        from .obs.profile import telemetry_overhead_guard
-
-        guard = telemetry_overhead_guard(repeats=args.guard_repeats)
-        print(f"telemetry overhead guard: instrumented "
-              f"{guard['instrumented_wall_s'] * 1e3:.1f} ms vs baseline "
-              f"{guard['baseline_wall_s'] * 1e3:.1f} ms "
-              f"(ratio {guard['overhead_ratio']:.3f}, "
-              f"limit {guard['limit_wall_s'] * 1e3:.1f} ms) -> "
-              f"{'ok' if guard['ok'] else 'FAIL'}")
-        return 0 if guard["ok"] else 1
 
     from .serve import ServeEngine, render_monitor_report
 
@@ -517,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write trace_*.json and collapsed_*.txt files here")
     p.add_argument("--json", action="store_true",
                    help="machine-readable results on stdout (for CI)")
-    p.add_argument("--guard", action="store_true",
-                   help="instead of profiling, check that disabled-mode "
-                        "instrumentation overhead is within tolerance")
-    p.add_argument("--guard-repeats", type=int, default=5)
 
     def add_serve_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--system", default="splitfs-strict",
@@ -596,11 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(binds an Observer; wall-cost only)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write the per-request Chrome trace JSON here")
-    p.add_argument("--guard", action="store_true",
-                   help="instead of monitoring, check that telemetry "
-                        "window snapshotting stays within the wall-clock "
-                        "overhead budget")
-    p.add_argument("--guard-repeats", type=int, default=5)
 
     p = sub.add_parser(
         "ras-report",

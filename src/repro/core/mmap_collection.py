@@ -45,14 +45,12 @@ class MmapCollection:
         self,
         vm: VirtualMemory,
         map_size: int = C.HUGE_PAGE_SIZE,
-        populate: bool = True,
         want_huge: bool = True,
     ) -> None:
         if map_size % C.HUGE_PAGE_SIZE:
             raise ValueError("map_size must be a multiple of 2 MB")
         self.vm = vm
         self.map_size = map_size
-        self.populate = populate
         self.want_huge = want_huge
         self._regions: Dict[Tuple[int, int], object] = {}
         self.stats = MmapStats()
@@ -77,13 +75,7 @@ class MmapCollection:
             nblocks = self.map_size // C.BLOCK_SIZE
             pieces = extmap.slice_mappings(start_block, nblocks)
             extents = [Extent(p.phys, p.length) for p in pieces]
-            if not extents:
-                # Nothing allocated here yet (hole / fresh file): a real mmap
-                # would still create the VMA; faults come later.
-                extents = []
-            mapping = self.vm.mmap_extents(
-                extents, populate=self.populate, want_huge=self.want_huge
-            )
+            mapping = self.vm.mmap_extents(extents, want_huge=self.want_huge)
             self._regions[key] = mapping
             self.stats.regions_mapped += 1
 

@@ -53,6 +53,9 @@ from .oplog import (
 )
 from .staging import Carve, StagingManager, STAGING_DIR
 
+#: Retry-with-backoff attempts (forced early relink to reclaim staged space)
+#: before giving up on U-Split and entering degraded mode.
+ENOSPC_RETRIES = 2
 
 
 @dataclass
@@ -69,7 +72,6 @@ class SplitFSConfig:
     staging_size: int = 8 * 1024 * 1024  # paper: 160 MB
     carve_chunk: int = 256 * 1024
     oplog_bytes: int = 2 * 1024 * 1024  # paper: 128 MB
-    populate_mappings: bool = True
     want_huge_pages: bool = True
     # Ablation/breakdown toggles (Figure 3, Section 4):
     use_staging: bool = True  # False: appends fall through to the kernel
@@ -86,9 +88,6 @@ class SplitFSConfig:
     #: ``False`` keeps the seed behaviour (staging ENOSPC surfaces to the
     #: caller); ``True`` forces degradation even without a RAS controller.
     degrade_on_enospc: Optional[bool] = None
-    #: Retry-with-backoff attempts (forced early relink to reclaim staged
-    #: space) before giving up on U-Split and entering degraded mode.
-    enospc_retries: int = 2
     #: Minimum simulated time in degraded mode before re-probing staging.
     repromote_hysteresis_ns: float = C.RAS_REPROMOTE_HYSTERESIS_NS
 
@@ -194,7 +193,6 @@ class SplitFS(FileSystemAPI):
         self.mmaps = MmapCollection(
             self.machine.vm,
             map_size=self.config.map_size,
-            populate=self.config.populate_mappings,
             want_huge=self.config.want_huge_pages,
         )
         self.staging: Optional[StagingManager] = None
@@ -742,7 +740,7 @@ class SplitFS(FileSystemAPI):
         """Staging carve hit ENOSPC: retry with backoff, forcing an early
         relink of every file first so retired staging slack is reclaimed.
         Returns a run, or ``None`` when the retries are exhausted."""
-        for _ in range(self.config.enospc_retries):
+        for _ in range(ENOSPC_RETRIES):
             self.rstats.enospc_retries += 1
             self.clock.charge_cpu(C.RAS_ENOSPC_BACKOFF_NS)
             try:

@@ -37,6 +37,12 @@ from .ops import FuzzOp, apply_op, format_outcome
 
 Snapshot = Dict[str, Tuple[str, Optional[bytes]]]
 
+#: Per-op divergences a report records for one system before it
+#: summarises the rest in one line.
+MAX_DIVERGENCES_PER_KIND = 5
+#: Divergences :meth:`DiffReport.format` prints before "... N more".
+MAX_PRINTED_DIVERGENCES = 8
+
 
 def snapshot(fs) -> Snapshot:
     """The visible namespace through the public API: path → (kind, data)."""
@@ -96,7 +102,7 @@ class DiffReport:
     def ok(self) -> bool:
         return not self.divergences
 
-    def format(self, max_divergences: int = 8) -> str:
+    def format(self) -> str:
         seed = "-" if self.seed is None else str(self.seed)
         lines = [
             f"difftest: seed={seed} ops={self.nops} "
@@ -112,11 +118,11 @@ class DiffReport:
             else:
                 status = "ok"
             lines.append(f"  {kind:<16} {status}")
-        for div in self.divergences[:max_divergences]:
+        for div in self.divergences[:MAX_PRINTED_DIVERGENCES]:
             lines.append(f"    {div.format()}")
-        if len(self.divergences) > max_divergences:
-            lines.append(
-                f"    ... {len(self.divergences) - max_divergences} more")
+        unprinted = len(self.divergences) - MAX_PRINTED_DIVERGENCES
+        if unprinted > 0:
+            lines.append(f"    ... {unprinted} more")
         return "\n".join(lines)
 
 
@@ -151,7 +157,6 @@ def run_differential(
     kinds: Sequence[str] = SYSTEM_NAMES,
     seed: Optional[int] = None,
     fs_factory: Optional[FsFactory] = None,
-    max_divergences_per_kind: int = 5,
 ) -> DiffReport:
     """Replay ``ops`` on the oracle and on every system in ``kinds``.
 
@@ -199,16 +204,16 @@ def run_differential(
                 report.forked[kind] = i
                 continue
             found += 1
-            if found <= max_divergences_per_kind:
+            if found <= MAX_DIVERGENCES_PER_KIND:
                 report.divergences.append(Divergence(
                     kind=kind, index=i,
                     detail=f"{op.describe()}: expected "
                            f"{format_outcome(expected[i])}, got "
                            f"{format_outcome(outcome)}"))
-        if found > max_divergences_per_kind:
+        if found > MAX_DIVERGENCES_PER_KIND:
             report.divergences.append(Divergence(
                 kind=kind, index=len(ops) - 1,
-                detail=f"... {found - max_divergences_per_kind} further "
+                detail=f"... {found - MAX_DIVERGENCES_PER_KIND} further "
                        f"per-op divergences suppressed"))
         if getattr(machine, "faults", None) is not None:
             machine.faults.clear()

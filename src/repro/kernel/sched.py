@@ -123,7 +123,7 @@ class SimLock:
             if 0 <= self.last_cpu != task.cpu:
                 # Cross-CPU handoff: the wakeup/ownership transfer costs an
                 # IPI on top of the wait itself.
-                wait += sched.ipi_ns
+                wait += C.SCHED_IPI_NS
                 self.stats.handoff_ipis += 1
                 sched.lock_stats.handoff_ipis += 1
                 sched.stats.ipis += 1
@@ -234,16 +234,12 @@ class Scheduler:
     """
 
     def __init__(self, machine, cpus: int = 1,
-                 context_switch_ns: float = C.SCHED_CONTEXT_SWITCH_NS,
-                 ipi_ns: float = C.SCHED_IPI_NS,
                  quantum_ns: float = C.SCHED_QUANTUM_NS) -> None:
         if cpus < 1:
             raise ValueError("need at least one CPU")
         self.machine = machine
         self.clock = machine.clock
         self.cpus = cpus
-        self.context_switch_ns = context_switch_ns
-        self.ipi_ns = ipi_ns
         self.quantum_ns = quantum_ns
         self.stats = SchedStats()
         self.lock_stats = LockStats()
@@ -318,8 +314,8 @@ class Scheduler:
             prev = self._cpu_last[cpu]
             if prev is not None and prev is not task:
                 self.stats.context_switches += 1
-                self.stats.ctx_switch_ns += self.context_switch_ns
-                clock.charge(self.context_switch_ns, Category.CPU)
+                self.stats.ctx_switch_ns += C.SCHED_CONTEXT_SWITCH_NS
+                clock.charge(C.SCHED_CONTEXT_SWITCH_NS, Category.CPU)
             done = False
             slice_steps = 0
             try:

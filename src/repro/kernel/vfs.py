@@ -28,19 +28,12 @@ class VFS(FileSystemAPI):
     SPAN_PREFIX = "vfs"
     SPAN_CATEGORY = "vfs"
 
-    #: Resolved paths cached per VFS instance (dentry-cache analogue).  The
-    #: mount table is the only input to resolution, so entries stay valid
-    #: until a mount()/unmount() invalidates them.  Bounded so pathological
-    #: workloads (millions of distinct paths) cannot grow it without limit.
-    RESOLVE_CACHE_MAX = 8192
-
     def __init__(self, root: FileSystemAPI, obs=NULL_OBSERVER) -> None:
         self._mounts: Dict[str, FileSystemAPI] = {"/": root}
         self._fds: Dict[int, Tuple[FileSystemAPI, int]] = {}
         self._next_fd = 10_000
-        self._resolve_cache: Dict[str, Tuple[FileSystemAPI, str]] = {}
         #: Observability sink; a bound :class:`~repro.obs.Observer` records
-        #: ``vfs.resolve`` spans and dentry-cache hit/miss counters.
+        #: ``vfs.resolve`` spans.
         self.obs = obs
 
     def _observer(self):
@@ -53,46 +46,28 @@ class VFS(FileSystemAPI):
         if not mountpoint.startswith("/") or mountpoint == "/":
             raise InvalidArgumentFSError(f"bad mountpoint {mountpoint!r}")
         self._mounts[mountpoint.rstrip("/")] = fs
-        self._resolve_cache.clear()
 
     def unmount(self, mountpoint: str) -> None:
         if mountpoint == "/":
             raise InvalidArgumentFSError("cannot unmount the root")
         if self._mounts.pop(mountpoint.rstrip("/"), None) is None:
             raise FileNotFoundFSError(f"nothing mounted at {mountpoint}")
-        self._resolve_cache.clear()
 
     def mounts(self) -> List[str]:
         return sorted(self._mounts)
 
     def resolve(self, path: str) -> Tuple[FileSystemAPI, str]:
         """Longest-prefix match: returns (fs, path-within-that-fs)."""
-        cached = self._resolve_cache.get(path)
-        obs = self.obs
-        if cached is not None:
-            if obs.enabled:
-                obs.registry.counter("kernel.vfs.resolve_hits").inc()
-            return cached
-        if obs.enabled:
-            obs.registry.counter("kernel.vfs.resolve_misses").inc()
-            with obs.span("vfs.resolve", cat="vfs"):
-                return self._resolve_slow(path)
-        return self._resolve_slow(path)
-
-    def _resolve_slow(self, path: str) -> Tuple[FileSystemAPI, str]:
         if not path.startswith("/"):
             raise InvalidArgumentFSError(f"path must be absolute: {path!r}")
-        best = "/"
-        for mp in self._mounts:
-            if mp != "/" and (path == mp or path.startswith(mp + "/")):
-                if len(mp) > len(best):
-                    best = mp
-        fs = self._mounts[best]
-        inner = path if best == "/" else path[len(best):] or "/"
-        if len(self._resolve_cache) >= self.RESOLVE_CACHE_MAX:
-            self._resolve_cache.clear()
-        self._resolve_cache[path] = (fs, inner)
-        return fs, inner
+        with self.obs.span("vfs.resolve", cat="vfs"):
+            best = "/"
+            for mp in self._mounts:
+                if mp != "/" and (path == mp or path.startswith(mp + "/")):
+                    if len(mp) > len(best):
+                        best = mp
+            inner = path if best == "/" else path[len(best):] or "/"
+            return self._mounts[best], inner
 
     # -- fd helpers ----------------------------------------------------------------
 

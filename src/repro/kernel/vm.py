@@ -14,7 +14,7 @@ stores, so the costs that remain are page faults at mapping time.  The paper
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List
 
 from ..pmem import constants as C
 from ..pmem.allocator import Extent
@@ -41,64 +41,20 @@ class Segment:
 
 
 class Mapping:
-    """One VMA: a virtual window onto (possibly several) device extents."""
+    """One VMA: a virtual window onto (possibly several) device extents,
+    its pages faulted in when it was created (``MAP_POPULATE``)."""
 
     def __init__(
         self,
         vm: "VirtualMemory",
         segments: List[Segment],
         huge: bool,
-        populated: bool,
     ) -> None:
         self._vm = vm
         self.segments = segments
         self.length = sum(s.length for s in segments)
         self.huge = huge
         self.active = True
-        self._page_size = C.HUGE_PAGE_SIZE if huge else C.BLOCK_SIZE
-        npages = (self.length + self._page_size - 1) // self._page_size
-        self._npages = npages
-        self._populated: Set[int] = set(range(npages)) if populated else set()
-
-    def translate(self, offset: int, length: int) -> List[Tuple[int, int]]:
-        """Map ``[offset, offset+length)`` within the VMA to device ranges.
-
-        Returns ``[(device_addr, run_length), ...]``.  Raises if the range
-        falls outside the mapping.
-        """
-        if offset < 0 or length < 0 or offset + length > self.length:
-            raise ValueError(
-                f"range [{offset}, {offset + length}) outside mapping of {self.length}"
-            )
-        self._fault_in(offset, length)
-        out: List[Tuple[int, int]] = []
-        remaining = length
-        pos = offset
-        for seg in self.segments:
-            if remaining == 0:
-                break
-            seg_end = seg.map_offset + seg.length
-            if pos >= seg_end or pos + remaining <= seg.map_offset:
-                continue
-            inner = pos - seg.map_offset
-            run = min(seg.length - inner, remaining)
-            out.append((seg.device_addr + inner, run))
-            pos += run
-            remaining -= run
-        if remaining:
-            raise ValueError("mapping segments do not cover requested range")
-        return out
-
-    def _fault_in(self, offset: int, length: int) -> None:
-        """Charge demand faults for any not-yet-populated pages touched."""
-        if len(self._populated) == self._npages:
-            return
-        first = offset // self._page_size
-        last = (offset + max(length, 1) - 1) // self._page_size
-        for page in range(first, last + 1):
-            if page not in self._populated:
-                self._populated.add(page)
-                self._vm._charge_fault(self.huge)
 
     def unmap(self) -> None:
         if self.active:
@@ -142,11 +98,11 @@ class VirtualMemory:
     def mmap_extents(
         self,
         extents: List[Extent],
-        populate: bool = True,
         want_huge: bool = True,
         block_size: int = C.BLOCK_SIZE,
     ) -> Mapping:
-        """Create a mapping over device ``extents`` (in logical order).
+        """Create a mapping over device ``extents`` (in logical order) and
+        take every page fault up front, as ``MAP_POPULATE`` does.
 
         Huge pages are used only when the paper's conditions hold: the whole
         mapping is one physically contiguous run whose device address and
@@ -182,12 +138,8 @@ class VirtualMemory:
         else:
             self.stats.small_mappings += 1
 
-        mapping = Mapping(self, segments, huge=huge, populated=False)
-        if populate:
-            # MAP_POPULATE: take every fault up front.
-            page = C.HUGE_PAGE_SIZE if huge else C.BLOCK_SIZE
-            npages = (total + page - 1) // page
-            for _ in range(npages):
-                self._charge_fault(huge)
-            mapping._populated = set(range(npages))
+        mapping = Mapping(self, segments, huge=huge)
+        page = C.HUGE_PAGE_SIZE if huge else C.BLOCK_SIZE
+        for _ in range((total + page - 1) // page):
+            self._charge_fault(huge)
         return mapping

@@ -10,12 +10,6 @@ machine, and packages the collected data as:
   *exactly* — same ``TimeAccount``, same number ``repro table1`` prints;
 * Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``;
 * a collapsed-stack file for flamegraph.pl / speedscope.
-
-``overhead_guard`` is the CI guard for the instrumentation itself: it
-interleaves runs of the normal (NullObserver) hot path with runs where
-``SimClock.charge`` and ``charge_cpu`` are temporarily stripped of the
-observer hook, and fails if the disabled-mode instrumentation costs more
-than a small tolerance in wall-clock time.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..pmem.timing import CPU, DATA, META_IO
 from .export import (
     attribution_rows,
     render_attribution_table,
@@ -211,129 +204,3 @@ def results_to_json(workload: str, results: Iterable[ProfileResult],
                     ) -> Dict[str, Any]:
     return {"workload": workload,
             "results": [r.as_json() for r in results]}
-
-
-# -- overhead guard -----------------------------------------------------------
-
-
-def _plain_charge(self, ns, category=CPU):
-    """``SimClock.charge`` without the observer hook: the same account
-    and scope updates, no ``obs.enabled`` test."""
-    if ns < 0:
-        raise ValueError(f"negative charge: {ns}")
-    account = self.account
-    if category is DATA:
-        account.data_ns += ns
-    elif category is META_IO:
-        account.meta_io_ns += ns
-    else:
-        account.cpu_ns += ns
-    if self._scopes:
-        for scope in self._scopes:
-            scope.charge(ns, category)
-
-
-def _plain_charge_cpu(self, ns):
-    """``SimClock.charge_cpu`` without the observer hook."""
-    if ns < 0:
-        raise ValueError(f"negative charge: {ns}")
-    self.account.cpu_ns += ns
-    if self._scopes:
-        for scope in self._scopes:
-            scope.charge(ns, CPU)
-
-
-def overhead_guard(repeats: int = 5, total_mb: int = 4,
-                   threshold: float = 0.05, slack_s: float = 0.05,
-                   system: str = "splitfs-strict") -> Dict[str, Any]:
-    """Measure disabled-mode instrumentation overhead; pass/fail for CI.
-
-    Interleaves ``repeats`` pairs of the Table 1 append workload: one run
-    on the normal hot path (instrumentation present, NullObserver bound)
-    and one with ``SimClock.charge`` and ``charge_cpu`` temporarily
-    swapped for their forms without the observer hook.  Best-of wall
-    times are compared; the guard passes when the instrumented run is
-    within ``threshold`` (relative) plus ``slack_s`` (absolute, absorbs
-    scheduler noise on short runs).
-    """
-    import time
-
-    from ..bench.harness import append_4k_workload
-    from ..pmem.timing import SimClock
-
-    def wall_once() -> float:
-        t0 = time.perf_counter()
-        append_4k_workload(system, total_bytes=total_mb << 20)
-        return time.perf_counter() - t0
-
-    current = baseline = float("inf")
-    original = SimClock.charge, SimClock.charge_cpu
-    wall_once()  # warm caches/imports outside the comparison
-    for _ in range(max(1, repeats)):
-        current = min(current, wall_once())
-        SimClock.charge, SimClock.charge_cpu = _plain_charge, _plain_charge_cpu
-        try:
-            baseline = min(baseline, wall_once())
-        finally:
-            SimClock.charge, SimClock.charge_cpu = original
-    limit = baseline * (1.0 + threshold) + slack_s
-    return {
-        "system": system,
-        "total_mb": total_mb,
-        "repeats": repeats,
-        "instrumented_wall_s": current,
-        "baseline_wall_s": baseline,
-        "overhead_ratio": (current / baseline) if baseline else 0.0,
-        "threshold": threshold,
-        "slack_s": slack_s,
-        "limit_wall_s": limit,
-        "ok": current <= limit,
-    }
-
-
-def telemetry_overhead_guard(repeats: int = 5, requests: int = 600,
-                             threshold: float = 0.05, slack_s: float = 0.05,
-                             system: str = "splitfs-strict",
-                             ) -> Dict[str, Any]:
-    """Wall-clock cost of window snapshotting; pass/fail for CI.
-
-    Interleaves ``repeats`` pairs of a fixed-seed overloaded serve run:
-    one with the full telemetry/SLO stack attached and one with telemetry
-    off.  Best-of wall times are compared under the same budget as
-    :func:`overhead_guard` — telemetry-on may cost at most ``threshold``
-    (relative) plus ``slack_s`` (absolute) over the plain run.
-    """
-    import dataclasses
-    import time
-
-    # Lazy import: obs sits below serve in the layering; the guard is a
-    # harness entry point, not part of the obs data path.
-    from ..serve.engine import ServeConfig, ServeEngine
-
-    base = ServeConfig(system=system, requests=requests, records=200,
-                       clients=200, offered_rate=120_000.0, seed=11)
-    with_telem = dataclasses.replace(base, slo=True)
-
-    def wall_once(cfg: ServeConfig) -> float:
-        t0 = time.perf_counter()
-        ServeEngine(cfg).run()
-        return time.perf_counter() - t0
-
-    current = baseline = float("inf")
-    wall_once(base)  # warm caches/imports outside the comparison
-    for _ in range(max(1, repeats)):
-        current = min(current, wall_once(with_telem))
-        baseline = min(baseline, wall_once(base))
-    limit = baseline * (1.0 + threshold) + slack_s
-    return {
-        "system": system,
-        "requests": requests,
-        "repeats": repeats,
-        "instrumented_wall_s": current,
-        "baseline_wall_s": baseline,
-        "overhead_ratio": (current / baseline) if baseline else 0.0,
-        "threshold": threshold,
-        "slack_s": slack_s,
-        "limit_wall_s": limit,
-        "ok": current <= limit,
-    }

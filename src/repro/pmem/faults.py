@@ -25,7 +25,13 @@ from typing import List, Optional, Tuple
 
 from ..obs.metrics import counter_field, reset_counter_fields
 from ..posix.errors import NoSpaceFSError
+from .constants import CACHELINE_SIZE
 from .device import PMError, PersistentMemory
+
+#: What :meth:`FaultInjector.tear_line` writes over the torn words.
+TEAR_PATTERN = b"\xde\xad\xbe\xef\xde\xad\xbe\xef"
+#: Which 8-byte words of the line :meth:`FaultInjector.tear_line` tears.
+TEAR_WORDS = (1, 3, 5)
 
 
 class MediaError(PMError):
@@ -74,13 +80,12 @@ class FaultInjector:
             self._longest = size
 
     def poison_rate(self, p: float, seed: int,
-                    region: Tuple[int, int],
-                    granularity: int = 64) -> int:
-        """Poison each ``granularity``-byte line of ``region`` with
-        probability ``p``, driven by ``seed``.
+                    region: Tuple[int, int]) -> int:
+        """Poison each cache line of ``region`` with probability ``p``,
+        driven by ``seed``.
 
-        Deterministic in ``(p, seed, region, granularity)`` and independent
-        of load order, so scrubber/soak tests get reproducible random error
+        Deterministic in ``(p, seed, region)`` and independent of load
+        order, so scrubber/soak tests get reproducible random error
         streams.  Returns the number of lines poisoned.
         """
         if not 0.0 <= p <= 1.0:
@@ -88,9 +93,9 @@ class FaultInjector:
         rng = random.Random(seed)
         start, end = region
         count = 0
-        for addr in range(start, end, granularity):
+        for addr in range(start, end, CACHELINE_SIZE):
             if rng.random() < p:
-                self.poison(addr, min(granularity, end - addr))
+                self.poison(addr, min(CACHELINE_SIZE, end - addr))
                 count += 1
         return count
 
@@ -220,15 +225,14 @@ class FaultInjector:
 
     # -- direct corruption ---------------------------------------------------
 
-    def tear_line(self, pm: PersistentMemory, addr: int,
-                  pattern: bytes = b"\xde\xad\xbe\xef\xde\xad\xbe\xef",
-                  words: Tuple[int, ...] = (1, 3, 5)) -> None:
-        """Durably corrupt selected 8-byte words of the line holding ``addr``.
+    def tear_line(self, pm: PersistentMemory, addr: int) -> None:
+        """Durably corrupt words :data:`TEAR_WORDS` of the line holding
+        ``addr`` with :data:`TEAR_PATTERN`.
 
         Models a torn line that partially persisted: some words carry the new
         (garbage) value, the rest keep theirs.  Used to forge torn
         operation-log slots and exercise checksum-rejection paths.
         """
-        line_start = addr - addr % 64
-        for word in words:
-            pm.poke(line_start + word * 8, pattern[:8])
+        line_start = addr - addr % CACHELINE_SIZE
+        for word in TEAR_WORDS:
+            pm.poke(line_start + word * 8, TEAR_PATTERN)

@@ -60,19 +60,16 @@ if TYPE_CHECKING:
 
 @dataclass
 class RASConfig:
-    """Tunables for one machine's RAS layer."""
+    """Tunables for one machine's RAS layer.
 
-    #: Maintain per-block CRC32 checksums and verify them on load.
-    checksum: bool = True
+    Protected regions always keep per-block CRC32 checksums, verified on
+    every load, and the device fence hook always launches scrub passes.
+    """
+
     #: Mirror protected regions to a replica (repair source for poison).
     replicate: bool = True
-    #: Verify checksums inline on every load of a protected range (the
-    #: measurable "checksum overhead"; scrub still verifies when off).
-    verify_on_load: bool = True
     #: Simulated nanoseconds between background scrub passes.
     scrub_interval_ns: float = C.RAS_SCRUB_INTERVAL_NS
-    #: Launch scrub passes automatically from the device fence hook.
-    auto_scrub: bool = True
 
 
 @dataclass
@@ -175,8 +172,7 @@ class RASController:
         if replica is not None:
             self.pm.buf[replica:replica + nbytes] = \
                 self.pm.buf[primary:primary + nbytes]
-        if self.config.checksum:
-            region.crcs = self._compute_crcs(region)
+        region.crcs = self._compute_crcs(region)
         return region
 
     def adopt(self, primary: int, nbytes: int,
@@ -199,8 +195,7 @@ class RASController:
             if region.replica is not None:
                 self.pm.buf[region.replica:region.replica + region.nbytes] = \
                     self.pm.buf[region.primary:region.primary + region.nbytes]
-            if self.config.checksum:
-                region.crcs = self._compute_crcs(region)
+            region.crcs = self._compute_crcs(region)
 
     def forget_all(self) -> None:
         """Drop every registration (a re-format of the device)."""
@@ -266,7 +261,7 @@ class RASController:
     def verify_load(self, addr: int, size: int) -> None:
         """Checksum-verify the protected blocks a clean load touches,
         repairing silent corruption from the replica when possible."""
-        if not self.config.verify_on_load or self._in_hook:
+        if self._in_hook:
             return
         for region in self.regions:
             if region.crcs is None or not region.overlaps(addr, size):
@@ -289,7 +284,7 @@ class RASController:
 
     def maybe_scrub(self) -> None:
         """Fence-path hook: launch a scrub pass if the interval elapsed."""
-        if not self.config.auto_scrub or self._in_hook:
+        if self._in_hook:
             return
         if self.pm.clock.now_ns - self._last_scrub_ns < self.config.scrub_interval_ns:
             return

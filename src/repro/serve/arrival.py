@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-#: Defaults for the bursty (on/off Markov-modulated Poisson) process.
+#: The bursty (on/off Markov-modulated Poisson) process: ON and OFF rates
+#: as multiples of the mean, and the mean ON+OFF cycle length.
 BURSTY_PEAK_TO_MEAN = 8.0
 BURSTY_TROUGH_TO_MEAN = 0.25
 BURSTY_CYCLE_NS = 2e6
@@ -34,28 +35,26 @@ def poisson_arrivals(rng: random.Random, rate_per_ns: float,
 
 
 def bursty_arrivals(rng: random.Random, rate_per_ns: float,
-                    peak_to_mean: float = BURSTY_PEAK_TO_MEAN,
-                    trough_to_mean: float = BURSTY_TROUGH_TO_MEAN,
-                    cycle_ns: float = BURSTY_CYCLE_NS) -> Iterator[float]:
+                    ) -> Iterator[float]:
     """An on/off Markov-modulated Poisson process with the same mean rate.
 
-    Alternates exponentially-distributed ON phases (rate ``peak_to_mean`` x
-    the mean) with OFF phases (``trough_to_mean`` x); phase durations are
+    Alternates exponentially-distributed ON phases (rate
+    :data:`BURSTY_PEAK_TO_MEAN` x the mean) with OFF phases
+    (:data:`BURSTY_TROUGH_TO_MEAN` x); phase durations are
     chosen so the long-run average equals ``rate_per_ns``.  Restarting the
     exponential draw at each phase boundary is exact (memorylessness), so
     the clipped draws introduce no bias.
     """
     if rate_per_ns <= 0:
         raise ValueError("arrival rate must be positive")
-    if not trough_to_mean < 1.0 < peak_to_mean:
-        raise ValueError("need trough_to_mean < 1 < peak_to_mean")
-    hi = rate_per_ns * peak_to_mean
-    lo = rate_per_ns * trough_to_mean
+    hi = rate_per_ns * BURSTY_PEAK_TO_MEAN
+    lo = rate_per_ns * BURSTY_TROUGH_TO_MEAN
     on_fraction = (rate_per_ns - lo) / (hi - lo)
     t = 0.0
     on = True
     while True:
-        mean_phase = cycle_ns * (on_fraction if on else 1.0 - on_fraction)
+        share = on_fraction if on else 1.0 - on_fraction
+        mean_phase = BURSTY_CYCLE_NS * share
         end = t + rng.expovariate(1.0 / mean_phase)
         rate = hi if on else lo
         while True:

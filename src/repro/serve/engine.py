@@ -58,6 +58,11 @@ BACKPRESSURE_THRESHOLD = 0.5
 BACKPRESSURE_FACTOR = 4
 #: Telemetry windows retained (overflow counts ``dropped``).
 TELEMETRY_CAPACITY = 4096
+#: Requests the closed-loop capacity probe serves.
+PROBE_OPS = 48
+#: A sweep point saturates when its goodput falls below this share of its
+#: offered load.
+KNEE_GOODPUT_SHARE = 0.9
 
 
 @dataclass
@@ -223,13 +228,13 @@ class ServeEngine:
         capped = min(base, self.cfg.backoff_cap_us * 1e3)
         return capped * (0.5 + self.jitter_rng.random())
 
-    def estimate_capacity(self, probe_ops: int = 48) -> float:
+    def estimate_capacity(self) -> float:
         """Closed-loop service-rate probe (req/s) on a throwaway machine."""
         machine, workload, ctx = self._build()
         with machine.clock.measure() as acct:
-            for _ in range(probe_ops):
+            for _ in range(PROBE_OPS):
                 workload.execute(ctx, workload.next_request())
-        mean_ns = acct.total_ns / probe_ops
+        mean_ns = acct.total_ns / PROBE_OPS
         per_server = 1e9 / mean_ns if mean_ns else float("inf")
         # M servers drain M times faster (service times are CPU-bound here).
         return per_server * self.cfg.cpus
@@ -509,10 +514,9 @@ def run_sweep(base: ServeConfig,
     return capacity, results
 
 
-def saturation_knee(results: List[ServeResult],
-                    threshold: float = 0.9) -> float:
+def saturation_knee(results: List[ServeResult]) -> float:
     """The saturation knee of a sweep: the lowest offered load (req/s)
-    whose goodput falls below ``threshold`` of offered.
+    whose goodput falls below :data:`KNEE_GOODPUT_SHARE` of offered.
 
     Returns ``inf`` when no point in the sweep saturates.  Under a
     contended-bandwidth device model the knee can only move left (or stay)
@@ -520,6 +524,6 @@ def saturation_knee(results: List[ServeResult],
     delay is non-negative — which the sensitivity tests pin.
     """
     for r in sorted(results, key=lambda r: r.offered_req_per_s):
-        if r.goodput_req_per_s < threshold * r.offered_req_per_s:
+        if r.goodput_req_per_s < KNEE_GOODPUT_SHARE * r.offered_req_per_s:
             return r.offered_req_per_s
     return float("inf")

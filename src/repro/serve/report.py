@@ -19,6 +19,10 @@ from .engine import ServeResult
 
 #: The latency histogram the timeline's p99 column reads.
 LATENCY_HIST = "serve.request.latency_ns"
+#: The monitor report links this many slowest windows to their traced
+#: requests, and that many requests per window.
+EXEMPLAR_WINDOWS = 3
+EXEMPLAR_REQUESTS = 2
 
 
 def _device_note(cfg) -> str:
@@ -82,8 +86,7 @@ def render_serve_report(result: ServeResult) -> str:
     return "\n".join(lines)
 
 
-def _exemplar_lines(result: ServeResult, k_windows: int = 3,
-                    k_reqs: int = 2) -> List[str]:
+def _exemplar_lines(result: ServeResult) -> List[str]:
     """Link the slowest telemetry windows to their traced requests."""
     tracer, telem = result.tracer, result.telemetry
     if tracer is None or telem is None:
@@ -92,10 +95,10 @@ def _exemplar_lines(result: ServeResult, k_windows: int = 3,
                     key=lambda w: (-w.quantile_ns(LATENCY_HIST, 0.99),
                                    w.index))
     lines: List[str] = []
-    for w in sorted(ranked[:k_windows], key=lambda w: w.index):
+    for w in sorted(ranked[:EXEMPLAR_WINDOWS], key=lambda w: w.index):
         if not w.quantile_ns(LATENCY_HIST, 0.99):
             continue
-        ex = tracer.exemplars(w.start_ns, w.end_ns, k=k_reqs)
+        ex = tracer.exemplars(w.start_ns, w.end_ns, k=EXEMPLAR_REQUESTS)
         if not ex:
             continue
         frag = ", ".join(

@@ -51,14 +51,14 @@ from . import log as L
 _SB_MAGIC = 0x53545241  # "STRA"
 # magic, total_blocks, log_start, log_blocks, itable_start, max_inodes, log_epoch
 _SB_FMT = "<IQIIIII"
+#: Digest the private log once it is this full.
+DIGEST_THRESHOLD = 0.8
 
 
 class StrataConfig:
-    def __init__(self, log_blocks: int = 4096, max_inodes: int = 1024,
-                 digest_threshold: float = 0.8) -> None:
+    def __init__(self, log_blocks: int = 4096, max_inodes: int = 1024) -> None:
         self.log_blocks = log_blocks  # 16 MB private log by default
         self.max_inodes = max_inodes
-        self.digest_threshold = digest_threshold
 
 
 class StrataFS(KernelFS):
@@ -507,7 +507,7 @@ class StrataFS(KernelFS):
         return self.dirs[dir_ino].lookup(name)
 
     def _maybe_digest(self) -> None:
-        if self.log_tail >= self.log_capacity * self.config.digest_threshold:
+        if self.log_tail >= self.log_capacity * DIGEST_THRESHOLD:
             self.digest()
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""A deterministic host-cost budget for the append path.
+"""Deterministic host-cost budgets: the append path and its instrumentation.
 
 An append-with-fsync loop (the perfbench ``append-fsync`` workload in
 small: 256 appends of 3.5-4.5 KiB, an fsync every 64) runs on ext4dax and
@@ -9,8 +9,20 @@ set-up excluded, and must stay within 5% above the counts in
 shared machine, the counts repeat exactly, so a change that puts calls
 back on the write path fails here.  Bytecode counts belong to one
 interpreter version: they were measured on CPython 3.11.
+
+The same counts bound what the instrumentation costs the host:
+
+* the disabled observer hook, the ``obs.enabled`` test at the end of
+  ``SimClock.charge`` and ``charge_cpu`` that every untraced run pays: an
+  append syscall may execute at most :data:`HOOK_BUDGET` times the
+  bytecodes it does with the hook stripped
+  (``tests/reference_impls.stripped_observer_hook``);
+* serve telemetry (``ServeConfig.slo``): on :data:`SERVE_CONFIG` the
+  bytecodes that telemetry adds to the serve loop may grow at most 5%
+  above :data:`TELEMETRY_EXTRA`.
 """
 
+import dataclasses
 import random
 import sys
 
@@ -18,6 +30,8 @@ import pytest
 
 from repro.factory import make_filesystem
 from repro.posix import flags as F
+from repro.serve.engine import ServeConfig, ServeEngine
+from tests.reference_impls import stripped_observer_hook
 
 APPENDS = 256
 FSYNC_EVERY = 64
@@ -30,6 +44,22 @@ BUDGET = {
     "splitfs-strict": (52.46, 1780.2),
 }
 SLACK = 1.05
+
+#: Bytecodes per append syscall with the observer hook over those without
+#: it.  Counted on this code: 1863.7 / 1839.4 = 1.013 on ext4dax and
+#: 1780.2 / 1751.3 = 1.016 on splitfs-strict.
+HOOK_BUDGET = 1.05
+
+#: The serve run the telemetry budget counts: an overloaded kv run, 600
+#: requests in ten 500-us windows.
+SERVE_CONFIG = ServeConfig(system="splitfs-strict", requests=600,
+                           records=200, clients=200, offered_rate=120_000.0,
+                           seed=11)
+#: Serve-loop bytecodes that ``slo=True`` adds on :data:`SERVE_CONFIG`,
+#: counted on this code: 1,039,993 with telemetry less 856,388 without, a
+#: share of x1.214.  Fitted against the ``serve-slo`` golden's run, that is
+#: about 40 per request plus 15,900 per window close.
+TELEMETRY_EXTRA = 183_605
 
 pytestmark = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -77,9 +107,8 @@ def count_calls(system, chunks):
     return calls / syscalls
 
 
-def count_bytecodes(system, chunks):
-    """Bytecodes executed per syscall."""
-    fs, fd = _opened(system)
+def _bytecodes(fn):
+    """``(bytecodes executed by fn(), its result)``."""
     ops = 0
 
     def local(frame, event, arg):
@@ -95,10 +124,26 @@ def count_bytecodes(system, chunks):
     saved = sys.gettrace()
     sys.settrace(trace)
     try:
-        syscalls = _appends(fs, fd, chunks)
+        result = fn()
     finally:
         sys.settrace(saved)
+    return ops, result
+
+
+def count_bytecodes(system, chunks):
+    """Bytecodes executed per syscall."""
+    fs, fd = _opened(system)
+    ops, syscalls = _bytecodes(lambda: _appends(fs, fd, chunks))
     return ops / syscalls
+
+
+def serve_bytecodes(cfg):
+    """Bytecodes of ``ServeEngine(cfg).run()`` after set-up (machine,
+    file system and preload), with the run's result."""
+    engine = ServeEngine(cfg)
+    built = engine._build()
+    engine._build = lambda: built
+    return _bytecodes(engine.run)
 
 
 @pytest.mark.parametrize("system", sorted(BUDGET))
@@ -110,3 +155,25 @@ def test_append_syscalls_stay_within_budget(system):
     want_calls, want_bytecodes = BUDGET[system]
     assert calls <= want_calls * SLACK, (calls, want_calls)
     assert bytecodes <= want_bytecodes * SLACK, (bytecodes, want_bytecodes)
+
+
+@pytest.mark.parametrize("system", sorted(BUDGET))
+def test_disabled_observer_hook_stays_within_budget(system):
+    chunks = _chunks()
+    _appends(*_opened(system), chunks)
+    hooked = count_bytecodes(system, chunks)
+    with stripped_observer_hook():
+        stripped = count_bytecodes(system, chunks)
+    assert hooked <= stripped * HOOK_BUDGET, (hooked, stripped)
+
+
+def test_telemetry_share_of_the_serve_loop_stays_within_budget():
+    ServeEngine(SERVE_CONFIG).run()  # lazy imports first
+    plain, plain_result = serve_bytecodes(SERVE_CONFIG)
+    telem, telem_result = serve_bytecodes(
+        dataclasses.replace(SERVE_CONFIG, slo=True))
+    # The same simulated run: telemetry observes, it does not steer.
+    assert telem_result.counters == plain_result.counters
+    assert len(telem_result.telemetry.windows) == 10
+    extra = telem - plain
+    assert extra <= TELEMETRY_EXTRA * SLACK, (extra, plain, telem)

@@ -107,13 +107,6 @@ class TestStagingReuse:
         assert fs.fstat(fd).st_size == 200 * 4096
         assert fs.pread(fd, 4096, 150 * 4096) == bytes([150]) * 4096
 
-    def test_no_populate_config_still_correct(self):
-        _, _, fs = make(populate_mappings=False)
-        fd = fs.open("/np", F.O_CREAT | F.O_RDWR)
-        fs.write(fd, b"Q" * 8192)
-        fs.fsync(fd)
-        assert fs.pread(fd, 8192, 0) == b"Q" * 8192
-
 
 class TestMultiInstanceRecovery:
     def test_two_strict_instances_both_replayed(self):

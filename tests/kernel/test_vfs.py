@@ -83,8 +83,9 @@ class TestRouting:
             vfs.mount("relative", other)
 
     def test_relative_path_rejected(self, vfs):
-        with pytest.raises(InvalidArgumentFSError):
-            vfs.resolve("not/absolute")
+        for path in ("not/absolute", ""):
+            with pytest.raises(InvalidArgumentFSError):
+                vfs.resolve(path)
 
     def test_stat_and_namespace_ops(self, vfs):
         vfs.mkdir("/mnt/pmem/d")
@@ -93,3 +94,36 @@ class TestRouting:
         vfs.unlink("/mnt/pmem/d/f")
         vfs.rmdir("/mnt/pmem/d")
         assert not vfs.exists("/mnt/pmem/d")
+
+
+class TestResolveEdges:
+    """Longest-prefix resolution over sentinel file systems."""
+
+    def test_prefix_match_is_by_path_component(self):
+        root, a = object(), object()
+        v = VFS(root)
+        v.mount("/a", a)
+        assert v.resolve("/a") == (a, "/")
+        assert v.resolve("/a/x") == (a, "/x")
+        for path in ("/ab", "/ab/c", "/abc"):
+            assert v.resolve(path) == (root, path)
+
+    def test_trailing_slash_mountpoint(self):
+        root, ab = object(), object()
+        v = VFS(root)
+        v.mount("/a/b/", ab)
+        assert v.mounts() == ["/", "/a/b"]
+        assert v.resolve("/a/b") == (ab, "/")
+        assert v.resolve("/a/b/c/d") == (ab, "/c/d")
+        assert v.resolve("/a/bc") == (root, "/a/bc")
+
+    def test_unmounting_a_nested_mount_routes_back_to_its_parent(self):
+        root, a, ab = object(), object(), object()
+        v = VFS(root)
+        v.mount("/a", a)
+        v.mount("/a/b", ab)
+        assert v.resolve("/a/b/c") == (ab, "/c")
+        v.unmount("/a/b/")
+        assert v.resolve("/a/b/c") == (a, "/b/c")
+        v.unmount("/a")
+        assert v.resolve("/a/b/c") == (root, "/a/b/c")

@@ -55,51 +55,20 @@ class TestHugeEligibility:
 class TestPopulate:
     def test_populate_charges_all_faults_up_front(self, vm):
         before = vm.clock.now_ns
-        vm.mmap_extents([Extent(0, 8)], populate=True)
+        vm.mmap_extents([Extent(0, 8)])
         cost = vm.clock.now_ns - before
         assert cost == pytest.approx(C.VMA_SETUP_NS + 8 * C.PAGE_FAULT_4K_NS)
 
-    def test_lazy_mapping_faults_on_access(self, vm):
-        m = vm.mmap_extents([Extent(0, 8)], populate=False)
-        assert vm.stats.faults_4k == 0
-        m.translate(0, 100)
-        assert vm.stats.faults_4k == 1
-        m.translate(0, 100)  # same page: no new fault
-        assert vm.stats.faults_4k == 1
-        m.translate(C.BLOCK_SIZE, 1)
-        assert vm.stats.faults_4k == 2
-
     def test_huge_fault_cost_vs_small(self, vm):
         c0 = vm.clock.now_ns
-        vm.mmap_extents([Extent(HUGE_BLOCKS, HUGE_BLOCKS)], populate=True)
+        vm.mmap_extents([Extent(HUGE_BLOCKS, HUGE_BLOCKS)])
         huge_cost = vm.clock.now_ns - c0
         c1 = vm.clock.now_ns
-        vm.mmap_extents([Extent(HUGE_BLOCKS + 1, HUGE_BLOCKS)], populate=True)
+        vm.mmap_extents([Extent(HUGE_BLOCKS + 1, HUGE_BLOCKS)])
         small_cost = vm.clock.now_ns - c1
         # The paper: losing huge pages cost ~50% read performance; here one
         # huge fault must be far cheaper than 512 small faults.
         assert huge_cost * 10 < small_cost
-
-
-class TestTranslate:
-    def test_translation_is_identity_on_device_addresses(self, vm):
-        m = vm.mmap_extents([Extent(10, 4)])
-        [(addr, run)] = m.translate(100, 200)
-        assert addr == 10 * C.BLOCK_SIZE + 100
-        assert run == 200
-
-    def test_translation_across_segments(self, vm):
-        m = vm.mmap_extents([Extent(10, 1), Extent(50, 1)])
-        runs = m.translate(C.BLOCK_SIZE - 10, 20)
-        assert runs == [
-            (10 * C.BLOCK_SIZE + C.BLOCK_SIZE - 10, 10),
-            (50 * C.BLOCK_SIZE, 10),
-        ]
-
-    def test_out_of_range_translation(self, vm):
-        m = vm.mmap_extents([Extent(10, 1)])
-        with pytest.raises(ValueError):
-            m.translate(0, C.BLOCK_SIZE + 1)
 
 
 class TestUnmap:

@@ -1,17 +1,20 @@
-"""Profile runner: exactness vs the untraced benchmarks, outputs, guard."""
+"""Profile runner: exactness vs the untraced benchmarks, outputs, and
+disabled-mode neutrality."""
 
 import json
 
 import pytest
 
 from repro.bench.harness import append_4k_workload
+from repro.obs.export import validate_chrome_trace
 from repro.obs.profile import (
-    overhead_guard,
+    TABLE1_SYSTEMS,
     profile_report,
     results_to_json,
     run_profile,
     write_outputs,
 )
+from tests.reference_impls import stripped_observer_hook
 
 MB = 1 << 20
 
@@ -58,8 +61,6 @@ class TestRunProfile:
         assert "TOTAL" in text
         written = write_outputs(results, str(tmp_path))
         assert len(written) == 2
-        from repro.obs.export import validate_chrome_trace
-
         trace_path = next(p for p in written if p.endswith(".json"))
         with open(trace_path) as fh:
             assert validate_chrome_trace(json.load(fh)) == []
@@ -75,17 +76,11 @@ class TestDisabledModeNeutrality:
         byte-identical output whether the observability hooks are compiled
         in (the default NullObserver path) or stripped back out."""
         from repro.cli import main
-        from repro.obs.profile import _plain_charge, _plain_charge_cpu
-        from repro.pmem.timing import SimClock
 
         assert main(["table1", "--total-mb", "1", "--persistence"]) == 0
         instrumented = capsys.readouterr().out
-        original = SimClock.charge, SimClock.charge_cpu
-        SimClock.charge, SimClock.charge_cpu = _plain_charge, _plain_charge_cpu
-        try:
+        with stripped_observer_hook():
             assert main(["table1", "--total-mb", "1", "--persistence"]) == 0
-        finally:
-            SimClock.charge, SimClock.charge_cpu = original
         stripped = capsys.readouterr().out
         assert instrumented == stripped
 
@@ -99,16 +94,29 @@ class TestDisabledModeNeutrality:
         assert traced.io.fences == plain.io.fences
 
 
-class TestOverheadGuard:
-    def test_guard_passes_and_reports(self):
-        guard = overhead_guard(repeats=1, total_mb=1)
-        for key in ("instrumented_wall_s", "baseline_wall_s",
-                    "overhead_ratio", "limit_wall_s", "ok"):
-            assert key in guard
-        assert guard["ok"] is True
-
-
 class TestProfileCLI:
+    def test_table1_attribution_is_exact_and_traces_are_schema_valid(
+            self, capsys, tmp_path):
+        """Every Table 1 system, traced: the attribution table sums to the
+        simulated total, and every trace file written is schema-valid."""
+        from repro.cli import main
+
+        rc = main(["profile", "--workload", "table1", "--json",
+                   "--out-dir", str(tmp_path), "--total-mb", "1"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["system"] for r in doc["results"]] == list(TABLE1_SYSTEMS)
+        for r in doc["results"]:
+            assert abs(r["residual_ns"]) < 1e-3, r["system"]
+            assert r["attributed_ns"] == pytest.approx(r["total_ns"],
+                                                       abs=1e-3), r["system"]
+            assert r["trace_errors"] == [], r["system"]
+        paths = sorted(tmp_path.glob("trace_*.json"))
+        assert len(paths) == len(TABLE1_SYSTEMS)
+        for path in paths:
+            assert validate_chrome_trace(json.loads(path.read_text())) == [], \
+                path.name
+
     def test_profile_json_mode(self, capsys):
         from repro.cli import main
 

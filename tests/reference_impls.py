@@ -1,14 +1,14 @@
 """Pre-optimization implementations of the simulator's hot paths.
 
-Extent lookup/insert (``ext4/extents.py``), persistence-domain line
-bookkeeping (``pmem/cache.py``) and VFS path resolution (``kernel/vfs.py``)
-run fast paths in production.  The original code they replaced is kept
-here as the oracle they must match bit-for-bit: the property tests drive
-both side by side, and :func:`verify_equivalence` runs the wall-clock
-suite under :func:`reference_mode` too.  Each extent and VFS function
-takes the instance first, so it can be called directly or bound as a
-method; the persistence domain's original is a whole class,
-:class:`LinePersistenceDomain`, one dict entry per dirty line.
+Extent lookup/insert (``ext4/extents.py``) and persistence-domain line
+bookkeeping (``pmem/cache.py``) run fast paths in production.  The
+original code they replaced is kept here as the oracle they must match
+bit-for-bit: the property tests drive both side by side, and
+:func:`verify_equivalence` runs the wall-clock suite under
+:func:`reference_mode` too.  Each extent function takes the instance
+first, so it can be called directly or bound as a method; the persistence
+domain's original is a whole class, :class:`LinePersistenceDomain`, one
+dict entry per dirty line.
 
 The ext4 and NOVA fsck checkers (``ext4/fsck.py``, ``nova/fsck.py``)
 claim blocks by the range (``kernel/claims.py``);
@@ -32,6 +32,12 @@ keeps each file's durable floor as bytes plus a sparse map of extra
 values; :class:`SetShadow` is the bookkeeping it replaced, one
 allowed-value set per floor byte.  Their property tests hold the
 production code to them after every step.
+
+``SimClock.charge`` and ``charge_cpu`` (``pmem/timing.py``) end in the
+observer hook, one ``obs.enabled`` test.  :func:`plain_charge` and
+:func:`plain_charge_cpu` are the same methods without it, and
+:func:`stripped_observer_hook` swaps them in: the disabled-mode tests
+check that the hook changes no output and costs few bytecodes.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from repro.bench.wallclock import WorkloadSpec, run_suite
 from repro.crashmc.oracles import KindProps
 from repro.crashmc.workload import NUM_FILES, Op
 from repro.ext4.extents import ExtentMap, FileExtent
-from repro.kernel.vfs import VFS
 from repro.pmem import constants as C
 from repro.pmem import device
 from repro.pmem.allocator import Extent, ExtentAllocator
@@ -52,8 +57,7 @@ from repro.pmem.cache import CrashPolicy, DomainObserver
 from repro.pmem.constants import CACHELINE_SIZE
 from repro.pmem.cow import CowBuffer
 from repro.pmem.faults import MediaError
-from repro.posix.api import FileSystemAPI
-from repro.posix.errors import InvalidArgumentFSError
+from repro.pmem.timing import CPU, DATA, META_IO, SimClock
 
 # -- ext4 extent map: linear scans ---------------------------------------------
 
@@ -367,22 +371,6 @@ class ListPoison:
         self.poison_cleared_by_write += 1
 
 
-# -- VFS: uncached longest-prefix resolution -----------------------------------
-
-
-def vfs_resolve(self: VFS, path: str) -> Tuple[FileSystemAPI, str]:
-    if not path.startswith("/"):
-        raise InvalidArgumentFSError(f"path must be absolute: {path!r}")
-    best = "/"
-    for mp in self._mounts:
-        if mp != "/" and (path == mp or path.startswith(mp + "/")):
-            if len(mp) > len(best):
-                best = mp
-    fs = self._mounts[best]
-    inner = path if best == "/" else path[len(best):] or "/"
-    return fs, inner
-
-
 # -- crashmc shadow: one allowed-value set per durable-floor byte --------------
 
 
@@ -519,6 +507,47 @@ def nova_fsck_claims(claims: Iterable[Claim], data_start: int,
     return errors, len(claimed)
 
 
+# -- SimClock: charges without the observer hook ------------------------------
+
+
+def plain_charge(self: SimClock, ns: float, category=CPU) -> None:
+    """``SimClock.charge`` without the observer hook: the same account
+    and scope updates, no ``obs.enabled`` test."""
+    if ns < 0:
+        raise ValueError(f"negative charge: {ns}")
+    account = self.account
+    if category is DATA:
+        account.data_ns += ns
+    elif category is META_IO:
+        account.meta_io_ns += ns
+    else:
+        account.cpu_ns += ns
+    if self._scopes:
+        for scope in self._scopes:
+            scope.charge(ns, category)
+
+
+def plain_charge_cpu(self: SimClock, ns: float) -> None:
+    """``SimClock.charge_cpu`` without the observer hook."""
+    if ns < 0:
+        raise ValueError(f"negative charge: {ns}")
+    self.account.cpu_ns += ns
+    if self._scopes:
+        for scope in self._scopes:
+            scope.charge(ns, CPU)
+
+
+@contextmanager
+def stripped_observer_hook() -> Iterator[None]:
+    """Run ``SimClock.charge``/``charge_cpu`` without the observer hook."""
+    saved = SimClock.charge, SimClock.charge_cpu
+    SimClock.charge, SimClock.charge_cpu = plain_charge, plain_charge_cpu
+    try:
+        yield
+    finally:
+        SimClock.charge, SimClock.charge_cpu = saved
+
+
 #: (class or module, attribute, reference implementation) for
 #: :func:`reference_mode`.
 SWAPS = (
@@ -529,7 +558,6 @@ SWAPS = (
     (ExtentAllocator, "alloc_at", allocator_alloc_at),
     (ExtentAllocator, "_free_one", allocator_free_one),
     (device, "PersistenceDomain", LinePersistenceDomain),
-    (VFS, "resolve", vfs_resolve),
 )
 
 
@@ -538,9 +566,8 @@ def reference_mode() -> Iterator[None]:
     """Swap in the reference implementations, class-wide.
 
     Affects every instance used inside the ``with`` block: linear extent
-    lookup/insert, per-block hole search, linear free-list scans and
-    uncached VFS path resolution; devices built inside it keep per-line
-    persistence bookkeeping.
+    lookup/insert, per-block hole search and linear free-list scans;
+    devices built inside it keep per-line persistence bookkeeping.
     """
     saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in SWAPS]
     try:
