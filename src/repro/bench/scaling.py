@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from ..factory import SYSTEM_NAMES, make_filesystem
+from ..pmem.devmodel import model_label
 from ..posix import flags as F
 from .report import render_table
 
@@ -120,10 +121,7 @@ def run_point(system: str, cpus: int, clients: int = DEFAULT_CLIENTS,
         lock_wait_ns=collected.get("sched.lock.wait_ns", 0.0),
         lock_contended=int(collected.get("sched.lock.contended", 0)),
         context_switches=int(collected.get("sched.cpu.context_switches", 0)),
-        device=(("" if device_profile is None and not numa_remote else
-                 (getattr(device_profile, "name", None)
-                  or device_profile or "optane")
-                 + ("+numa" if numa_remote else ""))),
+        device=model_label(device_profile, numa_remote),
     )
 
 

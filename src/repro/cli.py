@@ -25,7 +25,7 @@ from .bench import (
 from .bench.report import render_persistence_summary, render_table
 from .factory import GUARANTEE_GROUPS, SYSTEM_NAMES
 from .pmem.constants import PM_WRITE_4K_NS
-from .pmem.devmodel import PROFILE_NAMES
+from .pmem.devmodel import PROFILE_NAMES, model_label
 
 
 def cmd_systems(_args: argparse.Namespace) -> int:
@@ -59,9 +59,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     title = "Table 1: 4K append software overhead (671 ns = raw PM write)"
     # Annotate only when a device model is on: the default invocation must
     # stay byte-identical to the committed golden.
-    if args.device_profile is not None or args.numa_remote:
-        label = (args.device_profile or "optane") + (
-            "+numa" if args.numa_remote else "")
+    label = model_label(args.device_profile, args.numa_remote)
+    if label:
         title += f" [device model {label}]"
     print(render_table(
         title,

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 from ..ext4.filesystem import Ext4DaxFS, ROOT_INO
 from ..kernel.machine import Machine
 from ..pmem import constants as C
-from ..pmem.timing import Category
 from ..posix import flags as F
 from .oplog import (
     OP_CREATE,
@@ -133,14 +132,9 @@ def _replay_data(kfs: Ext4DaxFS, e: DataEntry, ino_map: Dict[int, int],
         # The staged range was already relinked away (hole): nothing to do.
         report.data_entries_skipped += 1
         return
-    data = bytearray()
-    for addr, run in staging.extmap.map_byte_range(e.staging_off, e.size):
-        if addr is None:
-            data.extend(b"\x00" * run)
-        else:
-            data.extend(kfs.pm.load(addr, run, category=Category.DATA))
+    data = kfs._load_range(staging, e.staging_off, e.size, False)
     kfs._ensure_blocks(target, e.target_off, e.size)
-    kfs._store_range(target, e.target_off, bytes(data))
+    kfs._store_range(target, e.target_off, data)
     if e.target_off + e.size > target.size:
         target.size = e.target_off + e.size
     kfs._journal_inode(target)

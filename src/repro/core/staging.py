@@ -97,13 +97,7 @@ class StagingManager:
         clock = self.kfs.clock
         with clock.measure() as acct:
             self.files.append(self._create_file())
-        # Transfer the charges to the background account.
-        clock.account.data_ns -= acct.data_ns
-        clock.account.meta_io_ns -= acct.meta_io_ns
-        clock.account.cpu_ns -= acct.cpu_ns
-        self.background_account.data_ns += acct.data_ns
-        self.background_account.meta_io_ns += acct.meta_io_ns
-        self.background_account.cpu_ns += acct.cpu_ns
+        clock.to_background(acct, self.background_account)
         self.background_refills += 1
 
     # -- carving -----------------------------------------------------------------

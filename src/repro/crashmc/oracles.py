@@ -13,8 +13,8 @@ no less (missed bugs):
 ``strict`` (nova-strict, strata, splitfs-strict)
     Every completed op is durable *and* the in-flight op is all-or-nothing.
 
-All kinds must remount/recover without raising, and ext4-backed kinds must
-pass fsck.  Below the strict level a recovered file must hold the durable
+All kinds must remount/recover without raising, and the ext4-backed and
+NOVA kinds must pass their fsck.  Below the strict level a recovered file must hold the durable
 floor and be no longer than the longest image the workload reached.  A
 floor byte may also hold the shadow's extra values for it, so bytes written
 several times since the last barrier do not trip the check.

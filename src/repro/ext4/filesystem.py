@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..journal.jbd2 import Journal, Transaction
-from ..kernel.fsbase import ROOT_INO, FDTable, KernelFS, OpenFile
+from ..kernel.fsbase import ROOT_INO, KernelFS, OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
-from ..pmem.allocator import Extent, ExtentAllocator
-from ..pmem.timing import DATA, META_IO, Category
+from ..pmem.allocator import Extent
+from ..pmem.timing import Category
 from ..posix import flags as F
-from ..posix.api import Stat
 from ..posix.errors import (
     DirectoryNotEmptyFSError,
     FileExistsFSError,
@@ -46,7 +45,7 @@ from ..posix.errors import (
 )
 from .dirent import DirData
 from .inode import (MAX_EXTENTS_PRIMARY, Inode, cont_blocks_needed,
-                    deserialize_inode, free_inode_block, serialize_inode)
+                    free_inode_block, load_inode_table, serialize_inode)
 
 _SB_MAGIC = 0x45585434  # "EXT4"
 # magic, total_blocks, jstart, jblocks, itable_start, max_inodes, data_start,
@@ -68,23 +67,13 @@ class Ext4DaxFS(KernelFS):
     SPAN_PREFIX = "ext4"
 
     def __init__(self, machine: Machine) -> None:
-        self.machine = machine
-        self.pm = machine.pm
-        self.clock = machine.clock
+        super().__init__(machine)
         # Populated by format()/mount():
         self.config = Ext4Config()
-        self.total_blocks = 0
-        self.itable_start = 0
-        self.data_start = 0
         self.journal: Journal = None  # type: ignore[assignment]
-        self.alloc: ExtentAllocator = None  # type: ignore[assignment]
-        self.inodes: Dict[int, Inode] = {}
         self.dirs: Dict[int, DirData] = {}
-        self.free_inos: List[int] = []
-        self.fdt = FDTable()
         self.txn = Transaction()
         self.dirty_data: Dict[int, List[Tuple[int, int]]] = {}
-        self.orphans: Set[int] = set()
         # Freed blocks whose contents may still sit in committed journal
         # transactions (dir data, extent continuation blocks).  They return
         # to the allocator only when the journal region resets — the
@@ -98,8 +87,6 @@ class Ext4DaxFS(KernelFS):
         self.cost_open = C.EXT4_OPEN_CPU_NS
         self.cost_close = C.EXT4_CLOSE_CPU_NS
         self.cost_unlink = C.EXT4_UNLINK_CPU_NS
-        #: First block of the RAS metadata mirror (0 = no mirror on-media).
-        self.ras_replica_start = 0
 
     # ------------------------------------------------------------------
     # format / mount
@@ -121,30 +108,15 @@ class Ext4DaxFS(KernelFS):
         if fs.data_start + 16 > fs.total_blocks:
             raise ValueError("device too small for this Ext4Config")
 
-        fs._init_journal(jstart, fs.config.journal_blocks)
+        fs._open_journal(jstart, fs.config.journal_blocks, fresh=True)
 
-        fs.alloc = ExtentAllocator(
-            fs.total_blocks - fs.data_start, clock=fs.clock, first_block=fs.data_start,
-            faults=machine.faults, lock=machine.lock(f"{fs.SPAN_PREFIX}.alloc"),
-        )
-        if machine.ras is not None:
-            machine.ras.forget_all()
-            if machine.ras.config.replicate:
-                # Carve the metadata mirror out of the data region: one block
-                # for the superblock copy, then the whole inode table.
-                mirror = fs.alloc.alloc(1 + fs.config.max_inodes,
-                                        contiguous=True)[0]
-                fs.ras_replica_start = mirror.start
-        machine.pm.poke(0, fs._pack_sb(jstart))
-        if machine.ras is not None:
-            rs = fs.ras_replica_start
-            machine.ras.protect(
-                0, C.BLOCK_SIZE,
-                replica=rs * C.BLOCK_SIZE if rs else None)
-            machine.ras.protect(
-                fs.itable_start * C.BLOCK_SIZE,
-                fs.config.max_inodes * C.BLOCK_SIZE,
-                replica=(rs + 1) * C.BLOCK_SIZE if rs else None)
+        fs._new_alloc(machine.lock(f"{fs.SPAN_PREFIX}.alloc"))
+        if machine.ras is None:
+            machine.pm.poke(0, fs._pack_sb(jstart, 0))
+        else:
+            fs.ras_replica_start = machine.ras.format_metadata(
+                fs.alloc, fs.itable_start, fs.config.max_inodes,
+                lambda start: fs._pack_sb(jstart, start))
         root = Inode(ino=ROOT_INO, mode=0o755, is_dir=True, nlink=2)
         fs.inodes[ROOT_INO] = root
         fs.dirs[ROOT_INO] = DirData()
@@ -152,7 +124,7 @@ class Ext4DaxFS(KernelFS):
         fs.free_inos = list(range(fs.config.max_inodes - 1, ROOT_INO, -1))
         return fs
 
-    def _pack_sb(self, jstart: int) -> bytes:
+    def _pack_sb(self, jstart: int, ras_replica_start: int) -> bytes:
         return struct.pack(
             _SB_FMT,
             _SB_MAGIC,
@@ -162,7 +134,7 @@ class Ext4DaxFS(KernelFS):
             self.itable_start,
             self.config.max_inodes,
             self.data_start,
-            self.ras_replica_start,
+            ras_replica_start,
         )
 
     @classmethod
@@ -180,92 +152,35 @@ class Ext4DaxFS(KernelFS):
         fs.data_start = data_start
         fs.ras_replica_start = ras_replica_start
         if machine.ras is not None:
-            # Adopt the on-media regions before recovery so poisoned metadata
-            # loads during the scan get repaired from the mirror; checksums
-            # stay stale until the resync below (a rolled-back unfenced store
-            # must not be "repaired" back in from a fresher replica).
-            machine.ras.forget_all()
-            rs = ras_replica_start
-            machine.ras.adopt(
-                0, C.BLOCK_SIZE,
-                replica=rs * C.BLOCK_SIZE if rs else None)
-            machine.ras.adopt(
-                itable_start * C.BLOCK_SIZE, max_inodes * C.BLOCK_SIZE,
-                replica=(rs + 1) * C.BLOCK_SIZE if rs else None)
+            machine.ras.adopt_metadata(ras_replica_start, itable_start,
+                                       max_inodes)
 
-        fs._recover_journal(jstart, jblocks)
+        fs._open_journal(jstart, jblocks, fresh=False)
 
-        fs.alloc = ExtentAllocator(
-            total - data_start, clock=fs.clock, first_block=data_start,
-            faults=machine.faults, lock=machine.lock(f"{fs.SPAN_PREFIX}.alloc"),
-        )
+        fs._new_alloc(machine.lock(f"{fs.SPAN_PREFIX}.alloc"))
         if ras_replica_start:
             fs.alloc.reserve(ras_replica_start, 1 + max_inodes)
 
-        load = machine.pm.load
-
-        def read_cont(block_no: int) -> bytes:
-            return load(block_no * C.BLOCK_SIZE, C.BLOCK_SIZE, category=META_IO)
-
-        # Every slot is loaded and charged; only a slot that is not free
-        # (a free slot is all zeros) is worth deserializing.  The slot loads
-        # and the continuation-block loads between them charge the same
-        # 4 KiB sequential META_IO cost, so the slots can be charged in one
-        # batch.
-        inos = range(max_inodes - 1, 0, -1)
-        slots = machine.pm.load_nonzero(
-            range((itable_start + max_inodes - 1) * C.BLOCK_SIZE,
-                  itable_start * C.BLOCK_SIZE, -C.BLOCK_SIZE),
-            C.BLOCK_SIZE, META_IO)
-        for i, raw in slots:
-            inode = deserialize_inode(raw, read_block=read_cont)
-            if inode is None or inode.nlink == 0:
-                continue
-            fs.inodes[inos[i]] = inode
-            for ext in inode.extmap.physical_extents():
-                fs.alloc.reserve(ext.start, ext.length)
-            for block in inode.cont_blocks:
-                fs.alloc.reserve(block, 1)
-        fs.free_inos = [ino for ino in inos if ino not in fs.inodes]
-        if ROOT_INO not in fs.inodes:
-            raise ValueError("image has no root inode")
-        for ino, inode in fs.inodes.items():
-            if inode.is_dir:
-                blocks = []
-                for bi in range(inode.size // C.BLOCK_SIZE):
-                    phys = inode.extmap.lookup_block(bi)
-                    if phys is None:
-                        blocks.append(b"\x00" * C.BLOCK_SIZE)
-                    else:
-                        blocks.append(
-                            machine.pm.load(
-                                phys * C.BLOCK_SIZE, C.BLOCK_SIZE, category=Category.META_IO
-                            )
-                        )
-                fs.dirs[ino] = DirData.deserialize(blocks)
+        fs.inodes, fs.dirs, fs.free_inos = load_inode_table(
+            machine.pm, itable_start, max_inodes, fs.alloc)
         if machine.ras is not None:
             machine.ras.resync()
         return fs
 
     # -- journal hooks (PMFS overrides these with its undo journal) -----
 
-    def _init_journal(self, jstart: int, jblocks: int) -> None:
+    def _open_journal(self, jstart: int, jblocks: int, fresh: bool) -> None:
+        """Format (``fresh``) or recover the journal region."""
         self._commit_threshold = max(8, jblocks // 8)
         self.journal = Journal(self.pm, jstart, jblocks)
         self.journal.lock = self.machine.lock("jbd2")
-        self.journal.format()
+        if fresh:
+            self.journal.format()
+        else:
+            self.journal.recover()
         self.journal.on_reset = self._flush_quarantine
         # replace=True: a remount builds a fresh Journal on the same
         # machine, and its stats must supersede the pre-crash instance's.
-        self.machine.metrics.register_source("journal.jbd2",
-                                             self.journal.stats, replace=True)
-
-    def _recover_journal(self, jstart: int, jblocks: int) -> None:
-        self._commit_threshold = max(8, jblocks // 8)
-        self.journal = Journal(self.pm, jstart, jblocks)
-        self.journal.lock = self.machine.lock("jbd2")
-        self.journal.recover()
-        self.journal.on_reset = self._flush_quarantine
         self.machine.metrics.register_source("journal.jbd2",
                                              self.journal.stats, replace=True)
 
@@ -353,13 +268,6 @@ class Ext4DaxFS(KernelFS):
             protected += ext.length * C.BLOCK_SIZE
         return protected
 
-    def _file_size(self, ino: int) -> int:
-        return self.inodes[ino].size
-
-    def _is_dir(self, ino: int) -> bool:
-        inode = self.inodes.get(ino)
-        return inode is not None and inode.is_dir
-
     def _dirent(self, dir_ino: int, name: str) -> Optional[int]:
         return self.dirs[dir_ino].lookup(name)
 
@@ -421,76 +329,23 @@ class Ext4DaxFS(KernelFS):
         self._journal_inode_free(ino)
         self.free_inos.append(ino)
 
-    # ------------------------------------------------------------------
-    # block provisioning and raw IO on a file
-    # ------------------------------------------------------------------
-
-    def _ensure_blocks(self, inode: Inode, offset: int, size: int) -> bool:
-        """Allocate (and zero) any holes under ``[offset, offset+size)``;
-        returns whether it allocated."""
-        first = offset // C.BLOCK_SIZE
-        last = (offset + size - 1) // C.BLOCK_SIZE
-        extmap = inode.extmap
-        hole_runs = extmap.holes(first, last + 1)
-        if not hole_runs:
-            return False
-        for logical, nblocks in hole_runs:
-            exts = None
-            if logical == 0 and not extmap.extents:
-                # mballoc-style goal alignment: start a file's data on a
-                # 2 MB boundary when possible, so contiguous growth stays
-                # huge-page eligible.
-                aligned = self.alloc.alloc_aligned(nblocks,
-                                                   C.BLOCKS_PER_HUGE_PAGE)
-                if aligned is not None:
-                    exts = [aligned]
-            elif logical > 0:
-                # Allocation goal: continue right after the previous block.
-                prev = extmap.lookup_block(logical - 1)
-                if prev is not None:
-                    goal = self.alloc.alloc_at(prev + 1, nblocks)
-                    if goal is not None:
-                        exts = [goal]
-            if exts is None:
-                exts = self.alloc.alloc(nblocks)
-            for ext in exts:
-                extmap.insert(logical, ext.start, ext.length)
-                # New blocks are zeroed before exposure (as ext4 does); only
-                # the parts the caller will not overwrite strictly need it,
-                # but charging the full zeroing keeps the model honest.
-                partial_head = logical == first and offset % C.BLOCK_SIZE
-                partial_tail = (
-                    logical + ext.length - 1 == last
-                    and (offset + size) % C.BLOCK_SIZE
-                )
-                if partial_head or partial_tail:
-                    self.pm.store(ext.start * C.BLOCK_SIZE,
-                                  bytes(ext.length * C.BLOCK_SIZE), DATA)
-                logical += ext.length
-        return True
-
-    def _store_range(self, inode: Inode, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset`` over already-provisioned blocks."""
-        pieces = inode.extmap.map_byte_range(offset, len(data))
-        whole = len(pieces) == 1
-        dirty = self.dirty_data.setdefault(inode.ino, [])
-        pos = 0
-        for addr, run in pieces:
-            if addr is None:
-                raise AssertionError("write over unprovisioned hole")
-            self.pm.store(addr, data if whole else data[pos : pos + run], DATA)
-            dirty.append((addr, run))
-            pos += run
-
-    def _load_range(self, inode: Inode, offset: int, size: int, random_access: bool) -> bytes:
-        out = []
-        for addr, run in inode.extmap.map_byte_range(offset, size):
-            if addr is None:
-                out.append(b"\x00" * run)
-            else:
-                out.append(self.pm.load(addr, run, category=Category.DATA,
-                                        random_access=random_access))
-        return b"".join(out)
+    def _alloc_hole(self, extmap, logical: int, nblocks: int) -> List[Extent]:
+        """ext4's allocation goals for a hole ``_ensure_blocks`` fills."""
+        if logical == 0 and not extmap.extents:
+            # mballoc-style goal alignment: start a file's data on a 2 MB
+            # boundary when possible, so contiguous growth stays huge-page
+            # eligible.
+            aligned = self.alloc.alloc_aligned(nblocks, C.BLOCKS_PER_HUGE_PAGE)
+            if aligned is not None:
+                return [aligned]
+        elif logical > 0:
+            # Allocation goal: continue right after the previous block.
+            prev = extmap.lookup_block(logical - 1)
+            if prev is not None:
+                goal = self.alloc.alloc_at(prev + 1, nblocks)
+                if goal is not None:
+                    return [goal]
+        return self.alloc.alloc(nblocks)
 
     # ------------------------------------------------------------------
     # FileSystemAPI: lifecycle
@@ -666,18 +521,7 @@ class Ext4DaxFS(KernelFS):
         self.txn = Transaction()
 
     def _truncate(self, inode: Inode, length: int) -> None:
-        if length < 0:
-            raise InvalidArgumentFSError("negative truncate length")
-        if length < inode.size:
-            keep_blocks = (length + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
-            freed = inode.extmap.truncate_blocks(keep_blocks)
-            if freed:
-                self.alloc.free(freed)
-            # POSIX: if the file grows again, bytes past the truncated EOF
-            # must read zero — scrub the stale tail of the kept partial block.
-            tail = keep_blocks * C.BLOCK_SIZE - length
-            if tail and inode.extmap.lookup_block(length // C.BLOCK_SIZE) is not None:
-                self._store_range(inode, length, b"\x00" * tail)
+        self._shrink_blocks(inode, length)
         inode.size = length
         self._journal_inode(inode)
 
@@ -709,16 +553,6 @@ class Ext4DaxFS(KernelFS):
     # ------------------------------------------------------------------
     # FileSystemAPI: metadata
     # ------------------------------------------------------------------
-
-    def _stat_inode(self, inode: Inode) -> Stat:
-        return Stat(
-            st_ino=inode.ino,
-            st_size=inode.size,
-            st_mode=inode.mode,
-            st_nlink=inode.nlink,
-            st_blocks=inode.blocks,
-            is_dir=inode.is_dir,
-        )
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         self._trap()

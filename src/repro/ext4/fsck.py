@@ -17,28 +17,11 @@ invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Set
+from typing import List, Tuple
 
-from ..kernel.claims import OUTSIDE, BlockClaims
+from ..kernel.claims import OUTSIDE, BlockClaims, FsckReport, walk_namespace
 from ..pmem import constants as C
 from .filesystem import Ext4DaxFS, ROOT_INO
-
-
-@dataclass
-class FsckReport:
-    """Findings of one check run; ``clean`` means no errors."""
-
-    errors: List[str] = field(default_factory=list)
-    inodes_checked: int = 0
-    blocks_claimed: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.errors
-
-    def error(self, message: str) -> None:
-        self.errors.append(message)
 
 
 def _claim(report: FsckReport, claimed: BlockClaims, block: int, length: int,
@@ -101,25 +84,14 @@ def fsck(fs: Ext4DaxFS) -> FsckReport:
     if ROOT_INO not in fs.inodes:
         report.error("no root inode")
         return report
-    reachable: Set[int] = set()
-    stack = [ROOT_INO]
-    while stack:
-        ino = stack.pop()
-        if ino in reachable:
-            report.error(f"directory cycle through ino {ino}")
-            continue
-        reachable.add(ino)
+
+    def dirents(ino: int) -> List[Tuple[str, int]]:
         d = fs.dirs.get(ino)
-        if d is None:
-            continue
-        for name in d.names():
-            child = d.lookup(name)
-            if child not in fs.inodes:
-                report.error(f"dirent {name!r} in ino {ino} -> dead ino {child}")
-            elif fs.inodes[child].is_dir:
-                stack.append(child)
-            else:
-                reachable.add(child)
+        return [] if d is None else [(name, d.lookup(name))
+                                     for name in d.names()]
+
+    reachable, errors = walk_namespace(fs.inodes, dirents)
+    report.errors += errors
     for ino in fs.inodes:
         if ino not in reachable and ino not in fs.orphans:
             report.error(f"ino {ino} is live but unreachable from the root")

@@ -23,6 +23,7 @@ from .core.splitfs import SplitFS, SplitFSConfig
 from .ext4.filesystem import Ext4DaxFS
 from .ext4.fsck import assert_clean
 from .kernel.machine import DEFAULT_PM_SIZE, Machine
+from .nova import fsck as nova_fsck
 from .nova.filesystem import NovaFS
 from .pmfs.filesystem import PmfsFS
 from .posix.api import FileSystemAPI
@@ -33,6 +34,18 @@ def _mount_ext4(machine: Machine) -> FileSystemAPI:
     fs = Ext4DaxFS.mount(machine)
     assert_clean(fs)
     return fs
+
+
+def _nova(strict: bool):
+    """NOVA, strict or relaxed; after a crash its mount replays each
+    inode's log, and the result must pass NOVA's fsck."""
+
+    def mount(machine: Machine) -> FileSystemAPI:
+        fs = NovaFS.mount(machine, strict=strict)
+        nova_fsck.assert_clean(fs)
+        return fs
+
+    return lambda m, _c: NovaFS.format(m, strict=strict), mount
 
 
 def _splitfs(mode: Mode):
@@ -59,10 +72,8 @@ def _splitfs(mode: Mode):
 _KINDS = {
     "ext4dax": (lambda m, _c: Ext4DaxFS.format(m), _mount_ext4),
     "pmfs": (lambda m, _c: PmfsFS.format(m), lambda m: PmfsFS.mount(m)),
-    "nova-strict": (lambda m, _c: NovaFS.format(m, strict=True),
-                    lambda m: NovaFS.mount(m, strict=True)),
-    "nova-relaxed": (lambda m, _c: NovaFS.format(m, strict=False),
-                     lambda m: NovaFS.mount(m, strict=False)),
+    "nova-strict": _nova(strict=True),
+    "nova-relaxed": _nova(strict=False),
     "strata": (lambda m, _c: StrataFS.format(m), lambda m: StrataFS.mount(m)),
     "splitfs-posix": _splitfs(Mode.POSIX),
     "splitfs-sync": _splitfs(Mode.SYNC),

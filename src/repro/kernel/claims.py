@@ -1,4 +1,5 @@
-"""Block ownership for the fsck checkers, kept by the range.
+"""What the fsck checkers share: their report, block ownership kept by the
+range, and the namespace walk.
 
 An fsck claims every block an inode's metadata points at and reports each
 block outside the data region and each block claimed twice.
@@ -6,12 +7,35 @@ block outside the data region and each block claimed twice.
 ``(start, end, owner)`` runs, so a claim of an extent costs a bisect and a
 splice however long the extent is, and reports what the per-block loop it
 replaces would have, in the same order.
+
+:func:`walk_namespace` walks the directory tree from the root inode, for
+the checkers and for NOVA's mount, which reclaims what it does not reach.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Hashable, List, Tuple
+from dataclasses import dataclass, field
+from typing import (Any, Callable, Hashable, Iterable, List, Mapping, Set,
+                    Tuple)
+
+from .fsbase import ROOT_INO
+
+
+@dataclass
+class FsckReport:
+    """Findings of one check run; ``clean`` means no errors."""
+
+    errors: List[str] = field(default_factory=list)
+    inodes_checked: int = 0
+    blocks_claimed: int = 0
+
+    @property
+    def clean(self) -> bool:
+        return not self.errors
+
+    def error(self, message: str) -> None:
+        self.errors.append(message)
 
 #: The ``previous`` owner :meth:`BlockClaims.claim` reports for a block
 #: outside the data region.
@@ -64,3 +88,33 @@ class BlockClaims:
             self._blocks += hi - lo
         found.extend((b, OUTSIDE) for b in range(max(start, self.end), stop))
         return found
+
+
+def walk_namespace(inodes: Mapping[int, Any],
+                   dirents: Callable[[int], Iterable[Tuple[str, int]]],
+                   ) -> Tuple[Set[int], List[str]]:
+    """Walk the directory tree from the root inode, which must be live.
+
+    ``inodes`` maps each live inode to an object with ``is_dir``, and
+    ``dirents(ino)`` lists directory ``ino``'s ``(name, child)`` entries.
+    Returns the inodes reached and, in walk order, an error for each
+    directory reached twice (a cycle) and each entry naming a dead inode.
+    """
+    reachable: Set[int] = set()
+    errors: List[str] = []
+    stack = [ROOT_INO]
+    while stack:
+        ino = stack.pop()
+        if ino in reachable:
+            errors.append(f"directory cycle through ino {ino}")
+            continue
+        reachable.add(ino)
+        for name, child in dirents(ino):
+            if child not in inodes:
+                errors.append(
+                    f"dirent {name!r} in ino {ino} -> dead ino {child}")
+            elif inodes[child].is_dir:
+                stack.append(child)
+            else:
+                reachable.add(child)
+    return reachable, errors

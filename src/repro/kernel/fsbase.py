@@ -9,8 +9,18 @@ and :class:`KernelFS`, the one base those four systems derive from.
 ``write``, ``pwrite``, ``lseek``; ``ftruncate``, ``stat`` and ``fstat``
 for the systems whose calls trap) and the path walk (``_resolve``,
 ``_resolve_parent`` from :data:`ROOT_INO`).  A system supplies its data
-path (``_do_read``, ``_do_write``) and three lookups: a file's size, whether
-an inode is a directory, and one directory entry.
+path (``_do_read``, ``_do_write``) and its directory lookup (``_dirent``);
+a file's size, whether an inode is a directory and its ``stat`` come from
+the inode unless the system overrides them (Strata does).
+
+It also holds the state every system keeps (inodes, free inode numbers,
+orphans, the data-region allocator) and the block plumbing under the data
+paths, for any inode with an ``extmap``: filling the holes a write covers
+(``_ensure_blocks``), and storing and loading over mapped ranges
+(``_store_range``, ``_load_range``).  The systems differ there only where
+their mechanisms do: ext4 picks allocation goals (``_alloc_hole``) and
+records the pieces its fsync writes back (``dirty_data``), and NOVA logs
+each new extent (``_log_fresh_extent``).
 
 Two implementations keep their own copies on purpose: the difftest
 ``OracleFS`` is the reference the fuzzer compares these systems against,
@@ -22,10 +32,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..pmem import constants as C
-from ..pmem.timing import SimClock
+from ..pmem.allocator import Extent, ExtentAllocator
+from ..pmem.timing import DATA, SimClock
 from ..posix import flags as F
 from ..posix.api import FileSystemAPI, Stat, split_path
 from ..posix.errors import (
@@ -132,8 +143,39 @@ class KernelFS(FileSystemAPI, KernelCosts):
     ``__dict__``, so the syscalls defined here are wrapped here.
     """
 
-    fdt: FDTable
-    inodes: Dict[int, object]
+    #: ext4 keeps each file's stored ``(addr, length)`` pieces here until
+    #: its fsync writes them back; None where every write is synchronous.
+    dirty_data: Optional[Dict[int, List[Tuple[int, int]]]] = None
+    #: NOVA logs each fresh extent :meth:`_ensure_blocks` maps, as
+    #: ``_log_fresh_extent(inode, logical, ext)``; None where nothing is.
+    _log_fresh_extent = None
+
+    def __init__(self, machine) -> None:
+        self.machine = machine
+        self.pm = machine.pm
+        self.clock: SimClock = machine.clock
+        # Populated by format()/mount():
+        self.total_blocks = 0
+        self.itable_start = 0
+        self.data_start = 0
+        self.alloc: ExtentAllocator = None  # type: ignore[assignment]
+        self.inodes: Dict[int, Any] = {}
+        self.free_inos: List[int] = []
+        self.fdt = FDTable()
+        #: Inodes whose last name is gone but which still have open
+        #: descriptors (POSIX orphan semantics), released at the last close.
+        self.orphans: Set[int] = set()
+        #: First block of the RAS metadata mirror of ext4 and NOVA (0 = no
+        #: mirror on-media).
+        self.ras_replica_start = 0
+
+    def _new_alloc(self, lock) -> None:
+        """Give the data region an allocator with every block free; a
+        mount then reserves what its metadata shows in use."""
+        self.alloc = ExtentAllocator(
+            self.total_blocks - self.data_start, clock=self.clock,
+            first_block=self.data_start, faults=self.machine.faults,
+            lock=lock)
 
     # -- what each file system supplies ------------------------------------
 
@@ -145,17 +187,100 @@ class KernelFS(FileSystemAPI, KernelCosts):
     def _do_write(self, of: OpenFile, data: bytes, offset: int) -> int:
         """Write ``data`` to ``of``'s file at ``offset``."""
 
-    @abc.abstractmethod
     def _file_size(self, ino: int) -> int:
         """The size of file ``ino`` in bytes."""
+        return self.inodes[ino].size
 
-    @abc.abstractmethod
     def _is_dir(self, ino: int) -> bool:
         """Whether ``ino`` is a live directory."""
+        inode = self.inodes.get(ino)
+        return inode is not None and inode.is_dir
+
+    def _stat_inode(self, inode) -> Stat:
+        return Stat(st_ino=inode.ino, st_size=inode.size, st_mode=inode.mode,
+                    st_nlink=inode.nlink, st_blocks=inode.extmap.blocks_used,
+                    is_dir=inode.is_dir)
 
     @abc.abstractmethod
     def _dirent(self, dir_ino: int, name: str) -> Optional[int]:
         """The inode ``name`` names in directory ``dir_ino``, if any."""
+
+    # -- a file's blocks -----------------------------------------------------
+
+    def _alloc_hole(self, extmap, logical: int, nblocks: int) -> List[Extent]:
+        """Blocks for the ``nblocks``-block hole at ``logical`` of ``extmap``."""
+        return self.alloc.alloc(nblocks)
+
+    def _ensure_blocks(self, inode, offset: int, size: int) -> bool:
+        """Map every hole under ``[offset, offset+size)`` to new blocks;
+        returns whether there was one.
+
+        Each new extent is mapped, then zeroed if the range covers it only
+        partly (so no stale bytes show through the rest), then logged.
+        """
+        first = offset // C.BLOCK_SIZE
+        last = (offset + size - 1) // C.BLOCK_SIZE
+        extmap = inode.extmap
+        holes = extmap.holes(first, last + 1)
+        if not holes:
+            return False
+        head = offset % C.BLOCK_SIZE
+        tail = (offset + size) % C.BLOCK_SIZE
+        log = self._log_fresh_extent
+        for logical, nblocks in holes:
+            for ext in self._alloc_hole(extmap, logical, nblocks):
+                extmap.insert(logical, ext.start, ext.length)
+                if ((head and logical == first)
+                        or (tail and logical + ext.length - 1 == last)):
+                    self.pm.store(ext.start * C.BLOCK_SIZE,
+                                  bytes(ext.length * C.BLOCK_SIZE), DATA)
+                if log is not None:
+                    log(inode, logical, ext)
+                logical += ext.length
+        return True
+
+    def _store_range(self, inode, offset: int, data: bytes) -> None:
+        """Write ``data`` at ``offset`` over already-mapped blocks."""
+        pieces = inode.extmap.map_byte_range(offset, len(data))
+        whole = len(pieces) == 1
+        pos = 0
+        for addr, run in pieces:
+            if addr is None:
+                raise AssertionError("write over unprovisioned hole")
+            self.pm.store(addr, data if whole else data[pos : pos + run], DATA)
+            pos += run
+        if self.dirty_data is not None:
+            self.dirty_data.setdefault(inode.ino, []).extend(pieces)
+
+    def _shrink_blocks(self, inode, length: int) -> bool:
+        """Free the blocks past ``length`` and zero the rest of the last one
+        kept (bytes past EOF read zero if the file grows again); returns
+        whether it stored zeros.  Setting the size is the caller's."""
+        if length < 0:
+            raise InvalidArgumentFSError("negative truncate length")
+        if length >= inode.size:
+            return False
+        keep = (length + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
+        freed = inode.extmap.truncate_blocks(keep)
+        if freed:
+            self.alloc.free(freed)
+        tail = keep * C.BLOCK_SIZE - length
+        if not tail or inode.extmap.lookup_block(length // C.BLOCK_SIZE) is None:
+            return False
+        self._store_range(inode, length, b"\x00" * tail)
+        return True
+
+    def _load_range(self, inode, offset: int, size: int,
+                    random_access: bool) -> bytes:
+        """Read ``size`` bytes at ``offset``; a hole reads as zeros."""
+        out = []
+        for addr, run in inode.extmap.map_byte_range(offset, size):
+            if addr is None:
+                out.append(b"\x00" * run)
+            else:
+                out.append(self.pm.load(addr, run, category=DATA,
+                                        random_access=random_access))
+        return b"".join(out)
 
     # -- descriptors ---------------------------------------------------------
 
@@ -197,8 +322,8 @@ class KernelFS(FileSystemAPI, KernelCosts):
         return of.offset
 
     # These three trap and go through each system's ``_truncate(inode,
-    # length)`` and ``_stat_inode(inode)``.  Strata, whose calls stay in
-    # user space, overrides all three.
+    # length)`` and :meth:`_stat_inode`.  Strata, whose calls stay in user
+    # space, overrides all three.
 
     def ftruncate(self, fd: int, length: int) -> None:
         self._trap()

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from ..kernel.fsbase import ROOT_INO, FDTable, KernelFS, OpenFile
+from ..kernel.claims import walk_namespace
+from ..kernel.fsbase import ROOT_INO, KernelFS, OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
-from ..pmem.allocator import Extent, ExtentAllocator
+from ..pmem.allocator import Extent
 from ..pmem.timing import Category
 from ..posix import flags as F
-from ..posix.api import Stat
 from ..posix.errors import (
     DirectoryNotEmptyFSError,
     FileExistsFSError,
@@ -89,19 +89,9 @@ class NovaFS(KernelFS):
     SPAN_PREFIX = "nova"
 
     def __init__(self, machine: Machine, strict: bool = True) -> None:
-        self.machine = machine
-        self.pm = machine.pm
-        self.clock = machine.clock
+        super().__init__(machine)
         self.strict = strict
         self.config = NovaConfig()
-        self.total_blocks = 0
-        self.itable_start = 0
-        self.data_start = 0
-        self.alloc: ExtentAllocator = None  # type: ignore[assignment]
-        self.inodes: Dict[int, NovaInode] = {}
-        self.free_inos: List[int] = []
-        self.fdt = FDTable()
-        self.orphans: Set[int] = set()
 
     # ------------------------------------------------------------------
     # format / mount
@@ -117,29 +107,19 @@ class NovaFS(KernelFS):
         fs.itable_start = 1
         itable_blocks = (fs.config.max_inodes + _RECS_PER_BLOCK - 1) // _RECS_PER_BLOCK
         fs.data_start = fs.itable_start + itable_blocks
-        fs.alloc = ExtentAllocator(
-            fs.total_blocks - fs.data_start, clock=fs.clock, first_block=fs.data_start,
-            faults=machine.faults, lock=machine.sharded_lock("nova.alloc", by="cpu"),
-        )
-        ras_replica_start = 0
-        if machine.ras is not None:
-            machine.ras.forget_all()
-            if machine.ras.config.replicate:
-                mirror = fs.alloc.alloc(1 + itable_blocks, contiguous=True)[0]
-                ras_replica_start = mirror.start
-        sb = struct.pack(
-            _SB_FMT, _SB_MAGIC, fs.total_blocks, fs.itable_start,
-            fs.config.max_inodes, fs.data_start, ras_replica_start,
-        )
-        machine.pm.poke(0, sb)
-        if machine.ras is not None:
-            rs = ras_replica_start
-            machine.ras.protect(
-                0, C.BLOCK_SIZE,
-                replica=rs * C.BLOCK_SIZE if rs else None)
-            machine.ras.protect(
-                fs.itable_start * C.BLOCK_SIZE, itable_blocks * C.BLOCK_SIZE,
-                replica=(rs + 1) * C.BLOCK_SIZE if rs else None)
+        fs._new_alloc(machine.sharded_lock("nova.alloc", by="cpu"))
+
+        def superblock(ras_replica_start: int) -> bytes:
+            return struct.pack(
+                _SB_FMT, _SB_MAGIC, fs.total_blocks, fs.itable_start,
+                fs.config.max_inodes, fs.data_start, ras_replica_start,
+            )
+
+        if machine.ras is None:
+            machine.pm.poke(0, superblock(0))
+        else:
+            fs.ras_replica_start = machine.ras.format_metadata(
+                fs.alloc, fs.itable_start, itable_blocks, superblock)
         root = NovaInode(ino=ROOT_INO, mode=0o755, is_dir=True, nlink=2)
         fs.inodes[ROOT_INO] = root
         machine.pm.poke(fs._rec_addr(ROOT_INO), fs._encode_record(root))
@@ -158,39 +138,25 @@ class NovaFS(KernelFS):
         fs.total_blocks = total
         fs.itable_start = itable_start
         fs.data_start = data_start
+        fs.ras_replica_start = ras_replica_start
         itable_blocks = data_start - itable_start
         if machine.ras is not None:
-            machine.ras.forget_all()
-            rs = ras_replica_start
-            machine.ras.adopt(
-                0, C.BLOCK_SIZE,
-                replica=rs * C.BLOCK_SIZE if rs else None)
-            machine.ras.adopt(
-                itable_start * C.BLOCK_SIZE, itable_blocks * C.BLOCK_SIZE,
-                replica=(rs + 1) * C.BLOCK_SIZE if rs else None)
-        fs.alloc = ExtentAllocator(
-            total - data_start, clock=fs.clock, first_block=data_start,
-            faults=machine.faults, lock=machine.sharded_lock("nova.alloc", by="cpu"),
-        )
+            machine.ras.adopt_metadata(ras_replica_start, itable_start,
+                                       itable_blocks)
+        fs._new_alloc(machine.sharded_lock("nova.alloc", by="cpu"))
         if ras_replica_start:
             fs.alloc.reserve(ras_replica_start, 1 + itable_blocks)
-        fs.free_inos = []
-        for ino in range(max_inodes - 1, 0, -1):
+        inos = range(max_inodes - 1, 0, -1)
+        for ino in inos:
             inode = fs._decode_record(
                 machine.pm.load(fs._rec_addr(ino), _REC_SIZE, category=Category.META_IO)
             )
             if inode is None or inode.nlink == 0:
-                fs.free_inos.append(ino)
                 continue
             fs._replay_log(inode)
             fs.inodes[ino] = inode
         if ROOT_INO not in fs.inodes:
             raise ValueError("image has no NOVA root inode")
-        for inode in fs.inodes.values():
-            for ext in inode.extmap.physical_extents():
-                fs.alloc.reserve(ext.start, ext.length)
-            for page in inode.log_pages:
-                fs.alloc.reserve(page, 1)
         # Drop dirents pointing at dead inodes (unlink persisted nlink=0
         # before the dirent-removal entry reached the log).
         for inode in fs.inodes.values():
@@ -198,9 +164,31 @@ class NovaFS(KernelFS):
                 inode.entries = {
                     n: i for n, i in inode.entries.items() if i in fs.inodes
                 }
+        fs._reclaim_unreachable()
+        fs.free_inos = [ino for ino in inos if ino not in fs.inodes]
+        for inode in fs.inodes.values():
+            for ext in inode.extmap.physical_extents():
+                fs.alloc.reserve(ext.start, ext.length)
+            for page in inode.log_pages:
+                fs.alloc.reserve(page, 1)
         if machine.ras is not None:
             machine.ras.resync()
         return fs
+
+    def _reclaim_unreachable(self) -> None:
+        """Free, at mount, every live inode that no directory reaches.
+
+        A create persists the new inode's record before the parent's dirent
+        reaches the log, so a crash between the two leaves a live inode
+        that nothing names.  Each one's record is persisted free before the
+        mount hands its data blocks and log pages back to the allocator, so
+        a later mount cannot replay a log whose pages were reused.
+        """
+        reachable, _ = walk_namespace(self.inodes, self._dir_entries)
+        for ino in [ino for ino in self.inodes if ino not in reachable]:
+            inode = self.inodes.pop(ino)
+            inode.nlink = 0
+            self._persist_record(inode)
 
     # ------------------------------------------------------------------
     # inode records
@@ -389,15 +377,15 @@ class NovaFS(KernelFS):
     # namespace helpers
     # ------------------------------------------------------------------
 
-    def _file_size(self, ino: int) -> int:
-        return self.inodes[ino].size
-
-    def _is_dir(self, ino: int) -> bool:
-        inode = self.inodes.get(ino)
-        return inode is not None and inode.is_dir
-
     def _dirent(self, dir_ino: int, name: str) -> Optional[int]:
         return self.inodes[dir_ino].entries.get(name)
+
+    def _dir_entries(self, ino: int):
+        """Directory ``ino``'s ``(name, child)`` entries; none for a file."""
+        inode = self.inodes.get(ino)
+        if inode is None or not inode.is_dir:
+            return ()
+        return inode.entries.items()
 
     def _new_inode(self, is_dir: bool, mode: int) -> NovaInode:
         if not self.free_inos:
@@ -529,15 +517,9 @@ class NovaFS(KernelFS):
         npages = (count + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
         self.clock.charge_cpu(npages * C.EXT4_READ_PER_PAGE_CPU_NS * 0.7)
         random_access = offset != getattr(of, "last_read_end", None)
-        out = []
-        for addr, run in inode.extmap.map_byte_range(offset, count):
-            if addr is None:
-                out.append(b"\x00" * run)
-            else:
-                out.append(self.pm.load(addr, run, category=Category.DATA,
-                                        random_access=random_access))
+        data = self._load_range(inode, offset, count, random_access)
         of.last_read_end = offset + count  # type: ignore[attr-defined]
-        return b"".join(out)
+        return data
 
     def _do_write(self, of: OpenFile, data: bytes, offset: int) -> int:
         self._trap()
@@ -567,7 +549,8 @@ class NovaFS(KernelFS):
         tail_end = (last + 1) * C.BLOCK_SIZE
         buf = bytearray(nblocks * C.BLOCK_SIZE)
         if head_pad or tail_end > end:
-            old = self._read_raw(inode, first * C.BLOCK_SIZE, nblocks * C.BLOCK_SIZE)
+            old = self._load_range(inode, first * C.BLOCK_SIZE,
+                                   nblocks * C.BLOCK_SIZE, False)
             buf[:] = old
         buf[head_pad : head_pad + len(data)] = data
         new_size = max(inode.size, end)
@@ -597,58 +580,20 @@ class NovaFS(KernelFS):
 
     def _write_inplace(self, inode: NovaInode, offset: int, data: bytes) -> None:
         """NOVA-relaxed: update existing blocks in place; log only new ones."""
-        end = offset + len(data)
-        first = offset // C.BLOCK_SIZE
-        last = (end - 1) // C.BLOCK_SIZE
-        new_size = max(inode.size, end)
+        new_size = max(inode.size, offset + len(data))
         size_grew = new_size != inode.size
         inode.size = new_size  # before logging: the tail persist carries size
-        # Allocate holes, logging a WRITE entry per new extent.
-        logged = False
-        lb = first
-        while lb <= last:
-            if inode.extmap.lookup_block(lb) is not None:
-                lb += 1
-                continue
-            run_start = lb
-            while lb <= last and inode.extmap.lookup_block(lb) is None:
-                lb += 1
-            for ext in self.alloc.alloc(lb - run_start):
-                inode.extmap.insert(run_start, ext.start, ext.length)
-                # Freshly exposed blocks must not leak stale contents when
-                # the write only partially covers them.
-                partially_covered = (
-                    (run_start == first and offset % C.BLOCK_SIZE)
-                    or (run_start + ext.length - 1 >= last and end % C.BLOCK_SIZE)
-                )
-                if partially_covered:
-                    self.pm.store(ext.start * C.BLOCK_SIZE,
-                                  b"\x00" * (ext.length * C.BLOCK_SIZE),
-                                  category=Category.DATA)
-                self._log_append(
-                    inode,
-                    L.WriteEntry(inode.ino, run_start, ext.length, ext.start, new_size),
-                )
-                run_start += ext.length
-                logged = True
-        pos = 0
-        for addr, run in inode.extmap.map_byte_range(offset, len(data)):
-            if addr is None:
-                raise AssertionError("hole after allocation")
-            self.pm.store(addr, data[pos : pos + run], category=Category.DATA)
-            pos += run
+        logged = self._ensure_blocks(inode, offset, len(data))
+        self._store_range(inode, offset, data)
         self.pm.sfence(category=Category.META_IO)  # synchronous semantics
         if size_grew and not logged:
             self._log_append(inode, L.SetattrEntry(inode.ino, new_size))
 
-    def _read_raw(self, inode: NovaInode, offset: int, size: int) -> bytes:
-        out = []
-        for addr, run in inode.extmap.map_byte_range(offset, size):
-            if addr is None:
-                out.append(b"\x00" * run)
-            else:
-                out.append(self.pm.load(addr, run, category=Category.DATA))
-        return b"".join(out)
+    def _log_fresh_extent(self, inode: NovaInode, logical: int,
+                          ext: Extent) -> None:
+        """One WRITE entry per new extent of an in-place write."""
+        self._log_append(inode, L.WriteEntry(inode.ino, logical, ext.length,
+                                             ext.start, inode.size))
 
     def fsync(self, fd: int) -> None:
         # Everything is synchronous in NOVA: fsync only pays the trap.
@@ -656,39 +601,16 @@ class NovaFS(KernelFS):
         self.fdt.get(fd)
 
     def _truncate(self, inode: NovaInode, length: int) -> None:
-        if length < 0:
-            raise InvalidArgumentFSError("negative truncate length")
-        if length < inode.size:
-            keep = (length + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE
-            freed = inode.extmap.truncate_blocks(keep)
-            if freed:
-                self.alloc.free(freed)
-            # POSIX: if the file grows again, bytes past the truncated EOF
-            # must read zero — scrub the stale tail of the kept partial
-            # block.  Fenced before the setattr entry is logged, so the
-            # zeros are durable whenever the shrink is.
-            tail = keep * C.BLOCK_SIZE - length
-            if tail:
-                phys = inode.extmap.lookup_block(length // C.BLOCK_SIZE)
-                if phys is not None:
-                    self.pm.store(
-                        phys * C.BLOCK_SIZE + length % C.BLOCK_SIZE,
-                        b"\x00" * tail, category=Category.DATA,
-                    )
-                    self.pm.sfence(category=Category.META_IO)
+        if self._shrink_blocks(inode, length):
+            # The zeros are fenced before the setattr entry is logged, so
+            # they are durable whenever the shrink is.
+            self.pm.sfence(category=Category.META_IO)
         inode.size = length
         self._log_append(inode, L.SetattrEntry(inode.ino, length))
 
     # ------------------------------------------------------------------
     # FileSystemAPI: metadata
     # ------------------------------------------------------------------
-
-    def _stat_inode(self, inode: NovaInode) -> Stat:
-        return Stat(
-            st_ino=inode.ino, st_size=inode.size, st_mode=inode.mode,
-            st_nlink=inode.nlink, st_blocks=inode.extmap.blocks_used,
-            is_dir=inode.is_dir,
-        )
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         self._trap()

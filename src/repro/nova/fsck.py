@@ -5,32 +5,17 @@ Invariants checked on a mounted instance:
 * data extents and log pages lie inside the data region, no block is owned
   twice (data vs. data, log vs. log, or across inodes);
 * every directory entry points to a live inode; live inodes are reachable;
-* block accounting partitions the data region between claims and free space.
+* block accounting partitions the data region between claims, free space
+  and the RAS metadata mirror.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
-from ..kernel.claims import OUTSIDE, BlockClaims
+from ..kernel.claims import OUTSIDE, BlockClaims, FsckReport, walk_namespace
 from .filesystem import NovaFS, ROOT_INO
 
 
-@dataclass
-class NovaFsckReport:
-    errors: List[str] = field(default_factory=list)
-    inodes_checked: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.errors
-
-    def error(self, message: str) -> None:
-        self.errors.append(message)
-
-
-def _claim(report: NovaFsckReport, claimed: BlockClaims, block: int,
+def _claim(report: FsckReport, claimed: BlockClaims, block: int,
            length: int, what: str) -> None:
     """Give ``length`` blocks from ``block`` to ``what``; any second claim
     of a block is an error."""
@@ -41,8 +26,8 @@ def _claim(report: NovaFsckReport, claimed: BlockClaims, block: int,
             report.error(f"block {b} claimed by {owner} and {what}")
 
 
-def fsck(fs: NovaFS) -> NovaFsckReport:
-    report = NovaFsckReport()
+def fsck(fs: NovaFS) -> FsckReport:
+    report = FsckReport()
     claimed = BlockClaims(fs.data_start, fs.total_blocks)  # block -> what
 
     for ino, inode in fs.inodes.items():
@@ -57,39 +42,28 @@ def fsck(fs: NovaFS) -> NovaFsckReport:
     if ROOT_INO not in fs.inodes:
         report.error("no root inode")
         return report
-    reachable = set()
-    stack = [ROOT_INO]
-    while stack:
-        ino = stack.pop()
-        if ino in reachable:
-            report.error(f"directory cycle through ino {ino}")
-            continue
-        reachable.add(ino)
-        inode = fs.inodes.get(ino)
-        if inode is None or not inode.is_dir:
-            continue
-        for name, child in inode.entries.items():
-            if child not in fs.inodes:
-                report.error(f"dirent {name!r} in ino {ino} -> dead ino {child}")
-            elif fs.inodes[child].is_dir:
-                stack.append(child)
-            else:
-                reachable.add(child)
+    reachable, errors = walk_namespace(fs.inodes, fs._dir_entries)
+    report.errors += errors
     for ino in fs.inodes:
         if ino not in reachable and ino not in fs.orphans:
             report.error(f"ino {ino} live but unreachable")
 
     total_data = fs.total_blocks - fs.data_start
-    accounted = len(claimed) + fs.alloc.free_blocks
+    # The RAS metadata mirror (superblock + inode-table replicas) sits in
+    # the data region but belongs to no inode.
+    ras_mirror = ((1 + fs.data_start - fs.itable_start)
+                  if fs.ras_replica_start else 0)
+    accounted = len(claimed) + fs.alloc.free_blocks + ras_mirror
     if accounted != total_data:
         report.error(
             f"block accounting mismatch: {len(claimed)} claimed + "
-            f"{fs.alloc.free_blocks} free != {total_data}"
+            f"{fs.alloc.free_blocks} free + {ras_mirror} ras-mirror "
+            f"!= {total_data}"
         )
     return report
 
 
-def assert_clean(fs: NovaFS) -> NovaFsckReport:
+def assert_clean(fs: NovaFS) -> FsckReport:
     report = fsck(fs)
     if not report.clean:
         raise AssertionError("nova fsck found errors:\n  "

@@ -209,6 +209,17 @@ def resolve_profile(profile: Union[str, DeviceProfile]) -> DeviceProfile:
         ) from None
 
 
+def model_label(profile: Union[None, str, DeviceProfile],
+                numa_remote: bool) -> str:
+    """How reports name a device model: the profile (``optane`` when only
+    ``numa_remote`` asks for one), then ``+numa`` for remote access; empty
+    without a model, so default reports stay byte-identical."""
+    if profile is None and not numa_remote:
+        return ""
+    return ((getattr(profile, "name", None) or profile or "optane")
+            + ("+numa" if numa_remote else ""))
+
+
 class DeviceModel:
     """One device's calibrated behavior model, attached to a machine.
 

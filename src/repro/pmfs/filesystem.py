@@ -16,7 +16,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ..ext4.filesystem import Ext4Config, Ext4DaxFS
-from ..ext4.inode import Inode, free_inode_block, serialize_inode
 from ..kernel.fsbase import OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
@@ -45,17 +44,17 @@ class PmfsFS(Ext4DaxFS):
 
     # -- journal hooks ------------------------------------------------------
 
-    def _init_journal(self, jstart: int, jblocks: int) -> None:
+    def _open_journal(self, jstart: int, jblocks: int, fresh: bool) -> None:
+        """The undo journal, which is also ``txn``: ext4's metadata writers
+        (``_journal_inode`` and the rest) hand each block to
+        ``txn.add_block``, here an undo-logged update in place."""
         self.journal = None  # type: ignore[assignment]
-        self.undo = UndoJournal(self.pm, jstart, jblocks)
+        self.txn = self.undo = UndoJournal(self.pm, jstart, jblocks)
         self.undo.lock = self.machine.lock("pmfs.journal")
-        self.undo.format()
-
-    def _recover_journal(self, jstart: int, jblocks: int) -> None:
-        self.journal = None  # type: ignore[assignment]
-        self.undo = UndoJournal(self.pm, jstart, jblocks)
-        self.undo.lock = self.machine.lock("pmfs.journal")
-        self.undo.recover()
+        if fresh:
+            self.undo.format()
+        else:
+            self.undo.recover()
 
     # -- metadata persistence: immediate, fine-grained, undo-logged -----------
 
@@ -102,13 +101,6 @@ class PmfsFS(Ext4DaxFS):
         with self._op_tx():
             super().ftruncate(fd, length)
 
-    def _journal_inode(self, inode: Inode) -> None:
-        self._provision_cont_blocks(inode)
-        blocks = serialize_inode(inode)
-        self.undo.apply_update(self._inode_addr(inode.ino), blocks[0])
-        for addr, content in zip(inode.cont_blocks, blocks[1:]):
-            self.undo.apply_update(addr * C.BLOCK_SIZE, content)
-
     def _flush_quarantine(self) -> None:
         pass  # not used: PMFS frees immediately (undo records can't clobber)
 
@@ -119,17 +111,6 @@ class PmfsFS(Ext4DaxFS):
         if self._quarantine:
             self.alloc.free(self._quarantine)
             self._quarantine = []
-
-    def _journal_inode_free(self, ino: int) -> None:
-        self.undo.apply_update(self._inode_addr(ino), free_inode_block())
-
-    def _journal_dir_block(self, dir_ino: int, block_index: int) -> None:
-        inode = self.inodes[dir_ino]
-        phys = inode.extmap.lookup_block(block_index)
-        if phys is None:
-            raise AssertionError("directory block not allocated")
-        data = self.dirs[dir_ino].serialize_block(block_index)
-        self.undo.apply_update(phys * C.BLOCK_SIZE, data)
 
     # -- synchronous data path ----------------------------------------------------
 

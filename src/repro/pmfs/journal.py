@@ -142,6 +142,10 @@ class UndoJournal:
             self._tx_records += len(changed)
         return len(changed)
 
+    #: The metadata sink ext4's writers call on a jbd2 transaction: PMFS
+    #: hands this journal to them as its running ``txn``.
+    add_block = apply_update
+
     # -- recovery ------------------------------------------------------------------
 
     def recover(self) -> int:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import counter_field, reset_counter_fields
 from ..pmem import constants as C
@@ -55,6 +55,7 @@ from ..pmem.faults import MediaError
 from ..pmem.timing import Category, TimeAccount
 
 if TYPE_CHECKING:
+    from ..pmem.allocator import ExtentAllocator
     from ..pmem.device import PersistentMemory
 
 
@@ -196,6 +197,46 @@ class RASController:
                 self.pm.buf[region.replica:region.replica + region.nbytes] = \
                     self.pm.buf[region.primary:region.primary + region.nbytes]
             region.crcs = self._compute_crcs(region)
+
+    # -- a file system's metadata mirror -------------------------------------
+    #
+    # ext4 and NOVA protect their superblock (block 0) and their inode
+    # table.  The mirror is one run of blocks in the data region: the
+    # superblock's copy, then the table's.  Its first block is recorded in
+    # the superblock (0: no mirror), so a mount can adopt it again.
+
+    def format_metadata(self, alloc: "ExtentAllocator", itable: int,
+                        nblocks: int, superblock: Callable[[int], bytes],
+                        ) -> int:
+        """Format: carve the mirror of the superblock and of the
+        ``nblocks``-block inode table at block ``itable`` from ``alloc``
+        (when replicating), write ``superblock(first mirror block)`` to
+        block 0, then protect both regions.  Returns that first block."""
+        self.forget_all()
+        start = (alloc.alloc(1 + nblocks, contiguous=True)[0].start
+                 if self.config.replicate else 0)
+        self.pm.poke(0, superblock(start))
+        self._register_metadata(self.protect, start, itable, nblocks)
+        return start
+
+    def adopt_metadata(self, start: int, itable: int, nblocks: int) -> None:
+        """Mount: :meth:`adopt` the regions :meth:`format_metadata`
+        protected, whose mirror starts at block ``start``.
+
+        Called before recovery, so poisoned metadata loads during the scan
+        are repaired from the mirror; checksums stay stale until
+        :meth:`resync` (a rolled-back unfenced store must not be
+        "repaired" back in from a fresher replica).
+        """
+        self.forget_all()
+        self._register_metadata(self.adopt, start, itable, nblocks)
+
+    def _register_metadata(self, register, start: int, itable: int,
+                           nblocks: int) -> None:
+        register(0, C.BLOCK_SIZE,
+                 replica=start * C.BLOCK_SIZE if start else None)
+        register(itable * C.BLOCK_SIZE, nblocks * C.BLOCK_SIZE,
+                 replica=(start + 1) * C.BLOCK_SIZE if start else None)
 
     def forget_all(self) -> None:
         """Drop every registration (a re-format of the device)."""
@@ -348,12 +389,7 @@ class RASController:
                         self.remapped.append((start, end))
                         self.stats.remapped_extents += 1
                         found += 1
-            clock.account.data_ns -= acct.data_ns
-            clock.account.meta_io_ns -= acct.meta_io_ns
-            clock.account.cpu_ns -= acct.cpu_ns
-            self.background_account.data_ns += acct.data_ns
-            self.background_account.meta_io_ns += acct.meta_io_ns
-            self.background_account.cpu_ns += acct.cpu_ns
+            clock.to_background(acct, self.background_account)
         finally:
             self._in_hook = False
         self.stats.scrub_passes += 1

@@ -15,6 +15,7 @@ from ..bench.report import (
     render_slo_timeline,
     render_table,
 )
+from ..pmem.devmodel import model_label
 from .engine import ServeResult
 
 #: The latency histogram the timeline's p99 column reads.
@@ -26,14 +27,9 @@ EXEMPLAR_REQUESTS = 2
 
 
 def _device_note(cfg) -> str:
-    """The device-model annotation for a config: names the profile (and the
-    NUMA knob) when one is attached, and is empty on the off path so default
-    reports stay byte-identical."""
-    if cfg.device_profile is not None or cfg.numa_remote:
-        name = getattr(cfg.device_profile, "name", None) or (
-            cfg.device_profile if cfg.device_profile is not None else "optane")
-        return f"device model {name}" + ("+numa" if cfg.numa_remote else "")
-    return ""
+    """The device-model annotation for a config ("" on the off path)."""
+    label = model_label(cfg.device_profile, cfg.numa_remote)
+    return f"device model {label}" if label else ""
 
 
 def render_serve_report(result: ServeResult) -> str:

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ext4.dirent import DirData
-from ..ext4.inode import (Inode, cont_blocks_needed, deserialize_inode,
+from ..ext4.inode import (Inode, cont_blocks_needed, load_inode_table,
                           serialize_inode)
-from ..kernel.fsbase import ROOT_INO, FDTable, KernelFS, OpenFile
+from ..kernel.fsbase import ROOT_INO, KernelFS, OpenFile
 from ..kernel.machine import Machine
 from ..pmem import constants as C
-from ..pmem.allocator import ExtentAllocator
+from ..pmem.allocator import Extent
 from ..pmem.timing import Category
 from ..posix import flags as F
 from ..posix.api import Stat
@@ -67,19 +67,11 @@ class StrataFS(KernelFS):
     SPAN_PREFIX = "strata"
 
     def __init__(self, machine: Machine) -> None:
-        self.machine = machine
-        self.pm = machine.pm
-        self.clock = machine.clock
+        super().__init__(machine)
         self.config = StrataConfig()
-        self.total_blocks = 0
         self.log_start = 0
-        self.itable_start = 0
-        self.data_start = 0
-        self.alloc: ExtentAllocator = None  # type: ignore[assignment]
-        # Shared-area state (authoritative after digest):
-        self.inodes: Dict[int, Inode] = {}
+        # Shared-area state (authoritative after digest), with ``inodes``:
         self.dirs: Dict[int, DirData] = {}
-        self.free_inos: List[int] = []
         # Private-log overlay state (DRAM):
         self.overlay: Dict[int, List[Tuple[int, int, int]]] = {}  # ino -> [(off, size, log_addr)]
         self.sizes: Dict[int, int] = {}  # runtime sizes including logged appends
@@ -89,13 +81,9 @@ class StrataFS(KernelFS):
         #: the new tail; replay accepts only records stamped with this
         #: epoch (persisted in the superblock before the log is reused).
         self.log_epoch = 0
-        self.fdt = FDTable()
         self.digests = 0
-        #: Inodes whose last name is gone but which still have open
-        #: descriptors (POSIX orphan semantics); resources are released
-        #: at the last close.  Orphans do not survive a crash: replay
-        #: drops them with the T_UNLINK record.
-        self.orphans: Set[int] = set()
+        # ``orphans`` do not survive a crash: replay drops them with the
+        # T_UNLINK record.
 
     # ------------------------------------------------------------------
     # format / mount
@@ -118,10 +106,7 @@ class StrataFS(KernelFS):
         )
         machine.pm.poke(0, sb)
         machine.pm.poke(fs._log_addr(0), b"\x00" * C.BLOCK_SIZE)
-        fs.alloc = ExtentAllocator(
-            fs.total_blocks - fs.data_start, clock=fs.clock, first_block=fs.data_start,
-            faults=machine.faults, lock=machine.lock("strata.alloc"),
-        )
+        fs._new_alloc(machine.lock("strata.alloc"))
         root = Inode(ino=ROOT_INO, mode=0o755, is_dir=True, nlink=2)
         fs.inodes[ROOT_INO] = root
         fs.dirs[ROOT_INO] = DirData()
@@ -146,42 +131,10 @@ class StrataFS(KernelFS):
         fs.itable_start = itable_start
         hp = C.BLOCKS_PER_HUGE_PAGE
         fs.data_start = (itable_start + max_inodes + hp - 1) // hp * hp
-        fs.alloc = ExtentAllocator(
-            total - fs.data_start, clock=fs.clock, first_block=fs.data_start,
-            faults=machine.faults, lock=machine.lock("strata.alloc"),
-        )
-        fs.free_inos = []
-
-        def read_cont(block_no: int) -> bytes:
-            return machine.pm.load(block_no * C.BLOCK_SIZE, C.BLOCK_SIZE,
-                                   category=Category.META_IO)
-
-        for ino in range(max_inodes - 1, 0, -1):
-            raw = machine.pm.load(fs._inode_addr(ino), C.BLOCK_SIZE,
-                                  category=Category.META_IO)
-            inode = deserialize_inode(raw, read_block=read_cont)
-            if inode is None or inode.nlink == 0:
-                fs.free_inos.append(ino)
-                continue
-            fs.inodes[ino] = inode
-            fs.sizes[ino] = inode.size
-            for ext in inode.extmap.physical_extents():
-                fs.alloc.reserve(ext.start, ext.length)
-            for block in inode.cont_blocks:
-                fs.alloc.reserve(block, 1)
-        if ROOT_INO not in fs.inodes:
-            raise ValueError("image has no Strata root inode")
-        for ino, inode in fs.inodes.items():
-            if inode.is_dir:
-                blocks = []
-                for bi in range(inode.size // C.BLOCK_SIZE):
-                    phys = inode.extmap.lookup_block(bi)
-                    blocks.append(
-                        machine.pm.load(phys * C.BLOCK_SIZE, C.BLOCK_SIZE,
-                                        category=Category.META_IO)
-                        if phys is not None else b"\x00" * C.BLOCK_SIZE
-                    )
-                fs.dirs[ino] = DirData.deserialize(blocks)
+        fs._new_alloc(machine.lock("strata.alloc"))
+        fs.inodes, fs.dirs, fs.free_inos = load_inode_table(
+            machine.pm, itable_start, max_inodes, fs.alloc)
+        fs.sizes = {ino: inode.size for ino, inode in fs.inodes.items()}
         fs._replay_log()
         return fs
 
@@ -340,9 +293,7 @@ class StrataFS(KernelFS):
             if freed:
                 self.alloc.free(freed)
             if inode.cont_blocks:
-                from ..pmem.allocator import Extent as _Extent
-
-                self.alloc.free([_Extent(b, 1) for b in inode.cont_blocks])
+                self.alloc.free([Extent(b, 1) for b in inode.cont_blocks])
         self.overlay.pop(ino, None)
         self.sizes.pop(ino, None)
         self.free_inos.append(ino)
@@ -376,7 +327,8 @@ class StrataFS(KernelFS):
             for off, length, log_addr in pieces:
                 data = self.pm.load(self._log_addr(log_addr), length,
                                     category=Category.DATA)
-                self._shared_write(inode, off, data)
+                self._ensure_blocks(inode, off, length)
+                self._store_range(inode, off, data)
             inode.size = size
             touched.append(ino)
         for ino in touched:
@@ -444,37 +396,6 @@ class StrataFS(KernelFS):
             clipped.append((off, length, addr))
             live = sorted(clipped)
         return live
-
-    def _shared_write(self, inode: Inode, offset: int, data: bytes) -> None:
-        """Write into the shared area, allocating blocks as needed."""
-        end = offset + len(data)
-        first = offset // C.BLOCK_SIZE
-        last = (end - 1) // C.BLOCK_SIZE
-        lb = first
-        while lb <= last:
-            if inode.extmap.lookup_block(lb) is not None:
-                lb += 1
-                continue
-            run_start = lb
-            while lb <= last and inode.extmap.lookup_block(lb) is None:
-                lb += 1
-            for ext in self.alloc.alloc(lb - run_start):
-                inode.extmap.insert(run_start, ext.start, ext.length)
-                # Zero fresh blocks the write only partially covers, so no
-                # stale contents leak into the file.
-                if (run_start == first and offset % C.BLOCK_SIZE) or (
-                    run_start + ext.length - 1 >= last and end % C.BLOCK_SIZE
-                ):
-                    self.pm.store(ext.start * C.BLOCK_SIZE,
-                                  b"\x00" * (ext.length * C.BLOCK_SIZE),
-                                  category=Category.DATA)
-                run_start += ext.length
-        pos = 0
-        for addr, run in inode.extmap.map_byte_range(offset, len(data)):
-            if addr is None:
-                raise AssertionError("hole after allocation")
-            self.pm.store(addr, data[pos : pos + run], category=Category.DATA)
-            pos += run
 
     # ------------------------------------------------------------------
     # helpers
@@ -602,14 +523,7 @@ class StrataFS(KernelFS):
         count = min(count, size - offset)
         inode = self.inodes[ino]
         # Shared-area base...
-        buf = bytearray(count)
-        pos = 0
-        for addr, run in inode.extmap.map_byte_range(offset, count):
-            if addr is not None:
-                buf[pos : pos + run] = self.pm.load(
-                    addr, run, category=Category.DATA
-                )
-            pos += run
+        buf = bytearray(self._load_range(inode, offset, count, False))
         # ...overlaid with logged intervals (search cost per interval).
         intervals = self.overlay.get(ino, [])
         self.clock.charge_cpu(len(intervals) * 20.0)

@@ -3,6 +3,7 @@ check that every fast path is bit-identical to its reference."""
 
 from repro.bench import wallclock as wc
 from repro.ext4.extents import ExtentMap
+from repro.kernel.fsbase import KernelFS
 from repro.pmem import device
 from repro.pmem.cache import PersistenceDomain
 from tests import reference_impls as ref_impl
@@ -18,12 +19,15 @@ SMALL = [
 class TestReferenceMode:
     def test_swaps_and_restores(self):
         fast_lookup = ExtentMap.lookup_block
+        fast_fill = KernelFS._ensure_blocks
         with ref_impl.reference_mode():
             assert ExtentMap.lookup_block is ref_impl.extent_lookup_block
+            assert KernelFS._ensure_blocks is ref_impl.kernel_ensure_blocks
             pm = device.PersistentMemory(1 << 16)
             assert type(pm.domain) is ref_impl.LinePersistenceDomain
             assert type(pm.fork(pm.clock).domain) is type(pm.domain)
         assert ExtentMap.lookup_block is fast_lookup
+        assert KernelFS._ensure_blocks is fast_fill
         assert device.PersistenceDomain is PersistenceDomain
 
     def test_restores_on_exception(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ext4.fsck import FsckReport, _claim as ext4_claim
 from repro.kernel.claims import OUTSIDE, BlockClaims
-from repro.nova.fsck import NovaFsckReport, _claim as nova_claim
+from repro.nova.fsck import _claim as nova_claim
 from tests.reference_impls import ext4_fsck_claims, nova_fsck_claims
 
 DATA_START, TOTAL = 16, 80
@@ -37,7 +37,7 @@ def test_ext4_claims_match_the_per_block_loop(claim_set):
 @settings(max_examples=300, deadline=None)
 @given(claims)
 def test_nova_claims_match_the_per_block_loop(claim_set):
-    report = NovaFsckReport()
+    report = FsckReport()
     claimed = BlockClaims(DATA_START, TOTAL)
     for block, length, ino, what in claim_set:
         nova_claim(report, claimed, block, length, f"ino {ino} {what}")

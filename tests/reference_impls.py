@@ -19,7 +19,11 @@ loops over a dict, which the claim property test holds them to.
 between a file's mapped ranges; :func:`ext4_fallocate` is the version
 that looked up every block of the file.  ``ExtentMap.holes``, which
 ``fallocate`` and the write path's block provisioning use, lists the
-holes in one pass; :func:`extent_holes` looks up every block.
+holes in one pass; :func:`extent_holes` looks up every block.  The write
+path's hole filler, ``KernelFS._ensure_blocks`` (``kernel/fsbase.py``),
+which ext4, NOVA-relaxed and Strata share, finds the holes with
+``ExtentMap.holes``; :func:`kernel_ensure_blocks` is the per-block scan
+NOVA and Strata ran before.
 
 The block allocator (``pmem/allocator.py``) bisects its free list for a
 goal allocation and for a free; :func:`allocator_alloc_at` and
@@ -50,6 +54,7 @@ from repro.bench.wallclock import WorkloadSpec, run_suite
 from repro.crashmc.oracles import KindProps
 from repro.crashmc.workload import NUM_FILES, Op
 from repro.ext4.extents import ExtentMap, FileExtent
+from repro.kernel.fsbase import KernelFS
 from repro.pmem import constants as C
 from repro.pmem import device
 from repro.pmem.allocator import Extent, ExtentAllocator
@@ -462,6 +467,40 @@ def ext4_fallocate(self, fd: int, length: int,
     self._journal_inode(inode)
 
 
+# -- the write path's hole filler: one extent lookup per block -------------------
+
+
+def kernel_ensure_blocks(self, inode, offset: int, size: int) -> bool:
+    end = offset + size
+    first = offset // C.BLOCK_SIZE
+    last = (end - 1) // C.BLOCK_SIZE
+    extmap = inode.extmap
+    log = self._log_fresh_extent
+    allocated = False
+    lb = first
+    while lb <= last:
+        if extmap.lookup_block(lb) is not None:
+            lb += 1
+            continue
+        run_start = lb
+        while lb <= last and extmap.lookup_block(lb) is None:
+            lb += 1
+        for ext in self._alloc_hole(extmap, run_start, lb - run_start):
+            extmap.insert(run_start, ext.start, ext.length)
+            # Fresh blocks the write covers only partly are zeroed first.
+            if (run_start == first and offset % C.BLOCK_SIZE) or (
+                run_start + ext.length - 1 >= last and end % C.BLOCK_SIZE
+            ):
+                self.pm.store(ext.start * C.BLOCK_SIZE,
+                              b"\x00" * (ext.length * C.BLOCK_SIZE),
+                              category=DATA)
+            if log is not None:
+                log(inode, run_start, ext)
+            run_start += ext.length
+            allocated = True
+    return allocated
+
+
 # -- fsck block claims: one dict entry per block --------------------------------
 
 #: A claim as the checkers make it: ``(block, length, ino, what)``.
@@ -555,6 +594,7 @@ SWAPS = (
     (ExtentMap, "map_byte_range", extent_map_byte_range),
     (ExtentMap, "insert", extent_insert),
     (ExtentMap, "holes", extent_holes),
+    (KernelFS, "_ensure_blocks", kernel_ensure_blocks),
     (ExtentAllocator, "alloc_at", allocator_alloc_at),
     (ExtentAllocator, "_free_one", allocator_free_one),
     (device, "PersistenceDomain", LinePersistenceDomain),
@@ -566,7 +606,8 @@ def reference_mode() -> Iterator[None]:
     """Swap in the reference implementations, class-wide.
 
     Affects every instance used inside the ``with`` block: linear extent
-    lookup/insert, per-block hole search and linear free-list scans;
+    lookup/insert, per-block hole search (in ``ExtentMap.holes`` and in
+    the write path's hole filler) and linear free-list scans;
     devices built inside it keep per-line persistence bookkeeping.
     """
     saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in SWAPS]
