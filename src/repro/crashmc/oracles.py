@@ -102,11 +102,22 @@ def _check_file(
     if props.sync_data and props.atomic_ops:
         # Strict: exactly the completed image, or completed + in-flight op.
         if data not in (expected, with_inflight):
-            out.append(
+            message = (
                 f"{path}: state matches neither the completed prefix "
                 f"({len(expected)}B) nor prefix+in-flight op "
                 f"({len(with_inflight)}B); got {len(data)}B"
             )
+            images = {"the completed prefix": expected}
+            if with_inflight != expected:
+                images["prefix+in-flight op"] = with_inflight
+            for name, image in images.items():
+                if len(image) == len(data):
+                    pos = next(p for p in range(len(data))
+                               if data[p] != image[p])
+                    message += (f"; first difference from {name} at byte "
+                                f"{pos}: expected {image[pos]:#04x}, got "
+                                f"{data[pos]:#04x}")
+            out.append(message)
         return out
 
     # Durable floor: never shorter, never corrupted.

@@ -656,6 +656,11 @@ class Ext4DaxFS(KernelFS):
         No kernel-entry charge: this runs inside the relink ioctl batch,
         which already paid the trap; on the common swap path the range is
         already a hole and this is a pure no-op.
+
+        The punched blocks are quarantined, not freed: until the running
+        transaction commits, the durable inode still maps them, so a block
+        handed out again and written before a crash would be replayed as
+        this file's data.
         """
         if size <= 0:
             return
@@ -665,7 +670,7 @@ class Ext4DaxFS(KernelFS):
         nblocks = (offset + size + C.BLOCK_SIZE - 1) // C.BLOCK_SIZE - first
         replaced = inode.extmap.punch(first, nblocks)
         if replaced:
-            self.alloc.free(replaced)
+            self._quarantine.extend(replaced)
             self._journal_inode(inode)
 
     def commit_running_txn(self) -> None:
@@ -717,9 +722,9 @@ class Ext4DaxFS(KernelFS):
         # The MOVE_EXT dance: blocks must exist at the destination before the
         # swap; we account the temporary allocation as CPU work.
         self.clock.charge_cpu(C.ALLOC_CPU_NS)
-        replaced = dst.extmap.punch(dst_first, nblocks)
-        if replaced:
-            self.alloc.free(replaced)
+        # Quarantined like ``punch_hole``'s: the durable destination inode
+        # maps the replaced blocks until the relink commits.
+        self._quarantine.extend(dst.extmap.punch(dst_first, nblocks))
         moved = src.extmap.punch(src_first, nblocks)
         self.clock.charge_cpu(len(moved) * C.RELINK_PER_EXTENT_CPU_NS)
         cursor = dst_first

@@ -217,4 +217,9 @@ def load_inode_table(pm, itable_start: int, max_inodes: int, alloc,
                 bytes(C.BLOCK_SIZE) if phys is None else read_block(phys)
                 for phys in map(inode.extmap.lookup_block,
                                 range(inode.size // C.BLOCK_SIZE))])
-    return inodes, dirs, [ino for ino in inos if ino not in inodes]
+    free = list(inos)
+    # ``free[max_inodes - 1 - ino]`` is ``ino``: deleting the lowest number
+    # first leaves the positions of the higher ones in place.
+    for ino in sorted(inodes):
+        del free[max_inodes - 1 - ino]
+    return inodes, dirs, free

@@ -213,7 +213,9 @@ class ExtentAllocator:
         if length <= 0:
             return
         end = start + length
-        i = 0
+        # Free extents before the last one starting at or before ``start``
+        # end before it.
+        i = max(bisect.bisect_right(self._free, start, key=_START) - 1, 0)
         while i < len(self._free) and start < end:
             free = self._free[i]
             if free.end <= start:

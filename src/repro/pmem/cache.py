@@ -18,7 +18,12 @@ the range, not by the line: a sorted list of disjoint *runs* of dirty lines,
 each with one durable-image blob, the number of the store that first
 dirtied it, and a flushed-but-unfenced flag.  A store, flush or fence costs
 a bisect and a few list operations however many lines it covers; the 2 MiB
-operation-log re-zero is one run.  A crash that draws from its policy's RNG
+operation-log re-zero is one run.  A run's blob is the ``bytes`` of
+:meth:`CowBuffer.read`, except for a run that starts on a 64 KiB segment
+boundary and spans segments: that one is a frozen :class:`CowBuffer`
+(:meth:`CowBuffer.freeze`), which slices the same way but holds no zero
+segment, so capturing the re-zero's pre-image costs what the log holds,
+not 2 MiB.  A crash that draws from its policy's RNG
 visits the lines in the order they were first dirtied, ``(seq, line)``.
 The per-line original lives in the test suite
 (``tests/reference_impls.py``), whose property and wall-clock bench tests
@@ -32,10 +37,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, List, Optional, Protocol, Tuple
+from typing import Iterable, List, Optional, Protocol, Tuple, Union
 
 from .constants import CACHELINE_SIZE
-from .cow import CowBuffer
+from .cow import SEGMENT_MASK, SEGMENT_SIZE, CowBuffer
 
 
 class DomainObserver(Protocol):
@@ -105,9 +110,11 @@ class CrashPolicy:
 
 #: A run of dirty lines, ``(start, end, seq, base, blob, pending)``: lines
 #: ``[start, end)`` were first dirtied by store number ``seq``; the durable
-#: image of line ``l`` is ``blob[(l - base) * 64 : (l - base + 1) * 64]``;
+#: image of line ``l`` is ``blob[(l - base) * 64 : (l - base + 1) * 64]``
+#: (``bytes``, or a frozen ``CowBuffer`` for a run from a segment
+#: boundary across segments);
 #: ``pending`` means flushed (``clwb``/``movnt``) but not yet fenced.
-Run = Tuple[int, int, int, int, bytes, bool]
+Run = Tuple[int, int, int, int, Union[bytes, CowBuffer], bool]
 
 #: Sort key putting runs in first-dirtied order, ``(seq, start)``.
 _FIRST_DIRTIED = itemgetter(2, 0)
@@ -196,11 +203,14 @@ class PersistenceDomain:
         self._seq = seq = self._seq + 1
         if not runs or runs[-1][1] <= first:
             # Past every tracked line: the first store after a fence that
-            # drained every run, or the next block of an append.
-            runs.append((first, end, seq, first,
-                         self.buf.read(first * CACHELINE_SIZE,
-                                       end * CACHELINE_SIZE),
-                         nontemporal))
+            # drained every run, or the next block of an append.  Every new
+            # run captures its pre-image as here: frozen only when it
+            # starts on a segment boundary and spans segments.
+            start, stop = first * CACHELINE_SIZE, end * CACHELINE_SIZE
+            blob = (self.buf.read(start, stop)
+                    if start & SEGMENT_MASK or stop - start <= SEGMENT_SIZE
+                    else self.buf.freeze(start, stop))
+            runs.append((first, end, seq, first, blob, nontemporal))
             self._dirty += end - first
             if nontemporal:
                 self._pending += end - first
@@ -233,11 +243,12 @@ class PersistenceDomain:
         buf = self.buf
         if lo == hi:
             # Nothing in the range is tracked yet: one run, its durable
-            # image captured with one read.
-            runs.insert(lo, (first, end, seq, first,
-                             buf.read(first * CACHELINE_SIZE,
-                                      end * CACHELINE_SIZE),
-                             nontemporal))
+            # image captured in one piece.
+            start, stop = first * CACHELINE_SIZE, end * CACHELINE_SIZE
+            blob = (buf.read(start, stop)
+                    if start & SEGMENT_MASK or stop - start <= SEGMENT_SIZE
+                    else buf.freeze(start, stop))
+            runs.insert(lo, (first, end, seq, first, blob, nontemporal))
             self._dirty += end - first
             if nontemporal:
                 self._pending += end - first
@@ -260,10 +271,11 @@ class PersistenceDomain:
         added = flipped = 0
         for run in runs[lo:hi]:
             if pos < run[0]:
-                out.append((pos, run[0], seq, pos,
-                            buf.read(pos * CACHELINE_SIZE,
-                                     run[0] * CACHELINE_SIZE),
-                            nontemporal))
+                start, stop = pos * CACHELINE_SIZE, run[0] * CACHELINE_SIZE
+                blob = (buf.read(start, stop)
+                        if start & SEGMENT_MASK or stop - start <= SEGMENT_SIZE
+                        else buf.freeze(start, stop))
+                out.append((pos, run[0], seq, pos, blob, nontemporal))
                 added += run[0] - pos
             if run[5] == nontemporal:
                 out.append(run)
@@ -271,9 +283,11 @@ class PersistenceDomain:
                 flipped += _flip(run, first, end, out)
             pos = run[1]
         if pos < end:
-            out.append((pos, end, seq, pos,
-                        buf.read(pos * CACHELINE_SIZE, end * CACHELINE_SIZE),
-                        nontemporal))
+            start, stop = pos * CACHELINE_SIZE, end * CACHELINE_SIZE
+            blob = (buf.read(start, stop)
+                    if start & SEGMENT_MASK or stop - start <= SEGMENT_SIZE
+                    else buf.freeze(start, stop))
+            out.append((pos, end, seq, pos, blob, nontemporal))
             added += end - pos
         runs[lo:hi] = out
         self._dirty += added
@@ -366,7 +380,8 @@ class PersistenceDomain:
 
     # -- crash ----------------------------------------------------------------
 
-    def _roll_back(self, start: int, end: int, base: int, blob: bytes) -> None:
+    def _roll_back(self, start: int, end: int, base: int,
+                   blob: Union[bytes, CowBuffer]) -> None:
         """Write lines ``[start, end)`` of a run back to their durable image."""
         self.buf.write(start * CACHELINE_SIZE,
                        blob[(start - base) * CACHELINE_SIZE

@@ -115,11 +115,14 @@ class CowBuffer:
         """The bytes segment ``n`` reads from, or ``None`` if it reads as
         zeros.  Nothing is copied: callers must not mutate the result, nor
         keep it across a write to this buffer."""
-        own = self._own
-        if n in own:
-            return own[n]
-        base = self.base
-        return None if base is None else base.segment(n)
+        buf = self
+        while True:
+            own = buf._own
+            if n in own:
+                return own[n]
+            buf = buf.base
+            if buf is None:
+                return None
 
     def _own_segment(self, n: int) -> bytearray:
         """Segment ``n`` as owned bytes, for a write to part of it: one copy
@@ -185,6 +188,22 @@ class CowBuffer:
                 parts.append(memoryview(seg)[off : off + seg_stop - pos])
             pos = seg_stop
         return b"".join(parts) if nonzero else bytes(stop - start)
+
+    def freeze(self, start: int, stop: int) -> "CowBuffer":
+        """What ``[start, stop)`` reads now, ``start`` a segment boundary,
+        as a root buffer that later writes to this one leave alone.  It
+        slices like the bytes :meth:`read` returns but copies only the
+        segments that are not zero: the durable pre-image of a store over
+        whole segments, such as the operation log's 2 MiB re-zero, costs
+        what the log holds."""
+        frozen = CowBuffer(stop - start)
+        own = frozen._own
+        first = start >> SEGMENT_SHIFT
+        for n in range(first, ((stop - 1) >> SEGMENT_SHIFT) + 1):
+            seg = self.segment(n)
+            if seg is not None:
+                own[n - first] = seg[: stop - (n << SEGMENT_SHIFT)]
+        return frozen
 
     def write(self, start: int, data: bytes) -> None:
         """Write ``data`` at ``start``: each whole 64 KiB segment it covers

@@ -272,6 +272,9 @@ class PersistentMemory:
         are then looked up in their buffer segment as items are consumed:
         a record in a zero segment costs nothing, and one in an owned
         segment is compared in place and copied only if it is not zero.
+        For a ``range`` of addresses each segment is looked up once, and
+        the addresses a zero segment holds are skipped by arithmetic; a
+        record that straddles two segments is read on its own.
         Otherwise every load is a ``load`` call made as it is consumed, so
         the repairs, verifications and bandwidth charges interleave with
         the caller's other loads exactly as one ``load`` per address would.
@@ -304,21 +307,30 @@ class PersistentMemory:
             C.PM_SEQ_READ_LATENCY_NS + size * C.PM_READ_NS_PER_BYTE,
             category, count)
         buf = self.buf
+        step = addrs.step if type(addrs) is range else 0
         n = -1
         seg = None
-        for i in range(count):
+        i = 0
+        while i < count:
             addr = addrs[i]
             off = addr & SEGMENT_MASK
             if off + size > SEGMENT_SIZE:  # straddles two segments
                 raw = buf.read(addr, addr + size)
                 if raw != zeros:
                     yield i, raw
+                i += 1
                 continue
             if addr >> SEGMENT_SHIFT != n:
                 n = addr >> SEGMENT_SHIFT
                 seg = buf.segment(n)
-            if seg is not None and not seg.startswith(zeros, off):
+            if seg is None:
+                # A zero segment: skip the loads of a range that lie in it.
+                i += 1 + ((SEGMENT_SIZE - size - off) // step if step > 0
+                          else off // -step if step else 0)
+                continue
+            if not seg.startswith(zeros, off):
                 yield i, bytes(seg[off : off + size])
+            i += 1
         if count < total:
             self._check(addrs[count], size)
 

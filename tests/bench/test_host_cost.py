@@ -10,6 +10,12 @@ shared machine, the counts repeat exactly, so a change that puts calls
 back on the write path fails here.  Bytecode counts belong to one
 interpreter version: they were measured on CPython 3.11.
 
+A crash state's remount is counted the same way: over a small pruned
+sweep on splitfs-strict, the calls and bytecodes inside each
+``crashmc.explorer.remount`` (ext4 mount with jbd2 recovery, the
+operation-log scan, replay and re-zero, and fsck), forks, workload runs
+and oracles excluded, must stay within 5% above :data:`REMOUNT_BUDGET`.
+
 The same counts bound what the instrumentation costs the host:
 
 * the disabled observer hook, the ``obs.enabled`` test at the end of
@@ -28,6 +34,8 @@ import sys
 
 import pytest
 
+from repro.crashmc import explorer as crash_explorer
+from repro.crashmc.workload import generate_workload
 from repro.factory import make_filesystem
 from repro.posix import flags as F
 from repro.serve.engine import ServeConfig, ServeEngine
@@ -44,6 +52,17 @@ BUDGET = {
     "splitfs-strict": (52.46, 1780.2),
 }
 SLACK = 1.05
+
+#: (Python calls, bytecodes) per remount of a crash state of
+#: :data:`REMOUNT_SWEEP` (24 states), as counted on this code.  Before the
+#: recovery scans skipped zero segments, the counts were (1315.5,
+#: 146,054.4).  About a quarter of the bytecodes left are ``charge_each``
+#: adding one float per slot and page loaded.
+REMOUNT_BUDGET = (1098.9, 70295.5)
+#: The sweep: perfbench crash-sweep's tiny op sequence (pruned, two
+#: intra-epoch states).
+REMOUNT_SWEEP = dict(ops=generate_workload(0, 10), seed=1, intra=2,
+                     prune=True)
 
 #: Bytecodes per append syscall with the observer hook over those without
 #: it.  Counted on this code: 1863.7 / 1839.4 = 1.013 on ext4dax and
@@ -88,9 +107,8 @@ def _appends(fs, fd, chunks):
     return syscalls
 
 
-def count_calls(system, chunks):
-    """Python calls per syscall (C builtins not counted)."""
-    fs, fd = _opened(system)
+def _calls(fn):
+    """``(Python calls made by fn(), its result)``; C builtins not counted."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -101,9 +119,16 @@ def count_calls(system, chunks):
     saved = sys.getprofile()
     sys.setprofile(profile)
     try:
-        syscalls = _appends(fs, fd, chunks)
+        result = fn()
     finally:
         sys.setprofile(saved)
+    return calls, result
+
+
+def count_calls(system, chunks):
+    """Python calls per syscall."""
+    fs, fd = _opened(system)
+    calls, syscalls = _calls(lambda: _appends(fs, fd, chunks))
     return calls / syscalls
 
 
@@ -137,6 +162,28 @@ def count_bytecodes(system, chunks):
     return ops / syscalls
 
 
+def per_remount(counter):
+    """``counter``'s count per remount of :data:`REMOUNT_SWEEP`'s states
+    (``counter`` is :func:`_calls` or :func:`_bytecodes`)."""
+    real = crash_explorer.remount
+    total = remounts = 0
+
+    def counted(machine, kind):
+        nonlocal total, remounts
+        count, fs = counter(lambda: real(machine, kind))
+        total += count
+        remounts += 1
+        return fs
+
+    crash_explorer.remount = counted
+    try:
+        report = crash_explorer.explore("splitfs-strict", **REMOUNT_SWEEP)
+    finally:
+        crash_explorer.remount = real
+    assert report.ok and remounts == report.states_explored
+    return total / remounts
+
+
 def serve_bytecodes(cfg):
     """Bytecodes of ``ServeEngine(cfg).run()`` after set-up (machine,
     file system and preload), with the run's result."""
@@ -153,6 +200,14 @@ def test_append_syscalls_stay_within_budget(system):
     calls, bytecodes = count_calls(system, chunks), \
         count_bytecodes(system, chunks)
     want_calls, want_bytecodes = BUDGET[system]
+    assert calls <= want_calls * SLACK, (calls, want_calls)
+    assert bytecodes <= want_bytecodes * SLACK, (bytecodes, want_bytecodes)
+
+
+def test_crash_state_remounts_stay_within_budget():
+    crash_explorer.explore("splitfs-strict", **REMOUNT_SWEEP)  # caches first
+    calls, bytecodes = per_remount(_calls), per_remount(_bytecodes)
+    want_calls, want_bytecodes = REMOUNT_BUDGET
     assert calls <= want_calls * SLACK, (calls, want_calls)
     assert bytecodes <= want_bytecodes * SLACK, (bytecodes, want_bytecodes)
 

@@ -20,14 +20,18 @@ class TestReferenceMode:
     def test_swaps_and_restores(self):
         fast_lookup = ExtentMap.lookup_block
         fast_fill = KernelFS._ensure_blocks
+        fast_scan = device.PersistentMemory.load_nonzero
         with ref_impl.reference_mode():
             assert ExtentMap.lookup_block is ref_impl.extent_lookup_block
             assert KernelFS._ensure_blocks is ref_impl.kernel_ensure_blocks
+            assert (device.PersistentMemory.load_nonzero
+                    is ref_impl.device_load_nonzero)
             pm = device.PersistentMemory(1 << 16)
             assert type(pm.domain) is ref_impl.LinePersistenceDomain
             assert type(pm.fork(pm.clock).domain) is type(pm.domain)
         assert ExtentMap.lookup_block is fast_lookup
         assert KernelFS._ensure_blocks is fast_fill
+        assert device.PersistentMemory.load_nonzero is fast_scan
         assert device.PersistenceDomain is PersistenceDomain
 
     def test_restores_on_exception(self):

@@ -103,6 +103,23 @@ def test_strict_rejects_a_partial_inflight_op(kind):
         "prefix+in-flight op (150B); got 120B"]
 
 
+@pytest.mark.parametrize("kind", STRICT)
+def test_strict_names_the_first_byte_that_differs_from_an_equal_length_image(
+        kind):
+    ops = [append(0, 100, A)]
+    corrupt = with_byte(bytes([A]) * 100, 50, C)
+    assert check(kind, ops, {"/w0": corrupt}, fsync(0)) == [
+        "/w0: state matches neither the completed prefix (100B) nor "
+        "prefix+in-flight op (100B); got 100B; first difference from the "
+        "completed prefix at byte 50: expected 0x41, got 0x43"]
+    assert check(kind, ops, {"/w0": corrupt}, overwrite(0, 10, 5, B)) == [
+        "/w0: state matches neither the completed prefix (100B) nor "
+        "prefix+in-flight op (100B); got 100B; first difference from the "
+        "completed prefix at byte 50: expected 0x41, got 0x43; first "
+        "difference from prefix+in-flight op at byte 10: expected 0x42, "
+        "got 0x41"]
+
+
 # -- below strict: the durable floor --------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.crashmc.explorer import explore
 from repro.difftest import FuzzOp, generate_ops, run_crash_differential, to_crash_ops
 from repro.posix import flags as F
 
@@ -51,3 +52,14 @@ def test_crash_differential_bounded_run_is_clean():
         ops, kinds=("ext4dax", "splitfs-strict"), seed=3, max_states=150)
     for kind, report in reports.items():
         assert report.ok, f"{kind}:\n{report.format()}"
+
+
+def test_seed4_strict_recovery_replays_no_reused_staging_block():
+    """A U-Split fsync punches a byte-copied staging run, then a later relink
+    in the same uncommitted transaction fills a hole in ``/w0``.  When the
+    punched block was handed out for that hole, a crash before the commit
+    replayed zeros from it over ``/w0`` [1040, 1104)."""
+    report = explore("splitfs-strict", ops=to_crash_ops(generate_ops(4, 300)),
+                     seed=4)
+    assert report.ok, report.format()
+    assert report.states_explored == 40

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.difftest import generate_ops, run_differential
+from repro.difftest import (generate_ops, run_crash_differential,
+                            run_differential)
 from repro.difftest.generator import FILE_PATHS
+from repro.factory import SYSTEM_NAMES
 
 
 def test_generation_is_pure_in_the_seed():
@@ -55,3 +57,12 @@ def test_fault_windows_are_always_closed():
 def test_sweep_300_ops(seed):
     report = run_differential(generate_ops(seed, 300), seed=seed)
     assert report.ok, "\n" + report.format()
+
+
+@pytest.mark.fuzz_slow
+@pytest.mark.parametrize("seed", range(12))
+def test_crash_sweep_300_ops(seed):
+    reports = run_crash_differential(generate_ops(seed, 300),
+                                     kinds=SYSTEM_NAMES, seed=seed)
+    failed = [report.format() for report in reports.values() if not report.ok]
+    assert not failed, "\n" + "\n".join(failed)

@@ -49,7 +49,10 @@ class TestBlockAlignedRelink:
         target = make_file(fs, "/tg2", b"O" * BLOCK_SIZE)
         free_before = fs.alloc.free_blocks
         fs.ioctl_relink(staging, 0, target, 0, BLOCK_SIZE)
-        assert fs.alloc.free_blocks == free_before + 1  # old dst block freed
+        # The old dst block is quarantined until the journal resets.
+        assert fs.alloc.free_blocks == free_before
+        fs.journal._checkpoint()
+        assert fs.alloc.free_blocks == free_before + 1
         assert fs.pread(target, BLOCK_SIZE, 0) == b"N" * BLOCK_SIZE
 
     def test_relink_into_middle_of_file(self, fs):
@@ -144,3 +147,44 @@ class TestRelinkEdgeCases:
         fs2 = Ext4DaxFS.mount(fs.machine)
         # Both creates were in the running txn the relink committed.
         assert fs2.exists("/ca") and fs2.exists("/cb")
+
+
+class TestBlocksGivenUpInTheRunningTransaction:
+    """A block a relink or a punch unmaps stays mapped in the durable inode
+    until the running transaction commits.  If it is handed out again and
+    written first, a crash before the commit leaves the old file reading
+    the new owner's bytes.  Each test makes the given-up block the lowest
+    free one, so a one-block allocation without a goal (first fit) would
+    take it, then crashes after a fence but before the commit."""
+
+    def _one_block(self, fs, path, fill):
+        # Logical block 1 with no block before it: a first-fit allocation.
+        fd = make_file(fs, path, b"")
+        fs.pwrite(fd, fill * BLOCK_SIZE, BLOCK_SIZE)
+        return fd, fs.inodes[fs.fdt.get(fd).ino].extmap.lookup_block(1)
+
+    def _reuse_then_crash(self, fs, given_up):
+        fd, block = self._one_block(fs, "/new", b"\x33")
+        assert block != given_up
+        fs.pm.sfence()  # e.g. the commit's own first fence
+        fs.machine.crash()
+        return Ext4DaxFS.mount(fs.machine)
+
+    def test_punched_block_is_not_reused_before_the_commit(self, fs):
+        staging, block = self._one_block(fs, "/staging", b"\x22")
+        fs.fsync(staging)
+        fs.punch_hole(staging, BLOCK_SIZE, BLOCK_SIZE)
+        fs2 = self._reuse_then_crash(fs, block)
+        fd = fs2.open("/staging", F.O_RDONLY)
+        assert fs2.pread(fd, BLOCK_SIZE, BLOCK_SIZE) == b"\x22" * BLOCK_SIZE
+
+    def test_replaced_block_is_not_reused_before_the_commit(self, fs):
+        target, block = self._one_block(fs, "/target", b"\x11")
+        staging, _ = self._one_block(fs, "/staging", b"\x22")
+        fs.fsync(target)
+        fs.fsync(staging)
+        fs.ioctl_relink(staging, BLOCK_SIZE, target, BLOCK_SIZE, BLOCK_SIZE,
+                        commit=False)
+        fs2 = self._reuse_then_crash(fs, block)
+        fd = fs2.open("/target", F.O_RDONLY)
+        assert fs2.pread(fd, BLOCK_SIZE, BLOCK_SIZE) == b"\x11" * BLOCK_SIZE

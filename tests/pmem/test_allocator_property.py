@@ -108,6 +108,11 @@ alloc_op_st = st.one_of(
     st.tuples(st.just("free_held"), st.integers(0, 10_000), st.integers(0, 3)),
     st.tuples(st.just("free"), st.integers(0, 560), st.integers(-1, 16)),
     st.tuples(st.just("reserve"), st.integers(0, 560), st.integers(-1, 24)),
+    # A mount's reserve: from inside a free extent, or from a held one.
+    st.tuples(st.just("reserve_free"), st.integers(0, 10_000),
+              st.integers(1, 40)),
+    st.tuples(st.just("reserve_held"), st.integers(0, 10_000),
+              st.integers(1, 40)),
 )
 
 
@@ -121,8 +126,8 @@ def _outcome(call):
 @given(ops=st.lists(alloc_op_st, max_size=60))
 @settings(max_examples=200)
 def test_bisects_match_linear_reference(ops):
-    """``alloc_at`` and ``free`` leave the same free list, and raise the
-    same errors, as the linear scans they replaced."""
+    """``alloc_at``, ``free`` and ``reserve`` leave the same free list,
+    and raise the same errors, as the linear scans they replaced."""
     import types
 
     from tests import reference_impls as ref_impl
@@ -130,6 +135,7 @@ def test_bisects_match_linear_reference(ops):
     fast = ExtentAllocator(TOTAL, first_block=7)
     ref = ExtentAllocator(TOTAL, first_block=7)
     ref._free_one = types.MethodType(ref_impl.allocator_free_one, ref)
+    ref.reserve = types.MethodType(ref_impl.allocator_reserve, ref)
     held = []
     for op, a, b in ops:
         if op == "alloc":
@@ -161,8 +167,17 @@ def test_bisects_match_linear_reference(ops):
             got = (_outcome(lambda: fast.free([ext])),
                    _outcome(lambda: ref.free([ext])))
         else:
+            if op == "reserve_free" and fast._free:
+                free = fast._free[a % len(fast._free)]
+                a = free.start + a % free.length
+            elif op == "reserve_held" and held:
+                a = held[a % len(held)].start
+            elif op != "reserve":
+                continue
             got = (_outcome(lambda: fast.reserve(a, b)),
                    _outcome(lambda: ref.reserve(a, b)))
+            if got[0][0] == "ok" and b > 0:
+                held.append(Extent(a, b))
         assert got[0] == got[1], (op, a, b)
         status, value = got[0]
         if status == "ok" and op.startswith("alloc") and value:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.pmem.cache import CrashPolicy, PersistenceDomain
 from repro.pmem.constants import CACHELINE_SIZE
-from repro.pmem.cow import CowBuffer
+from repro.pmem.cow import SEGMENT_SIZE, CowBuffer
+from repro.pmem.device import PersistentMemory
+from repro.pmem.timing import SimClock
 
 
 @pytest.fixture
@@ -156,6 +158,72 @@ class TestCrashPolicies:
         domain.crash()
         assert domain.dirty_line_count == 0
         assert domain.pending_line_count == 0
+
+
+class TestPreimageAcrossSegments:
+    """A store from a segment boundary across 64 KiB segments keeps its
+    durable pre-image as a frozen ``CowBuffer`` holding only the segments
+    that are not zero; one from inside a segment keeps ``bytes``.  Either
+    way a crash must restore every byte the store overwrote."""
+
+    SIZE = 5 * SEGMENT_SIZE + 3 * CACHELINE_SIZE + 5
+    #: A segment boundary, and a line inside segment 0.
+    STARTS = {"frozen": SEGMENT_SIZE, "bytes": SEGMENT_SIZE // 2 + 192}
+
+    def _device(self, fork):
+        pm = PersistentMemory(8 * SEGMENT_SIZE)
+        pm.store(SEGMENT_SIZE + 500, b"\x11" * 3000)
+        pm.store(3 * SEGMENT_SIZE, b"\x33" * SEGMENT_SIZE)
+        pm.store(6 * SEGMENT_SIZE + 100, b"\x66" * 3000)
+        pm.sfence()
+        if fork:
+            # Segment 3 becomes a zero segment of the fork, which hides
+            # the parent's; segment 2 becomes one the fork owns.
+            pm = pm.fork(SimClock())
+            pm.store(3 * SEGMENT_SIZE, bytes(SEGMENT_SIZE))
+            pm.store(2 * SEGMENT_SIZE + 7, b"\x22" * 9)
+            pm.sfence()
+        return pm
+
+    def _store(self, pm, start):
+        before = bytes(pm.buf)
+        pm.store(start, b"\x77" * self.SIZE)
+        (run,) = pm.domain._runs
+        blob = run[4]
+        if start % SEGMENT_SIZE:
+            assert type(blob) is bytes
+        else:
+            # Three of the six segments it spans are not zero; the last
+            # one it covers only in part.
+            assert isinstance(blob, CowBuffer) and len(blob._own) == 3
+        return before
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["root", "fork"])
+    @pytest.mark.parametrize("start", STARTS.values(), ids=STARTS)
+    def test_crash_restores_the_prior_bytes(self, fork, start):
+        pm = self._device(fork)
+        before = self._store(pm, start)
+        lines = ((start + self.SIZE - 1) // CACHELINE_SIZE + 1
+                 - start // CACHELINE_SIZE)
+        assert pm.crash() == (lines, 0)
+        assert bytes(pm.buf) == before
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["root", "fork"])
+    @pytest.mark.parametrize("start", STARTS.values(), ids=STARTS)
+    def test_crash_with_survivors_keeps_exactly_the_survivors(self, fork,
+                                                              start):
+        pm = self._device(fork)
+        before = self._store(pm, start)
+        first = start // CACHELINE_SIZE
+        survivors = [first, first + 1, (3 * SEGMENT_SIZE) // CACHELINE_SIZE,
+                     (start + self.SIZE - 1) // CACHELINE_SIZE]
+        pm.domain.crash_with_survivors(survivors)
+        want = bytearray(before)
+        for line in survivors:
+            lo = max(line * CACHELINE_SIZE, start)
+            hi = min((line + 1) * CACHELINE_SIZE, start + self.SIZE)
+            want[lo:hi] = b"\x77" * (hi - lo)
+        assert bytes(pm.buf) == bytes(want)
 
 
 class TestCrashPolicyRNG:

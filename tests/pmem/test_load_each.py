@@ -16,13 +16,16 @@ and records that straddle a 64 KiB boundary.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.kernel.machine import Machine
 from repro.obs.observer import Observer
 from repro.pmem import constants as C
 from repro.pmem.cow import SEGMENT_SIZE
-from repro.pmem.device import PMError
+from repro.pmem.device import PersistentMemory, PMError
 from repro.pmem.timing import CPU, DATA, META_IO, SimClock
+from tests.reference_impls import device_load_nonzero
 
 SEG_PAGES = SEGMENT_SIZE // C.BLOCK_SIZE
 PAGES = 3 * SEG_PAGES
@@ -154,3 +157,97 @@ def test_charge_each_adds_one_float_at_a_time():
         separate.charge(0.1, CPU)
     assert batched.account.cpu_ns == separate.account.cpu_ns
     assert batched.account.cpu_ns != 10 * 0.1
+
+
+# -- the segment skip against the per-address reference -------------------------
+
+SEGMENTS = 8
+#: What a level of the fork chain does to a segment: a write to part of it
+#: (the segment becomes owned), a zero or non-zero write of all of it (a
+#: fork records a zero segment as ``None``, a root drops it).
+seg_write_st = st.tuples(
+    st.integers(0, SEGMENTS - 1), st.sampled_from(["part", "zero", "whole"]),
+    st.integers(0, SEGMENT_SIZE - 1), st.integers(0, 9000),
+    st.integers(0, 255))
+chain_st = st.lists(st.lists(seg_write_st, max_size=5), min_size=1,
+                    max_size=3)
+scan_st = st.tuples(
+    st.integers(-C.BLOCK_SIZE, SEGMENTS * SEGMENT_SIZE),  # first address
+    st.one_of(st.sampled_from([C.BLOCK_SIZE, -C.BLOCK_SIZE, 64, -64,
+                               SEGMENT_SIZE, -SEGMENT_SIZE]),
+              st.integers(-3 * SEGMENT_SIZE, 3 * SEGMENT_SIZE).filter(bool)),
+    st.integers(0, 600),                                   # loads
+    st.sampled_from([0, 1, 64, C.BLOCK_SIZE, 5000, SEGMENT_SIZE,
+                     SEGMENT_SIZE + 1]),                   # load size
+    st.booleans())                                         # list, not range
+
+
+def build_chain(levels):
+    """A device ``len(levels)`` buffers deep: a root, then forks, each
+    level applying its segment writes after the fork."""
+    pm = PersistentMemory(SEGMENTS * SEGMENT_SIZE, SimClock())
+    for depth, writes in enumerate(levels):
+        if depth:
+            pm = pm.fork(SimClock())
+        for seg, what, off, size, fill in writes:
+            base = seg * SEGMENT_SIZE
+            if what == "part":
+                size = min(size, SEGMENT_SIZE - off) or 1
+                pm.store(base + min(off, SEGMENT_SIZE - size),
+                         bytes([fill]) * size)
+            else:
+                pm.store(base, bytes([fill if what == "whole" else 0])
+                         * SEGMENT_SIZE)
+        pm.sfence()
+    # Inexact starting totals, so a reordered or multiplied sum would show.
+    pm.clock.charge(0.1, META_IO)
+    return pm
+
+
+def scan(pm, load_nonzero, addrs, size):
+    out, error = [], None
+    try:
+        for item in load_nonzero(pm, addrs, size, META_IO):
+            out.append(item)
+    except PMError as exc:
+        error = str(exc)
+    acct = pm.clock.account
+    return (out, error, vars(pm.stats),
+            (acct.data_ns, acct.meta_io_ns, acct.cpu_ns))
+
+
+@given(levels=chain_st, scan_args=scan_st)
+@settings(max_examples=300, deadline=None)
+# The last load a zero segment holds, then the first one of the segment
+# beside it, which is not zero: going down and going up.
+@example(levels=[[(1, "whole", 0, 0, 7)]],
+         scan_args=(2 * SEGMENT_SIZE + 63, -64, 3, 1, False))
+@example(levels=[[(1, "whole", 0, 0, 7)]],
+         scan_args=(SEGMENT_SIZE - 100, 64, 3, 36, False))
+def test_segment_skip_matches_the_per_address_scan(levels, scan_args):
+    first, step, loads, size, as_list = scan_args
+    addrs = range(first, first + step * loads, step)
+    if as_list:
+        addrs = list(addrs)
+    fast = scan(build_chain(levels), PersistentMemory.load_nonzero, addrs,
+                size)
+    ref = scan(build_chain(levels), device_load_nonzero, addrs, size)
+    assert fast == ref
+
+
+def test_chain_covers_owned_zero_and_hidden_segments():
+    pm = build_chain([[(0, "whole", 0, 0, 7), (1, "whole", 0, 0, 7),
+                       (2, "part", 100, 50, 7)],
+                      [(1, "zero", 0, 0, 0), (2, "part", 9000, 10, 8)],
+                      [(3, "part", 0, 10, 9)]])
+    buf = pm.buf
+    assert buf.base.base.base is None
+    assert buf.base._own[1] is None and buf.segment(1) is None
+    assert buf.segment(0) is buf.base.base._own[0]
+    assert buf.segment(2) is buf.base._own[2]
+    assert buf.segment(4) is None
+    addrs = range(SEGMENTS * SEGMENT_SIZE - C.BLOCK_SIZE, -1, -C.BLOCK_SIZE)
+    got = scan(pm, PersistentMemory.load_nonzero, addrs, C.BLOCK_SIZE)[0]
+    pages = sorted({addrs[i] // C.BLOCK_SIZE for i, _ in got})
+    assert pages == list(range(0, SEG_PAGES)) + [2 * SEG_PAGES, 2 * SEG_PAGES + 2,
+                                                  3 * SEG_PAGES]

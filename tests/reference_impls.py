@@ -26,8 +26,14 @@ which ext4, NOVA-relaxed and Strata share, finds the holes with
 NOVA and Strata ran before.
 
 The block allocator (``pmem/allocator.py``) bisects its free list for a
-goal allocation and for a free; :func:`allocator_alloc_at` and
-:func:`allocator_free_one` are the linear scans they replaced.
+goal allocation, a free and a mount-time reserve; :func:`allocator_alloc_at`,
+:func:`allocator_free_one` and :func:`allocator_reserve` are the linear
+scans they replaced.
+
+The device's batched recovery scan, ``PersistentMemory.load_nonzero``
+(``pmem/device.py``), skips the addresses of a ``range`` that lie in a
+zero segment by arithmetic; :func:`device_load_nonzero` tests every
+address's segment.
 
 The fault injector (``pmem/faults.py``) keeps its poison list sorted and
 looks only at a bisected window of it; :class:`ListPoison` is the linear
@@ -60,7 +66,7 @@ from repro.pmem import device
 from repro.pmem.allocator import Extent, ExtentAllocator
 from repro.pmem.cache import CrashPolicy, DomainObserver
 from repro.pmem.constants import CACHELINE_SIZE
-from repro.pmem.cow import CowBuffer
+from repro.pmem.cow import SEGMENT_MASK, SEGMENT_SHIFT, SEGMENT_SIZE, CowBuffer
 from repro.pmem.faults import MediaError
 from repro.pmem.timing import CPU, DATA, META_IO, SimClock
 
@@ -185,6 +191,84 @@ def allocator_free_one(self: ExtentAllocator, ext: Extent) -> None:
     if i > 0 and self._free[i - 1].end == self._free[i].start:
         left = self._free.pop(i - 1)
         self._free[i - 1] = Extent(left.start, left.length + self._free[i - 1].length)
+
+
+def allocator_reserve(self: ExtentAllocator, start: int, length: int) -> None:
+    if length <= 0:
+        return
+    end = start + length
+    i = 0
+    while i < len(self._free) and start < end:
+        free = self._free[i]
+        if free.end <= start:
+            i += 1
+            continue
+        if free.start >= end:
+            break
+        take_start = max(start, free.start)
+        take_end = min(end, free.end)
+        if take_start > start:
+            raise ValueError(f"reserve: blocks [{start}, {take_start}) already in use")
+        pieces = []
+        if free.start < take_start:
+            pieces.append(Extent(free.start, take_start - free.start))
+        if take_end < free.end:
+            pieces.append(Extent(take_end, free.end - take_end))
+        self._free[i : i + 1] = pieces
+        self._free_blocks -= take_end - take_start
+        start = take_end
+        i += len(pieces)
+    if start < end:
+        raise ValueError(f"reserve: blocks [{start}, {end}) already in use")
+
+
+# -- device: the recovery scan, one segment test per address -------------------
+
+
+def device_load_nonzero(self: device.PersistentMemory, addrs, size: int,
+                        category=DATA) -> Iterator[Tuple[int, bytes]]:
+    zeros = bytes(max(size, 0))
+    faults = self.faults
+    if (self.ras is not None or self.model is not None
+            or (faults is not None and faults.poisoned)):
+        for i, addr in enumerate(addrs):
+            raw = self.load(addr, size, category)
+            if raw != zeros:
+                yield i, raw
+        return
+    if type(addrs) is range:
+        ends = (addrs[0], addrs[-1]) if addrs else ()
+    else:
+        addrs = ends = list(addrs)
+    total = count = len(addrs)
+    if count and (size < 0 or min(ends) < 0
+                  or max(ends) + size > self.size):
+        count = next(i for i, addr in enumerate(addrs)
+                     if addr < 0 or size < 0 or addr + size > self.size)
+    stats = self.stats
+    stats.loads += count
+    stats.bytes_read += count * size
+    self.clock.charge_each(
+        C.PM_SEQ_READ_LATENCY_NS + size * C.PM_READ_NS_PER_BYTE,
+        category, count)
+    buf = self.buf
+    n = -1
+    seg = None
+    for i in range(count):
+        addr = addrs[i]
+        off = addr & SEGMENT_MASK
+        if off + size > SEGMENT_SIZE:
+            raw = buf.read(addr, addr + size)
+            if raw != zeros:
+                yield i, raw
+            continue
+        if addr >> SEGMENT_SHIFT != n:
+            n = addr >> SEGMENT_SHIFT
+            seg = buf.segment(n)
+        if seg is not None and not seg.startswith(zeros, off):
+            yield i, bytes(seg[off : off + size])
+    if count < total:
+        self._check(addrs[count], size)
 
 
 # -- persistence domain: one Python loop per cache line ------------------------
@@ -597,6 +681,8 @@ SWAPS = (
     (KernelFS, "_ensure_blocks", kernel_ensure_blocks),
     (ExtentAllocator, "alloc_at", allocator_alloc_at),
     (ExtentAllocator, "_free_one", allocator_free_one),
+    (ExtentAllocator, "reserve", allocator_reserve),
+    (device.PersistentMemory, "load_nonzero", device_load_nonzero),
     (device, "PersistenceDomain", LinePersistenceDomain),
 )
 
@@ -607,8 +693,9 @@ def reference_mode() -> Iterator[None]:
 
     Affects every instance used inside the ``with`` block: linear extent
     lookup/insert, per-block hole search (in ``ExtentMap.holes`` and in
-    the write path's hole filler) and linear free-list scans;
-    devices built inside it keep per-line persistence bookkeeping.
+    the write path's hole filler), linear free-list scans and a segment
+    test per address in the recovery scan; devices built inside it keep
+    per-line persistence bookkeeping.
     """
     saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in SWAPS]
     try:
