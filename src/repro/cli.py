@@ -1,13 +1,15 @@
-"""Command-line interface: run the reproduction's experiments and demos.
+"""Command-line interface: run the reproduction's experiments.
 
 Usage::
 
-    python -m repro systems                     # list the evaluated systems
     python -m repro table1 [--total-mb 8]       # the headline overhead table
-    python -m repro syscalls                    # Table 6 latencies
-    python -m repro iopatterns                  # Figure 4 sweeps
-    python -m repro ycsb --system splitfs-strict --workload A
-    python -m repro crashdemo                   # Table 3 semantics, live
+    python -m repro crashmc --fs all --ops 12   # crash-state enumeration
+    python -m repro fuzz --seed 7 --ops 300     # differential fuzzing
+    python -m repro serve --app kv              # open-loop load engine
+    python -m repro --help                      # every command
+
+The paper's tables and figures are the scripts in ``benchmarks/``; every
+command here has a golden in ``goldens/manifest.json``.
 """
 
 from __future__ import annotations
@@ -16,25 +18,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench import (
-    append_4k_workload,
-    io_pattern_workload,
-    syscall_latency_workload,
-    ycsb_workload,
-)
+from .bench import append_4k_workload
 from .bench.report import render_persistence_summary, render_table
-from .factory import GUARANTEE_GROUPS, SYSTEM_NAMES
+from .factory import SYSTEM_NAMES
 from .pmem.constants import PM_WRITE_4K_NS
 from .pmem.devmodel import PROFILE_NAMES, model_label
-
-
-def cmd_systems(_args: argparse.Namespace) -> int:
-    rows = []
-    for group, systems in GUARANTEE_GROUPS.items():
-        for system in systems:
-            rows.append([system, group])
-    print(render_table("Evaluated file systems", ["system", "guarantees"], rows))
-    return 0
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -68,44 +56,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if args.persistence:
         print()
         print(render_persistence_summary(measurements))
-    return 0
-
-
-def cmd_syscalls(args: argparse.Namespace) -> int:
-    systems = args.system or ["splitfs-strict", "splitfs-posix", "ext4dax"]
-    results = {s: syscall_latency_workload(s) for s in systems}
-    calls = ["open", "close", "append", "fsync", "read", "unlink"]
-    rows = [[c] + [f"{results[s][c] / 1000:.2f}" for s in systems]
-            for c in calls]
-    print(render_table("Table 6: system-call latencies (us)",
-                       ["syscall"] + systems, rows))
-    return 0
-
-
-def cmd_iopatterns(args: argparse.Namespace) -> int:
-    systems = args.system or list(SYSTEM_NAMES)
-    patterns = ["seq-read", "rand-read", "seq-write", "rand-write", "append"]
-    rows = []
-    for system in systems:
-        row = [system]
-        for pattern in patterns:
-            m = io_pattern_workload(system, pattern,
-                                    file_bytes=args.file_mb << 20)
-            row.append(f"{m.operations / (m.total_ns / 1e9) / 1e6:.2f}")
-        rows.append(row)
-    print(render_table(
-        f"Figure 4: throughput in Mops/s ({args.file_mb} MB file, 4K ops)",
-        ["system"] + patterns, rows))
-    return 0
-
-
-def cmd_ycsb(args: argparse.Namespace) -> int:
-    m = ycsb_workload(args.system, args.workload,
-                      record_count=args.records, operation_count=args.ops)
-    print(f"{args.system} YCSB-{args.workload}: "
-          f"{m.kops_per_sec:.1f} kops/s "
-          f"({m.ns_per_op:.0f} ns/op, "
-          f"software overhead {m.software_overhead_ns_per_op:.0f} ns/op)")
     return 0
 
 
@@ -215,7 +165,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         args.workload, systems=args.system, total_mb=args.total_mb,
         file_mb=args.file_mb, patterns=args.pattern,
         ycsb_phase=args.ycsb_workload, records=args.records,
-        operation_count=args.ops, trace_fences=args.trace_fences)
+        operation_count=args.ops)
     written = write_outputs(results, args.out_dir) if args.out_dir else []
     doc = results_to_json(args.workload, results)
     if args.json:
@@ -314,30 +264,10 @@ def cmd_ras_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_crashdemo(_args: argparse.Namespace) -> int:
-    from .core import Mode, SplitFS, recover
-    from .ext4.filesystem import Ext4DaxFS
-    from .kernel.machine import Machine
-    from .posix import flags as F
-
-    for mode in (Mode.POSIX, Mode.SYNC, Mode.STRICT):
-        machine = Machine()
-        fs = SplitFS(Ext4DaxFS.format(machine), mode=mode)
-        fd = fs.open("/f", F.O_CREAT | F.O_RDWR)
-        fs.write(fd, b"unsynced append")
-        machine.crash()
-        kfs, _ = recover(machine, strict=mode is Mode.STRICT)
-        survived = kfs.exists("/f") and kfs.stat("/f").st_size > 0
-        print(f"{mode.value:<7} unsynced append survived crash: {survived}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SplitFS reproduction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("systems", help="list evaluated file systems")
 
     p = sub.add_parser("table1", help="Table 1: 4K append overhead")
     p.add_argument("--total-mb", type=int, default=8)
@@ -358,20 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=5,
                    help="workload seed (payload bytes; default 5 matches "
                         "the committed golden)")
-
-    p = sub.add_parser("syscalls", help="Table 6: syscall latencies")
-    p.add_argument("--system", action="append", choices=SYSTEM_NAMES)
-
-    p = sub.add_parser("iopatterns", help="Figure 4: IO pattern sweep")
-    p.add_argument("--system", action="append", choices=SYSTEM_NAMES)
-    p.add_argument("--file-mb", type=int, default=8)
-
-    p = sub.add_parser("ycsb", help="run one YCSB workload")
-    p.add_argument("--system", default="splitfs-strict", choices=SYSTEM_NAMES)
-    p.add_argument("--workload", default="A",
-                   choices=["load", "A", "B", "C", "D", "E", "F"])
-    p.add_argument("--records", type=int, default=1000)
-    p.add_argument("--ops", type=int, default=1500)
 
     p = sub.add_parser(
         "crashmc", help="enumerate and check crash states (crashmc)")
@@ -475,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-mb", type=int, default=8,
                    help="table1 append volume (matches repro table1)")
     p.add_argument("--file-mb", type=int, default=8,
-                   help="iopatterns file size (matches repro iopatterns)")
+                   help="iopatterns file size")
     p.add_argument("--pattern", action="append",
                    choices=["seq-read", "rand-read", "seq-write",
                             "rand-write", "append"],
@@ -484,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["load", "A", "B", "C", "D", "E", "F"])
     p.add_argument("--records", type=int, default=1000)
     p.add_argument("--ops", type=int, default=1500)
-    p.add_argument("--trace-fences", action="store_true",
-                   help="emit one span per sfence (verbose)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write trace_*.json and collapsed_*.txt files here")
     p.add_argument("--json", action="store_true",
@@ -571,17 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="RAS layer: checksum overhead, repair ledger, degraded mode")
     p.add_argument("--system", default="splitfs-posix", choices=SYSTEM_NAMES)
     p.add_argument("--seed", type=int, default=11)
-
-    sub.add_parser("crashdemo", help="Table 3 crash semantics, live")
     return parser
 
 
 _COMMANDS = {
-    "systems": cmd_systems,
     "table1": cmd_table1,
-    "syscalls": cmd_syscalls,
-    "iopatterns": cmd_iopatterns,
-    "ycsb": cmd_ycsb,
     "crashmc": cmd_crashmc,
     "fuzz": cmd_fuzz,
     "bench": cmd_bench,
@@ -589,7 +497,6 @@ _COMMANDS = {
     "serve": cmd_serve,
     "monitor": cmd_monitor,
     "ras-report": cmd_ras_report,
-    "crashdemo": cmd_crashdemo,
 }
 
 

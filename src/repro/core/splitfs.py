@@ -83,12 +83,8 @@ class SplitFSConfig:
     #: paper's Table 6 latencies imply the real system relies on ext4's
     #: periodic commit instead; see EXPERIMENTS.md.
     sync_metadata_commits: bool = False
-    # RAS graceful degradation (ENOSPC on the staging-carve path):
-    #: ``None`` = auto: degrade iff the machine has the RAS layer enabled.
-    #: ``False`` keeps the seed behaviour (staging ENOSPC surfaces to the
-    #: caller); ``True`` forces degradation even without a RAS controller.
-    degrade_on_enospc: Optional[bool] = None
-    #: Minimum simulated time in degraded mode before re-probing staging.
+    #: Minimum simulated time in degraded mode (a staging ENOSPC on a
+    #: machine with the RAS layer) before re-probing staging.
     repromote_hysteresis_ns: float = C.RAS_REPROMOTE_HYSTERESIS_NS
 
 
@@ -696,7 +692,9 @@ class SplitFS(FileSystemAPI):
                                                is_append=op == OP_APPEND,
                                                size=size)
                 except NoSpaceFSError:
-                    if not self._degradation_enabled:
+                    # Degrade to the kernel path only on a machine with the
+                    # RAS layer; without it the ENOSPC surfaces.
+                    if self.machine.ras is None:
                         raise
                     run = self._retry_staging(ufile, offset, op, size)
                     if run is None:
@@ -728,12 +726,6 @@ class SplitFS(FileSystemAPI):
         return StagedRun(carve=carve, target_off=target_off, is_append=is_append)
 
     # -- graceful degradation (RAS layer) ------------------------------------
-
-    @property
-    def _degradation_enabled(self) -> bool:
-        if self.config.degrade_on_enospc is not None:
-            return self.config.degrade_on_enospc
-        return self.machine.ras is not None
 
     def _retry_staging(self, ufile: UFile, target_off: int, op: int,
                        size: int) -> Optional[StagedRun]:

@@ -397,7 +397,6 @@ class _ForkEngine:
         self.state_hook = state_hook
         self.cow = CowStats()
         report.cow = self.cow
-        self.prune_stats = report.prune_counters
         #: plan keys ((epoch, store) or fence index) whose event fired
         self.visited: Set[object] = set()
         self.machine = None
@@ -413,9 +412,9 @@ class _ForkEngine:
         # re-used engine; the latest run's counters win.
         machine.metrics.register_source("crashmc.fork", self.cow,
                                         replace=True)
-        if self.prune_stats is not None:
-            machine.metrics.register_source("crashmc.prune", self.prune_stats,
-                                            replace=True)
+        machine.metrics.register_source("crashmc.prune",
+                                        self.report.prune_counters,
+                                        replace=True)
         harvester = _ForkHarvester(self)
         machine.pm.attach_observer(harvester)
         try:
@@ -497,7 +496,6 @@ def explore(
     prune: bool = False,
     reorder: int = 0,
     state_hook: Optional[Callable[[str, object], None]] = None,
-    prune_stats: Optional[PruneStats] = None,
 ) -> ExplorationReport:
     """Enumerate and check crash states of one workload on one kind.
 
@@ -538,7 +536,7 @@ def explore(
     t0 = time.perf_counter()
     plan = _build_plan(report.trace, intra=intra, seed=seed, prune=prune)
     report.pruned_states = dict(plan.pruned)
-    report.prune_counters = prune_stats if prune_stats is not None else PruneStats()
+    report.prune_counters = PruneStats()
     report.prune_counters.record(report.candidate_fence_states,
                                  len(plan.kept_fences), plan.pruned)
     _ForkEngine(report, ops, seed, plan, ras, media_rate, reorder,

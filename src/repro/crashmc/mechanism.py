@@ -90,13 +90,12 @@ class MechanismProbe:
     """A clock observer that tracks only the open-span name stack.
 
     Implements exactly the surface hot paths consult on an enabled
-    observer (``enabled``, ``trace_fences``, ``span``, ``on_charge``,
-    ``on_fence``) and nothing more; every hook except ``span`` is a no-op,
-    so simulated time is untouched.
+    observer (``enabled``, ``span``, ``on_charge``, ``on_fence``) and
+    nothing more; every hook except ``span`` is a no-op, so simulated time
+    is untouched.
     """
 
     enabled = True
-    trace_fences = False
 
     def __init__(self) -> None:
         self.names: List[str] = []

@@ -107,6 +107,10 @@ class Shadow:
         if end > len(buf):
             buf.extend(b"\x00" * (end - len(buf)))
         buf[off:end] = bytes([fill]) * size
+        if self.props.sync_data:
+            # apply raises the floor to this content next, which leaves no
+            # floor byte an extra value.
+            return
         # Bytes inside the durable floor may now also show the new value.
         floor = self.floor[i]
         extra = self.extra[i]

@@ -73,20 +73,6 @@ class Machine:
         #: :class:`~repro.kernel.sched.SimLock` a free no-op.
         self.sched = None
         self._locks: Dict[str, "SimLock"] = {}
-        #: Optional :class:`~repro.obs.telemetry.Telemetry`; ``None`` (the
-        #: default) means no windowed time-series are collected.  Clock
-        #: owners (the scheduler, the serve engine) drive it when attached.
-        self.telemetry = None
-
-    def attach_telemetry(self, window_ns: int, capacity: int = 4096):
-        """Attach (and return) a windowed telemetry collector over this
-        machine's metrics registry; replaces any previous one.  The caller
-        owns the lifecycle (``begin``/``advance``/``finish``)."""
-        from ..obs.telemetry import Telemetry
-
-        self.telemetry = Telemetry(self.metrics, window_ns,
-                                   capacity=capacity)
-        return self.telemetry
 
     def next_instance_id(self) -> int:
         """The next machine-scoped component instance id (see above)."""
@@ -173,14 +159,6 @@ class Machine:
         self.metrics.register_source("pmem.numa", model.numa, replace=True)
         return model
 
-    def disable_device_model(self) -> None:
-        """Detach any device model: back to fixed costs.
-
-        The off-path guard tests use this to prove attach-then-detach
-        machines charge bit-identically to never-attached ones.
-        """
-        self.pm.model = None
-
     def crash(self, policy: Optional[CrashPolicy] = None,
               survivors=None) -> None:
         """Power failure: PM loses its un-persisted lines.
@@ -241,7 +219,6 @@ class Machine:
         # state: crash exploration runs the child serially.
         child.sched = None
         child._locks = {}
-        child.telemetry = None
         child.ras = None
         child.metrics = MetricsRegistry()
         child.metrics.register_source("pmem.device", child.pm.stats)

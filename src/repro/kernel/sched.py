@@ -297,17 +297,10 @@ class Scheduler:
     def run(self) -> float:
         """Drive all tasks to completion; returns the virtual makespan."""
         clock = self.clock
-        telem = self.machine.telemetry
         while self._heap:
             at_v, _, task = heapq.heappop(self._heap)
             cpu = task.cpu
             start_v = max(at_v, self.cpu_now[cpu])
-            if telem is not None:
-                # Windows close on the dispatch instant of the virtual
-                # timeline; runq depth is sampled per dispatch so each
-                # window's gauge is the level at its closing dispatch.
-                telem.advance(int(start_v))
-                self._sample_runq()
             self.current = task
             self._step_origin_v = start_v
             self._step_charge0 = clock.now_ns
@@ -347,20 +340,6 @@ class Scheduler:
             else:
                 self._push(end_v, task)
         return self.makespan()
-
-    def _sample_runq(self) -> None:
-        """Export run-queue depth gauges (total and per CPU).
-
-        Only called when telemetry is attached — the O(heap) scan costs
-        real wall time, and without a collector nobody reads the gauges.
-        """
-        metrics = self.machine.metrics
-        per_cpu = [0] * self.cpus
-        for _at, _seq, task in self._heap:
-            per_cpu[task.cpu] += 1
-        metrics.gauge("sched.runq.depth").set(float(len(self._heap)))
-        for c, depth in enumerate(per_cpu):
-            metrics.gauge(f"sched.runq.cpu{c}").set(float(depth))
 
     def makespan(self) -> float:
         """Max virtual CPU time — the concurrent run's elapsed time."""

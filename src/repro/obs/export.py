@@ -30,7 +30,7 @@ from .observer import Observer, TIME_CATEGORIES
 CATEGORY_ORDER = (
     "usplit", "staging", "oplog", "relink", "fallback",
     "vfs", "trap", "fs", "alloc", "journal", "fault", "vm",
-    "pmem", "ras", "other",
+    "ras", "other",
 )
 
 

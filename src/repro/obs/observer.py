@@ -2,8 +2,9 @@
 
 The observability layer's core is an :class:`Observer` that every layer of
 the stack reports into through lightweight ``with obs.span(...)`` context
-managers: syscall entry -> VFS -> FS operation -> journal transaction ->
-pmem flush/fence.  Spans are measured in *simulated* nanoseconds (the
+managers: syscall entry -> VFS -> FS operation -> journal transaction;
+fences are counted (:meth:`Observer.on_fence`), not spanned.  Spans are
+measured in *simulated* nanoseconds (the
 clock the cost model charges), so a trace decomposes exactly the numbers
 the experiments report — nothing is sampled, nothing is approximate.
 
@@ -171,15 +172,11 @@ class Observer:
 
     enabled = True
 
-    def __init__(self, max_events: int = 200_000,
-                 trace_fences: bool = False) -> None:
+    def __init__(self, max_events: int = 200_000) -> None:
         from .metrics import MetricsRegistry  # local import: keep cycles out
 
         self.clock = None
         self.max_events = max_events
-        #: Record one span per ``sfence`` (verbose; off by default — fences
-        #: are always *counted* and epoch-stamped regardless).
-        self.trace_fences = trace_fences
         self.registry = MetricsRegistry()
         self.events: List[Span] = []
         self.dropped_events = 0

@@ -32,7 +32,8 @@ from .observer import Observer
 TABLE1_SYSTEMS = ("ext4dax", "pmfs", "nova-strict", "splitfs-strict",
                   "splitfs-posix")
 
-#: The Figure 4 patterns, in the order ``repro iopatterns`` sweeps them.
+#: The Figure 4 patterns, in the order ``benchmarks/figure4_io_patterns.py``
+#: sweeps them.
 IO_PATTERNS = ("seq-read", "rand-read", "seq-write", "rand-write", "append")
 
 PROFILE_WORKLOADS = ("table1", "iopatterns", "ycsb", "bench")
@@ -115,14 +116,13 @@ def run_profile(
     ycsb_phase: str = "A",
     records: int = 1000,
     operation_count: int = 1500,
-    trace_fences: bool = False,
-    max_events: int = 200_000,
 ) -> List[ProfileResult]:
     """Run one workload family under tracing; one result per traced run.
 
-    Invocations mirror the untraced CLI commands exactly (same systems,
-    same sizes, same call paths), so per-system simulated totals match
-    ``repro table1`` / ``repro iopatterns`` / ``repro ycsb`` bit for bit.
+    Invocations mirror the untraced runs exactly (same systems, same
+    sizes, same call paths), so per-system simulated totals match
+    ``repro table1`` and the harness's ``io_pattern_workload`` /
+    ``ycsb_workload`` bit for bit.
     """
     from ..bench.harness import (
         append_4k_workload,
@@ -130,13 +130,10 @@ def run_profile(
         ycsb_workload,
     )
 
-    def make_observer() -> Observer:
-        return Observer(max_events=max_events, trace_fences=trace_fences)
-
     results: List[ProfileResult] = []
     if workload == "table1":
         for system in systems or TABLE1_SYSTEMS:
-            obs = make_observer()
+            obs = Observer()
             m = append_4k_workload(system, total_bytes=total_mb << 20,
                                    observer=obs)
             results.append(ProfileResult(system, "table1-append4k",
@@ -144,7 +141,7 @@ def run_profile(
     elif workload == "iopatterns":
         for system in systems or TABLE1_SYSTEMS:
             for pattern in patterns or IO_PATTERNS:
-                obs = make_observer()
+                obs = Observer()
                 m = io_pattern_workload(system, pattern,
                                         file_bytes=file_mb << 20,
                                         observer=obs)
@@ -152,7 +149,7 @@ def run_profile(
                                              m.operations, obs, m))
     elif workload == "ycsb":
         for system in systems or ("splitfs-strict", "ext4dax"):
-            obs = make_observer()
+            obs = Observer()
             m = ycsb_workload(system, ycsb_phase, record_count=records,
                               operation_count=operation_count, observer=obs)
             results.append(ProfileResult(system, m.workload,
@@ -163,7 +160,7 @@ def run_profile(
         for spec in wc.WORKLOADS:
             if spec.kind != "io":
                 continue  # crashmc sweeps crash machines; not a traced run
-            obs = make_observer()
+            obs = Observer()
             m = io_pattern_workload(spec.system, spec.pattern,
                                     file_bytes=spec.file_bytes,
                                     fsync_every=spec.fsync_every,

@@ -3,8 +3,8 @@
 Production systems are operated through *live* signals — windowed
 time-series, per-request traces, SLO alerts — not end-of-run attribution
 tables.  This module adds that layer on top of the metrics registry, keyed
-to **simulated** time so a run under the scheduler or the serve engine
-produces the identical timeline on every machine.
+to **simulated** time so a serve run produces the identical timeline on
+every machine.
 
 Three pieces:
 
@@ -14,9 +14,8 @@ Three pieces:
     window boundaries, gauges are sampled, histograms are diffed into
     per-window delta histograms (so each window carries its own p50/p99).
     Windows live in a ring buffer; overflow evicts the oldest and counts
-    ``dropped``.  Drive it with ``advance(now_ns)`` from any clock owner —
-    the serve engine calls it per arrival event, the scheduler per
-    dispatch.
+    ``dropped``.  The clock owner drives it with ``advance(now_ns)`` —
+    the serve engine calls it per arrival event.
 
 ``Objective`` / ``SLOEngine``
     Declarative objectives — a latency threshold over a histogram, or a
@@ -91,7 +90,7 @@ class Telemetry:
 
     Lifecycle: construct, let the subsystems under test register their
     instruments/sources, then ``begin(now_ns)`` to take the baseline
-    snapshot.  Every clock owner calls ``advance(now_ns)`` as simulated
+    snapshot.  The clock owner calls ``advance(now_ns)`` as simulated
     time moves; ``finish(now_ns)`` closes the trailing partial window.
     ``on_window`` callbacks run synchronously at each close, in
     registration order (the SLO engine subscribes this way).

@@ -201,16 +201,10 @@ class PersistentMemory:
     def sfence(self, category: Category = Category.META_IO) -> int:
         drained = self.domain.sfence()
         self.stats.fences += 1
+        self.clock.charge(C.SFENCE_NS, category)
         obs = self.clock.obs
         if obs.enabled:
-            if obs.trace_fences:
-                with obs.span("pmem.sfence", cat="pmem"):
-                    self.clock.charge(C.SFENCE_NS, category)
-            else:
-                self.clock.charge(C.SFENCE_NS, category)
             obs.on_fence()
-        else:
-            self.clock.charge(C.SFENCE_NS, category)
         if self.ras is not None:
             self.ras.maybe_scrub()
         return drained

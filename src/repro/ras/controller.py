@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs.metrics import counter_field, reset_counter_fields
 from ..pmem import constants as C
@@ -153,7 +153,7 @@ class RASController:
         #: Remapped-but-lost extents: poisoned ranges with no replica that a
         #: scrub pass has declared unrecoverable (reads keep failing until
         #: the range is rewritten).
-        self.remapped: List[Tuple[int, int]] = []
+        self.remapped: Set[Tuple[int, int]] = set()
         #: Simulated time consumed by scrub passes (a spare core, not
         #: application time) — same convention as staging refills.
         self.background_account = TimeAccount()
@@ -263,7 +263,7 @@ class RASController:
             copy = _Region(region.primary, region.nbytes, region.replica)
             copy.crcs = list(region.crcs) if region.crcs is not None else None
             child.regions.append(copy)
-        child.remapped = list(self.remapped)
+        child.remapped = set(self.remapped)
         child.background_account = self.background_account.snapshot()
         child._last_scrub_ns = self._last_scrub_ns
         child._in_hook = False
@@ -386,7 +386,7 @@ class RASController:
                             continue
                         if (start, end) in self.remapped:
                             continue
-                        self.remapped.append((start, end))
+                        self.remapped.add((start, end))
                         self.stats.remapped_extents += 1
                         found += 1
             clock.to_background(acct, self.background_account)

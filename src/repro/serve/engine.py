@@ -300,7 +300,6 @@ class ServeEngine:
             telem = Telemetry(machine.metrics,
                               window_ns=int(cfg.telemetry_window_us * 1e3),
                               capacity=TELEMETRY_CAPACITY)
-            machine.telemetry = telem
             arrivals_ctr = machine.metrics.counter("serve.window.arrivals")
             queue_gauge = machine.metrics.gauge("serve.queue.depth")
             pressure_gauge = machine.metrics.gauge("serve.backpressure.ewma")
@@ -324,6 +323,23 @@ class ServeEngine:
             if outcomes is not None:
                 assert rid not in outcomes, (rid, outcome, outcomes[rid])
                 outcomes[rid] = outcome
+
+        def retry_or_shed(rid: int, attempt: int, at: float) -> None:
+            """Requeue a refused or failed attempt made at ``at`` after its
+            backoff, or shed the request once its retries are spent."""
+            nonlocal next_seq
+            if attempt < cfg.max_retries:
+                counters.retries += 1
+                retry_t = at + self._backoff_ns(attempt)
+                heapq.heappush(events, (retry_t, next_seq, rid, attempt + 1))
+                next_seq += 1
+                if tracer is not None:
+                    tracer.on_backoff(rid, at, retry_t, attempt)
+            else:
+                counters.shed += 1
+                terminal(rid, "shed")
+                if tracer is not None:
+                    tracer.on_outcome(rid, at, "shed")
 
         while events:
             t, seq, rid, attempt = heapq.heappop(events)
@@ -353,18 +369,7 @@ class ServeEngine:
                     counters.backpressure_rejections += 1
                 if tracer is not None:
                     tracer.on_rejected(rid, t, attempt, clamped)
-                if attempt < cfg.max_retries:
-                    counters.retries += 1
-                    retry_t = t + self._backoff_ns(attempt)
-                    heapq.heappush(events, (retry_t, next_seq, rid, attempt + 1))
-                    next_seq += 1
-                    if tracer is not None:
-                        tracer.on_backoff(rid, t, retry_t, attempt)
-                else:
-                    counters.shed += 1
-                    terminal(rid, "shed")
-                    if tracer is not None:
-                        tracer.on_outcome(rid, t, "shed")
+                retry_or_shed(rid, attempt, t)
                 continue
 
             counters.admitted += 1
@@ -417,19 +422,7 @@ class ServeEngine:
             if err is not None:
                 if err.errno_name in RETRYABLE_ERRNOS:
                     counters.retryable_errors += 1
-                    if attempt < cfg.max_retries:
-                        counters.retries += 1
-                        retry_t = end + self._backoff_ns(attempt)
-                        heapq.heappush(events,
-                                       (retry_t, next_seq, rid, attempt + 1))
-                        next_seq += 1
-                        if tracer is not None:
-                            tracer.on_backoff(rid, end, retry_t, attempt)
-                    else:
-                        counters.shed += 1
-                        terminal(rid, "shed")
-                        if tracer is not None:
-                            tracer.on_outcome(rid, end, "shed")
+                    retry_or_shed(rid, attempt, end)
                 else:
                     counters.failed += 1
                     terminal(rid, "failed")

@@ -75,27 +75,10 @@ class TestMeasurement:
 class TestCLI:
     def test_parser_subcommands(self):
         parser = build_parser()
-        args = parser.parse_args(["ycsb", "--system", "strata",
-                                  "--workload", "C"])
-        assert args.system == "strata"
-        assert args.workload == "C"
-
-    def test_systems_command(self, capsys):
-        assert main(["systems"]) == 0
-        out = capsys.readouterr().out
-        assert "splitfs-strict" in out
-        assert "ext4dax" in out
-
-    def test_crashdemo_command(self, capsys):
-        assert main(["crashdemo"]) == 0
-        out = capsys.readouterr().out
-        assert "strict" in out and "True" in out
-        assert "posix" in out and "False" in out
-
-    def test_ycsb_command(self, capsys):
-        assert main(["ycsb", "--system", "splitfs-posix", "--workload",
-                     "load", "--records", "100", "--ops", "100"]) == 0
-        assert "kops/s" in capsys.readouterr().out
+        args = parser.parse_args(["crashmc", "--fs", "strata",
+                                  "--ops", "5"])
+        assert args.fs == ["strata"]
+        assert args.ops == 5
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

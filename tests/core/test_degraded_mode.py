@@ -76,14 +76,6 @@ class TestEnterDegraded:
             _fill(fs, fd, 700)
         assert not fs.degraded
 
-    def test_explicit_opt_out_overrides_ras(self):
-        machine = Machine(PM)
-        machine.enable_ras()
-        fs = _tight_splitfs(machine, degrade_on_enospc=False)
-        fd = fs.open("/big", F.O_CREAT | F.O_RDWR)
-        with pytest.raises(NoSpaceFSError):
-            _fill(fs, fd, 700)
-
 
 class TestRepromotion:
     def test_unlink_frees_space_and_repromotes(self):

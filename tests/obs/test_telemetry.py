@@ -350,32 +350,3 @@ class TestSLOEngine:
             BurnRule("r", fast=3, slow=2, factor=1.0)
         with pytest.raises(ValueError):
             SLOEngine([])
-
-
-class TestSchedulerSeries:
-    def test_runq_and_ctx_series_under_scheduler(self):
-        from repro.kernel.machine import Machine
-        from repro.pmem.timing import Category
-
-        machine = Machine(16 * 1024 * 1024)
-        sched = machine.attach_scheduler(cpus=2)
-        telem = machine.attach_telemetry(window_ns=20_000)
-
-        def worker():
-            for _ in range(10):
-                machine.clock.charge(5_000, Category.CPU)
-                yield
-
-        for i in range(4):
-            sched.spawn(worker(), name=f"w{i}")
-        telem.begin(0)
-        makespan = sched.run()
-        telem.finish(int(makespan) + 1)
-        assert len(telem.windows) >= 2
-        # The per-CPU runq gauges were sampled, and the ctx-switch deltas
-        # telescope to the scheduler's cumulative count.
-        assert any("sched.runq.depth" in w.gauges for w in telem.windows)
-        assert any("sched.runq.cpu0" in w.gauges for w in telem.windows)
-        ctx = sum(w.counters.get("sched.cpu.context_switches", 0.0)
-                  for w in telem.windows)
-        assert ctx == sched.stats.context_switches

@@ -1,11 +1,14 @@
 """The golden manifest: each entry reproduces its committed output, and
 the check fails on every way an output can move."""
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.cli import build_parser
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import goldens  # noqa: E402
@@ -28,6 +31,15 @@ def test_goldens_dir_holds_exactly_the_manifest_outputs():
         if path.name != "manifest.json":
             stem = path.name[:-len(".txt")] if path.is_file() else path.name
             assert stem in names, f"goldens/{path.name} has no entry"
+
+
+def test_every_repro_subcommand_has_a_golden():
+    """An unpinned command is a second front end that nothing checks."""
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    pinned = {e["argv"][0] for e in ENTRIES if "argv" in e}
+    assert sorted(set(commands) - pinned) == []
 
 
 def test_filter_drops_only_wall_and_wrote_lines():
