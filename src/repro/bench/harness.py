@@ -104,11 +104,6 @@ def measure(
         for key, value in machine.ras.stats.as_dict().items():
             extras[f"ras_{key}"] = float(value)
         extras["ras_scrub_background_ns"] = machine.ras.background_account.total_ns
-    elif hasattr(fs, "rstats"):
-        # SplitFS records degradation events even without a RAS controller.
-        for key in ("degraded_entries", "degraded_exits", "degraded_ops",
-                    "enospc_retries"):
-            extras[f"ras_{key}"] = float(getattr(fs.rstats, key))
     return Measurement(system, workload_name, ops, account.snapshot(), io,
                        extras=extras)
 

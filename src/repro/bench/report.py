@@ -149,20 +149,12 @@ def render_sensitivity_table(results: Dict[str, Dict[str, object]],
     return render_table(title, headers, rows)
 
 
-def degrade_phase(window, open_degrades: int) -> str:
+def window_phase(window) -> str:
     """Classify one telemetry window into an operator-facing phase label.
 
-    ``open_degrades`` is the running entries−exits balance *before* this
-    window; callers thread it through
-    (``open_degrades += entries - exits``).  Priority order: an open
-    degraded interval dominates (the system is in fallback mode), then
-    shedding (requests dying), then backpressure (admission clamped), then
-    retrying, else ok.
+    Priority order: shedding (requests dying), then backpressure
+    (admission clamped), then retrying, else ok.
     """
-    entries = window.counters.get("splitfs.degrade.degraded_entries", 0.0)
-    exits = window.counters.get("splitfs.degrade.degraded_exits", 0.0)
-    if open_degrades + entries - exits > 0 or entries > 0:
-        return "degraded"
     if window.counters.get("serve.engine.shed", 0.0) > 0:
         return "shedding"
     if window.counters.get("serve.engine.backpressure_rejections", 0.0) > 0:
@@ -180,10 +172,10 @@ def render_slo_timeline(title: str, telemetry, slo,
     One row per retained telemetry window: offered load (arrival rate),
     completion rate, the window's own p99 (from the histogram delta), the
     primary objective's fast/slow burn rates, every firing ``slo:rule``
-    pair, and the degrade phase.  A device-stall column appears only when
-    a device model exported stall counters.  Long runs are
-    stride-downsampled to ``max_rows`` rows (deterministically), with a
-    note saying so.
+    pair, and the window's phase.  A device-stall column appears only when
+    some window carries a device-bandwidth stall (``pmem.bw.stall_ns``).
+    Long runs are stride-downsampled to ``max_rows`` rows
+    (deterministically), with a note saying so.
     """
     from ..pmem.devmodel import window_stall_fraction
 
@@ -202,14 +194,12 @@ def render_slo_timeline(title: str, telemetry, slo,
         headers.insert(7, "dev stall")
     stride = max(1, -(-len(windows) // max_rows))  # ceil div
     rows = []
-    open_degrades = 0.0
     for w in windows:
         pe = evals.get((primary.name, w.index))
         firing = sorted(
             f"{obj.name}:{r}" for obj in slo.objectives
             for ev in (evals.get((obj.name, w.index)),) if ev is not None
             for r in ev.firing)
-        phase = degrade_phase(w, open_degrades)
         if w.index % stride == 0 or w is windows[-1]:
             row = [
                 f"{w.index}",
@@ -220,14 +210,11 @@ def render_slo_timeline(title: str, telemetry, slo,
                 (f"{pe.burn[rule.name][0]:.1f}/{pe.burn[rule.name][1]:.1f}"
                  if pe is not None else "-"),
                 ",".join(firing) if firing else "-",
-                phase,
+                window_phase(w),
             ]
             if has_stall:
                 row.insert(7, f"{100.0 * window_stall_fraction(w):.1f}%")
             rows.append(row)
-        open_degrades += (
-            w.counters.get("splitfs.degrade.degraded_entries", 0.0)
-            - w.counters.get("splitfs.degrade.degraded_exits", 0.0))
     out = render_table(title, headers, rows)
     notes = []
     if stride > 1:

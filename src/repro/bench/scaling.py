@@ -110,7 +110,6 @@ def run_point(system: str, cpus: int, clients: int = DEFAULT_CLIENTS,
             name=f"client{c}",
         )
     makespan = sched.run()
-    collected = machine.metrics.collect()
     return ScalingPoint(
         system=system,
         cpus=cpus,
@@ -118,9 +117,9 @@ def run_point(system: str, cpus: int, clients: int = DEFAULT_CLIENTS,
         total_ops=clients * ops,
         makespan_ns=makespan,
         work_ns=sched.stats.busy_ns,
-        lock_wait_ns=collected.get("sched.lock.wait_ns", 0.0),
-        lock_contended=int(collected.get("sched.lock.contended", 0)),
-        context_switches=int(collected.get("sched.cpu.context_switches", 0)),
+        lock_wait_ns=sched.lock_stats.wait_ns,
+        lock_contended=int(sched.lock_stats.contended),
+        context_switches=int(sched.stats.context_switches),
         device=model_label(device_profile, numa_remote),
     )
 

@@ -33,7 +33,6 @@ from ..posix.errors import (
     NoSpaceFSError,
     PermissionFSError,
 )
-from ..ras import RASStats
 from .mmap_collection import MmapCollection
 from .modes import Mode
 from .oplog import (
@@ -194,26 +193,14 @@ class SplitFS(FileSystemAPI):
         self.staging: Optional[StagingManager] = None
         self.oplog: Optional[OperationLog] = None
         # Degraded mode (RAS layer): staging ENOSPC reroutes data ops to the
-        # kernel path until space frees up.  RAS counters are shared with the
-        # machine's controller when one is enabled, so `ras-report` sees the
-        # degradation events; otherwise a private stats block records them.
+        # kernel path until space frees up.  Only a machine with the RAS
+        # layer degrades, and the events land in its controller's stats,
+        # so `ras-report` sees them.
         self.degraded = False
         self.degraded_since = 0.0
         self.rstats = (
-            self.machine.ras.stats if self.machine.ras is not None else RASStats()
+            self.machine.ras.stats if self.machine.ras is not None else None
         )
-        # Publish the degraded-mode/hysteresis counters through the machine's
-        # metrics registry so serve reports (and any collector) see staging
-        # fallback events without reaching into SplitFS internals.  The
-        # field filter keeps the shared RAS stats block from leaking its
-        # unrelated error-ledger fields under this prefix.
-        # replace=True: a remount (or a second instance without RAS, whose
-        # rstats is private) re-registers the prefix; last mount wins.
-        self.machine.metrics.register_source(
-            "splitfs.degrade", self.rstats,
-            fields=("degraded_entries", "degraded_exits", "degraded_ops",
-                    "enospc_retries"),
-            replace=True)
         if not _defer_setup:
             self._setup()
 

@@ -14,7 +14,7 @@ CLI subcommand.
 
 from .explorer import (ExplorationReport, Violation, explore, fresh,
                        record_trace, remount)
-from .mechanism import (MechanismProbe, PruneStats, mechanism_summary,
+from .mechanism import (MechanismProbe, mechanism_summary,
                         plan_pruned_fences)
 from .minimize import emit_reproducer, minimize
 from .oracles import KIND_PROPS, KindProps, check_state
@@ -27,7 +27,6 @@ __all__ = [
     "explore",
     "record_trace",
     "MechanismProbe",
-    "PruneStats",
     "mechanism_summary",
     "plan_pruned_fences",
     "OpCursor",

@@ -45,7 +45,7 @@ from ..factory import make_filesystem as fresh, remount
 from ..kernel.machine import DEFAULT_PM_SIZE
 from ..pmem.cache import CrashPolicy
 from ..pmem.cow import CowStats
-from .mechanism import (MechanismProbe, PruneStats, mechanism_summary,
+from .mechanism import (MechanismProbe, mechanism_summary,
                         plan_pruned_fences)
 from .oracles import KIND_PROPS, check_state
 from .trace import PersistenceTracer, Trace
@@ -103,9 +103,6 @@ class ExplorationReport:
     elapsed_wall_s: float = 0.0
     #: CoW fork counters (fork engine only)
     cow: Optional[CowStats] = None
-    #: pruning counters (also registered as the ``crashmc.prune`` metrics
-    #: source on the harvest machine)
-    prune_counters: Optional[PruneStats] = None
 
     @property
     def ok(self) -> bool:
@@ -408,13 +405,6 @@ class _ForkEngine:
                             ras=self.ras)
         self.machine = machine
         self.shadow = Shadow(KIND_PROPS[self.report.kind])
-        # replace=True: run() may be re-entered with fresh stats blocks on a
-        # re-used engine; the latest run's counters win.
-        machine.metrics.register_source("crashmc.fork", self.cow,
-                                        replace=True)
-        machine.metrics.register_source("crashmc.prune",
-                                        self.report.prune_counters,
-                                        replace=True)
         harvester = _ForkHarvester(self)
         machine.pm.attach_observer(harvester)
         try:
@@ -536,9 +526,6 @@ def explore(
     t0 = time.perf_counter()
     plan = _build_plan(report.trace, intra=intra, seed=seed, prune=prune)
     report.pruned_states = dict(plan.pruned)
-    report.prune_counters = PruneStats()
-    report.prune_counters.record(report.candidate_fence_states,
-                                 len(plan.kept_fences), plan.pruned)
     _ForkEngine(report, ops, seed, plan, ras, media_rate, reorder,
                 max_states, state_hook).run()
     report.elapsed_wall_s = time.perf_counter() - t0

@@ -30,10 +30,8 @@ bit-identical to an unobserved run (the same guarantee the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from ..obs.metrics import counter_field
 
 #: Span name → consistency mechanism.  Innermost matching span wins, so a
 #: data store issued inside ``jbd2.commit`` is journal traffic even though
@@ -138,28 +136,6 @@ def mechanism_summary(epoch_mechanisms: List[str]) -> Dict[str, int]:
         if n:
             out[mech] = n
     return out
-
-
-@dataclass
-class PruneStats:
-    """Pruning counters for one sweep, registered in the machine metrics
-    registry as the ``crashmc.prune`` source."""
-
-    candidate_states: int = counter_field()
-    kept_states: int = counter_field()
-    pruned_total: int = counter_field()
-    pruned_journal: int = counter_field()
-    pruned_log: int = counter_field()
-    pruned_cow: int = counter_field()
-    pruned_data: int = counter_field()
-    pruned_none: int = counter_field()
-
-    def record(self, candidates: int, kept: int, pruned: Dict[str, int]) -> None:
-        self.candidate_states += candidates
-        self.kept_states += kept
-        for mech, n in pruned.items():
-            self.pruned_total += n
-            setattr(self, f"pruned_{mech}", getattr(self, f"pruned_{mech}") + n)
 
 
 def plan_pruned_fences(

@@ -179,10 +179,6 @@ class Ext4DaxFS(KernelFS):
         else:
             self.journal.recover()
         self.journal.on_reset = self._flush_quarantine
-        # replace=True: a remount builds a fresh Journal on the same
-        # machine, and its stats must supersede the pre-crash instance's.
-        self.machine.metrics.register_source("journal.jbd2",
-                                             self.journal.stats, replace=True)
 
     def _flush_quarantine(self) -> None:
         """The journal region reset: no stale transactions can replay any

@@ -5,10 +5,9 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from ..obs import MetricsRegistry, NULL_OBSERVER
 from ..pmem.cache import CrashPolicy
 from ..pmem.device import PersistentMemory
-from ..pmem.devmodel import BANDWIDTH_METRIC_FIELDS, DeviceModel
+from ..pmem.devmodel import DeviceModel
 from ..pmem.faults import FaultInjector
 from ..pmem.timing import SimClock
 from .process import FIRST_PID, SharedMemoryStore
@@ -47,14 +46,6 @@ class Machine:
         #: Optional :class:`~repro.ras.RASController`; ``None`` until
         #: :meth:`enable_ras` opts this machine into the RAS layer.
         self.ras = None
-        #: Machine-wide metrics registry; subsystem stats structs are
-        #: registered as sources so ``metrics.collect()`` exports them under
-        #: ``layer.subsystem.metric`` names and ``metrics.reset()`` rewinds
-        #: every counter through one path.
-        self.metrics = MetricsRegistry()
-        self.metrics.register_source("pmem.device", self.pm.stats)
-        self.metrics.register_source("pmem.faults", self.faults)
-        self.metrics.register_source("kernel.vm", self.vm.stats)
         #: Monotonic id source for components whose ids land in on-device
         #: names (SplitFS staging/oplog files).  Per-machine — not process-
         #: global — so a forked machine replays the exact ids a from-scratch
@@ -128,7 +119,6 @@ class Machine:
         if self.ras is None:
             self.ras = RASController(self.pm, config)
             self.pm.ras = self.ras
-            self.metrics.register_source("ras.controller", self.ras.stats)
         elif config is not None:
             self.ras.config = config
         return self.ras
@@ -144,19 +134,14 @@ class Machine:
         :data:`~repro.pmem.devmodel.PROFILES` (``flat`` is the bucket alone)
         or a :class:`~repro.pmem.devmodel.DeviceProfile` instance; ``model``
         overrides with a pre-built :class:`~repro.pmem.devmodel.DeviceModel`.
-        Off by default on every machine; returns the live model.  The bucket
-        is exported as ``pmem.bw.*``, NUMA counters as ``pmem.numa.*``.
+        Off by default on every machine; returns the live model, whose
+        ``bandwidth`` and ``numa`` stats count the bucket's stalls and the
+        remote accesses.
         """
         if model is None:
             model = DeviceModel(profile=profile, numa_remote=numa_remote)
         self.pm.model = model
         self.pm.sched = self.sched
-        # replace=True: attaching a device model deliberately supersedes a
-        # previous model's export.
-        self.metrics.register_source("pmem.bw", model.bandwidth,
-                                     fields=BANDWIDTH_METRIC_FIELDS,
-                                     replace=True)
-        self.metrics.register_source("pmem.numa", model.numa, replace=True)
         return model
 
     def crash(self, policy: Optional[CrashPolicy] = None,
@@ -220,17 +205,7 @@ class Machine:
         child.sched = None
         child._locks = {}
         child.ras = None
-        child.metrics = MetricsRegistry()
-        child.metrics.register_source("pmem.device", child.pm.stats)
-        child.metrics.register_source("pmem.faults", child.faults)
-        child.metrics.register_source("kernel.vm", child.vm.stats)
         if self.ras is not None:
             child.ras = self.ras.fork(child.pm)
             child.pm.ras = child.ras
-            child.metrics.register_source("ras.controller", child.ras.stats)
-        if child.pm.model is not None:
-            child.metrics.register_source(
-                "pmem.bw", child.pm.model.bandwidth,
-                fields=BANDWIDTH_METRIC_FIELDS)
-            child.metrics.register_source("pmem.numa", child.pm.model.numa)
         return child

@@ -22,7 +22,7 @@ Locks (:class:`SimLock`) use a resource-availability model rather than
 sleep/wake queues: a lock is a virtual instant ``free_at``; an acquire that
 lands before it *waits* — the wait is charged to the machine clock (inside
 whatever obs span is open, so lock waits show up in latency attribution)
-and metered into ``sched.lock.*`` metrics.  A contended handoff from a
+and metered into the scheduler's :class:`LockStats`.  A contended handoff from a
 different CPU additionally charges an IPI.  When no scheduler is attached
 or no task is current, every lock operation is a complete no-op — zero
 cost, zero state — which is what keeps single-client goldens bit-identical.
@@ -41,7 +41,7 @@ from ..pmem.timing import Category
 
 @dataclass
 class SchedStats:
-    """Aggregate scheduler counters (metrics source ``sched.cpu``)."""
+    """Aggregate scheduler counters (``Scheduler.stats``)."""
 
     tasks_spawned: int = counter_field()
     tasks_completed: int = counter_field()
@@ -54,8 +54,8 @@ class SchedStats:
 
 @dataclass
 class LockStats:
-    """Lock counters; the scheduler's aggregate instance is the metrics
-    source ``sched.lock`` (per-lock instances live on each SimLock)."""
+    """Lock counters; the scheduler keeps the aggregate instance
+    (``Scheduler.lock_stats``) and each SimLock its own."""
 
     acquisitions: int = counter_field()
     contended: int = counter_field()
@@ -254,11 +254,6 @@ class Scheduler:
         self.current: Optional[Task] = None
         self._step_origin_v = 0.0
         self._step_charge0 = 0.0
-        # replace=True: attach_scheduler replaces any previous scheduler,
-        # and the new one's stats must supersede the old export.
-        machine.metrics.register_source("sched.cpu", self.stats, replace=True)
-        machine.metrics.register_source("sched.lock", self.lock_stats,
-                                        replace=True)
 
     # -- task management ------------------------------------------------------
 

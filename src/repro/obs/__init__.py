@@ -8,7 +8,6 @@ imports) pulls in :mod:`.observer`, so nothing heavy may load here.
 from .observer import NULL_OBSERVER, NullObserver, Observer, Span
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     HistogramSnapshot,
     MetricsRegistry,
@@ -31,7 +30,6 @@ __all__ = [
     "Observer",
     "Span",
     "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSnapshot",
     "MetricsRegistry",

@@ -1,16 +1,16 @@
-"""Metrics registry: named counters, gauges, and log-bucketed histograms.
+"""Metrics: named counters, log-bucketed histograms, and counter fields.
 
-Naming convention: ``layer.subsystem.metric`` (e.g. ``pmem.device.fences``,
-``span.ext4.write.ns``, ``ras.controller.scrub_passes``).  Histograms are
+Naming convention: ``layer.subsystem.metric`` (e.g.
+``serve.request.latency_ns``, ``pmem.bw.stall_ns``).  Histograms are
 HDR-style log-bucketed over simulated nanoseconds: bucket ``i`` covers
 ``[2**i, 2**(i+1))`` ns, which keeps relative error bounded (~2x) over the
 ten decades a simulated trace spans while using O(64) ints of state.
 
-The registry also subsumes the ad-hoc stats structs that grew organically
-in ``pmem``, ``ras``, and ``bench``: :meth:`MetricsRegistry.register_source`
-flattens any dataclass of numeric fields into gauges at collection time,
-and :func:`reset_counter_fields` gives those structs a single, metadata-
-driven reset path so per-subsystem reset logic can't drift.
+Stats structs (``DeviceStats``, ``RASStats``, ``ServeCounters``, ...)
+mark their running totals with :func:`counter_field`, which gives them
+one metadata-driven reset (:func:`reset_counter_fields`) and tells a
+:class:`MetricsRegistry` which fields a telemetry window diffs.  Every
+other reader reads the stats object that keeps the counter.
 
 Like ``obs.observer``, this module imports nothing from the rest of
 ``repro`` so it can sit below the clock in the import graph.
@@ -19,7 +19,7 @@ Like ``obs.observer``, this module imports nothing from the rest of
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 _HIST_BUCKETS = 64  # 2**64 ns ≈ 584 years; plenty for simulated time
 
@@ -50,22 +50,6 @@ class Counter:
 
     def inc(self, delta: float = 1.0) -> None:
         self.value += delta
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
-class Gauge:
-    """Last-write-wins sample (queue depths, cache sizes, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def reset(self) -> None:
         self.value = 0.0
@@ -227,24 +211,14 @@ class Histogram:
         m.buckets = [a + b for a, b in zip(self.buckets, other.buckets)]
         return m
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
-        }
-
 
 def counter_field(default: Any = 0, **kwargs: Any) -> Any:
     """A dataclass field marked as a resettable counter.
 
     Stats structs declare ``fired: int = counter_field()`` and gain a
     drift-proof reset via :func:`reset_counter_fields` — the reset walks the
-    metadata instead of a hand-maintained list of names.
+    metadata instead of a hand-maintained list of names.  The same mark is
+    what a :class:`MetricsRegistry` source windows as a rate.
     """
     metadata = dict(kwargs.pop("metadata", ()) or {})
     metadata["counter"] = True
@@ -264,23 +238,18 @@ def reset_counter_fields(obj: Any) -> None:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named metrics plus registered stat sources.
+    """The series one :class:`~repro.obs.telemetry.Telemetry` windows.
 
-    ``counter``/``gauge``/``histogram`` return the live instrument for a
-    name, creating it on first use.  ``register_source(prefix, obj)`` links
-    an existing stats object (any dataclass of numeric fields, e.g.
-    ``DeviceStats``, ``RASStats``, ``FaultInjector``) so ``collect()``
-    exports its fields as ``<prefix>.<field>`` gauges and ``reset()``
-    rewinds its counter fields along with every registered instrument.
+    ``counter``/``histogram`` return the live instrument for a name,
+    creating it on first use.  ``register_source(prefix, obj)`` links an
+    existing stats dataclass, so :meth:`cumulative` reads each of its
+    :func:`counter_field` fields as ``<prefix>.<field>``.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._sources: List[Tuple[str, Any, Optional[Tuple[str, ...]]]] = []
-
-    # -- instruments ----------------------------------------------------------
+        self._sources: Dict[str, Any] = {}
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -288,125 +257,29 @@ class MetricsRegistry:
             c = self._counters[name] = Counter(name)
         return c
 
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
-
     def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
             h = self._histograms[name] = Histogram(name)
         return h
 
-    # -- sources --------------------------------------------------------------
+    def register_source(self, prefix: str, obj: Any) -> None:
+        """Window ``obj``'s counter fields as ``prefix.field``.
 
-    def register_source(self, prefix: str, obj: Any,
-                        fields: Optional[Iterable[str]] = None,
-                        replace: bool = False) -> None:
-        """Expose a stats dataclass's numeric fields as ``prefix.field``.
-
-        ``fields`` restricts the export to the named subset — used when one
-        stats object feeds two prefixes (e.g. the SplitFS degraded-mode
-        counters live on the shared RAS stats block but are also published
-        as ``splitfs.degrade.*``).  Re-registering a prefix with the *same*
-        object is idempotent (the fields filter is refreshed); with a
-        *different* object it raises unless ``replace=True`` — a silent
-        overwrite here once hid a remount exporting stale journal stats.
-        The same object may back multiple prefixes.
+        A prefix names one object: registering it again replaces the
+        previous one.
         """
-        fields_t = tuple(fields) if fields is not None else None
-        for i, (p, o, _f) in enumerate(self._sources):
-            if p != prefix:
-                continue
-            if o is obj:  # idempotent re-registration; refresh the filter
-                self._sources[i] = (prefix, obj, fields_t)
-                return
-            if not replace:
-                raise ValueError(
-                    f"metric source prefix {prefix!r} is already registered "
-                    f"to a different object; pass replace=True to supersede "
-                    f"it")
-            self._sources[i] = (prefix, obj, fields_t)
-            return
-        self._sources.append((prefix, obj, fields_t))
-
-    @staticmethod
-    def _source_items(prefix: str, obj: Any,
-                      fields: Optional[Tuple[str, ...]] = None,
-                      ) -> Iterable[Tuple[str, float]]:
-        if dataclasses.is_dataclass(obj):
-            for f in dataclasses.fields(obj):
-                if fields is not None and f.name not in fields:
-                    continue
-                v = getattr(obj, f.name)
-                if isinstance(v, (int, float)) and not isinstance(v, bool):
-                    yield f"{prefix}.{f.name}", float(v)
-
-    # -- registry-wide operations ---------------------------------------------
-
-    def reset(self) -> None:
-        """Zero every instrument and every registered source's counters."""
-        for c in self._counters.values():
-            c.reset()
-        for g in self._gauges.values():
-            g.reset()
-        for h in self._histograms.values():
-            h.reset()
-        for _, obj, _fields in self._sources:
-            if dataclasses.is_dataclass(obj) and any(
-                    f.metadata.get("counter") for f in dataclasses.fields(obj)):
-                reset_counter_fields(obj)
-            elif hasattr(obj, "reset"):
-                obj.reset()
-
-    def collect(self) -> Dict[str, Any]:
-        """Flat ``{name: value}`` snapshot (histograms export sub-keys)."""
-        out: Dict[str, Any] = {}
-        for name, c in sorted(self._counters.items()):
-            out[name] = c.value
-        for name, g in sorted(self._gauges.items()):
-            out[name] = g.value
-        for name, h in sorted(self._histograms.items()):
-            for k, v in h.as_dict().items():
-                out[f"{name}.{k}"] = v
-        for prefix, obj, fields in self._sources:
-            for name, value in self._source_items(prefix, obj, fields):
-                out[name] = value
-        return out
+        self._sources[prefix] = obj
 
     def histograms(self) -> Dict[str, Histogram]:
         return dict(self._histograms)
 
-    def snapshot_values(self) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """Split the registry into ``(cumulative, instantaneous)`` values.
-
-        *Cumulative* values are monotonically accumulating totals whose
-        per-window derivative is meaningful: ``Counter`` instruments plus
-        every registered-source field declared via :func:`counter_field`.
-        *Instantaneous* values are point-in-time levels sampled as-is:
-        ``Gauge`` instruments plus plain (non-counter) numeric source
-        fields such as token-bucket fill or queue depth.  The telemetry
-        layer diffs the former across window boundaries and copies the
-        latter, so a field's ``counter_field`` declaration is what decides
-        whether it shows up as a rate or a level.
-        """
-        cumulative: Dict[str, float] = {}
-        instantaneous: Dict[str, float] = {}
-        for name, c in self._counters.items():
-            cumulative[name] = c.value
-        for name, g in self._gauges.items():
-            instantaneous[name] = g.value
-        for prefix, obj, fields in self._sources:
-            counterish = set()
-            if dataclasses.is_dataclass(obj):
-                counterish = {f.name for f in dataclasses.fields(obj)
-                              if f.metadata.get("counter")}
-            for name, value in self._source_items(prefix, obj, fields):
-                field = name[len(prefix) + 1:]
-                if field in counterish:
-                    cumulative[name] = value
-                else:
-                    instantaneous[name] = value
-        return cumulative, instantaneous
+    def cumulative(self) -> Dict[str, float]:
+        """``{name: running total}`` of every ``Counter`` and every
+        source's counter fields: the values a window diffs."""
+        out = {name: c.value for name, c in self._counters.items()}
+        for prefix, obj in self._sources.items():
+            for f in dataclasses.fields(obj):
+                if f.metadata.get("counter"):
+                    out[f"{prefix}.{f.name}"] = float(getattr(obj, f.name))
+        return out

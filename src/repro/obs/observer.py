@@ -166,25 +166,20 @@ class Observer:
       partition of all charged time (see module docstring);
     * ``collapsed`` — ``{(root..leaf span names): self ns}`` for
       flamegraph-style collapsed-stack output;
-    * per-span-name latency histograms in ``registry`` (simulated ns,
-      log-bucketed), plus counters such as ``pmem.device.fences``.
+    * ``fence_count`` — persistence fences retired on the device.
     """
 
     enabled = True
 
     def __init__(self, max_events: int = 200_000) -> None:
-        from .metrics import MetricsRegistry  # local import: keep cycles out
-
         self.clock = None
         self.max_events = max_events
-        self.registry = MetricsRegistry()
         self.events: List[Span] = []
         self.dropped_events = 0
         self.attribution: Dict[str, Dict[str, float]] = {}
         self.collapsed: Dict[Tuple[str, ...], float] = {}
         self.fence_count = 0
         self._stack: List[Span] = []
-        self._fence_counter = self.registry.counter("pmem.device.fences")
 
     # -- wiring ---------------------------------------------------------------
 
@@ -206,7 +201,6 @@ class Observer:
         self.attribution = {}
         self.collapsed = {}
         self.fence_count = 0
-        self.registry.reset()
 
     # -- hooks ----------------------------------------------------------------
 
@@ -238,10 +232,9 @@ class Observer:
     def on_fence(self) -> None:
         """One persistence fence (sfence) retired on the device."""
         self.fence_count += 1
-        self._fence_counter.inc()
 
     def _finish(self, span: Span) -> None:
-        """A span exited: fold it into events, collapsed stacks, histograms."""
+        """A span exited: fold it into events and collapsed stacks."""
         if len(self.events) < self.max_events:
             self.events.append(span)
         else:
@@ -252,8 +245,6 @@ class Observer:
         if span.self_ns > 0.0:
             key = tuple(s.name for s in self._stack) + (span.name,)
             self.collapsed[key] = self.collapsed.get(key, 0.0) + span.self_ns
-        self.registry.histogram(f"span.{span.name}.ns").record(
-            span.duration_ns)
 
     # -- results --------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Production systems are operated through *live* signals — windowed
 time-series, per-request traces, SLO alerts — not end-of-run attribution
-tables.  This module adds that layer on top of the metrics registry, keyed
+tables.  This module adds that layer on top of a metrics registry, keyed
 to **simulated** time so a serve run produces the identical timeline on
 every machine.
 
@@ -11,8 +11,8 @@ Three pieces:
 ``Telemetry``
     Snapshots the registry into fixed-width windows of simulated time.
     Counters (and ``counter_field`` source fields) are diffed across
-    window boundaries, gauges are sampled, histograms are diffed into
-    per-window delta histograms (so each window carries its own p50/p99).
+    window boundaries, and histograms are diffed into per-window delta
+    histograms (so each window carries its own p50/p99).
     Windows live in a ring buffer; overflow evicts the oldest and counts
     ``dropped``.  The clock owner drives it with ``advance(now_ns)`` —
     the serve engine calls it per arrival event.
@@ -54,14 +54,13 @@ from .metrics import Histogram, HistogramSnapshot, MetricsRegistry
 
 @dataclasses.dataclass
 class Window:
-    """One closed telemetry window: deltas, levels, and delta-histograms."""
+    """One closed telemetry window: counter deltas and delta-histograms."""
 
     index: int
     start_ns: int
     end_ns: int
     partial: bool = False
     counters: Dict[str, float] = dataclasses.field(default_factory=dict)
-    gauges: Dict[str, float] = dataclasses.field(default_factory=dict)
     hists: Dict[str, Histogram] = dataclasses.field(default_factory=dict)
 
     @property
@@ -69,10 +68,8 @@ class Window:
         return self.end_ns - self.start_ns
 
     def value(self, name: str, default: float = 0.0) -> float:
-        """Counter delta or gauge level for ``name`` in this window."""
-        if name in self.counters:
-            return self.counters[name]
-        return self.gauges.get(name, default)
+        """Counter delta for ``name`` in this window."""
+        return self.counters.get(name, default)
 
     def rate_per_s(self, name: str) -> float:
         """Counter delta expressed as a per-second rate over this window."""
@@ -123,7 +120,7 @@ class Telemetry:
             raise RuntimeError("Telemetry.begin() called twice")
         self._began = True
         self.origin_ns = int(now_ns)
-        self._prev_cum, _ = self.registry.snapshot_values()
+        self._prev_cum = self.registry.cumulative()
         self._prev_hist = {name: h.snapshot()
                            for name, h in self.registry.histograms().items()}
 
@@ -153,7 +150,7 @@ class Telemetry:
     # -- internals -------------------------------------------------------------
 
     def _close(self, end_rel_ns: int, partial: bool) -> None:
-        cum, inst = self.registry.snapshot_values()
+        cum = self.registry.cumulative()
         win = Window(
             index=self._next_index,
             start_ns=self.origin_ns + self._next_index * self.window_ns,
@@ -165,7 +162,6 @@ class Telemetry:
             # negative "delta"; windows only ever report forward progress.
             win.counters[name] = max(value - self._prev_cum.get(name, 0.0),
                                      0.0)
-        win.gauges = inst
         for name, h in self.registry.histograms().items():
             win.hists[name] = h.delta_since(self._prev_hist.get(name))
         self._prev_cum = cum
@@ -181,7 +177,7 @@ class Telemetry:
     # -- views -----------------------------------------------------------------
 
     def series(self, name: str) -> List[Tuple[int, float]]:
-        """``[(window_end_ns, value)]`` for a counter delta or gauge level."""
+        """``[(window_end_ns, counter delta)]`` for one series."""
         return [(w.end_ns, w.value(name)) for w in self.windows]
 
     def rate_series(self, name: str) -> List[Tuple[int, float]]:

@@ -32,8 +32,8 @@ the same one-sided overlay real CoW snapshots use when the origin is
 frozen for the snapshot's lifetime.
 
 ``CowStats`` counts forks, segment copies, and copied/shared bytes; the
-explorer registers one under ``crashmc.fork`` in the metrics registry so
-deep sweeps report how much state was shared instead of copied.
+explorer keeps one per sweep (``ExplorationReport.cow``), whose ``fork:``
+line reports how much state was shared instead of copied.
 """
 
 from __future__ import annotations

@@ -70,9 +70,8 @@ class BandwidthModel:
     dry, :meth:`acquire` returns the queueing delay the caller must charge —
     time until the refill covers the deficit.
 
-    The stall counters are :func:`~repro.obs.metrics.counter_field`\\ s so
-    the bucket is a metrics source (``pmem.bw.*``) reset through the
-    registry like every other stats block.
+    The stall counters are :func:`~repro.obs.metrics.counter_field`\\ s:
+    serve's telemetry windows them as ``pmem.bw.*`` rates.
     """
 
     rate_bytes_per_ns: float = C.PM_SUSTAINED_WRITE_BW_BYTES_PER_NS
@@ -117,11 +116,6 @@ class BandwidthModel:
     def clone(self) -> "BandwidthModel":
         """An independent copy at the same bucket state (machine forking)."""
         return replace(self)
-
-
-#: The bucket fields exported as the ``pmem.bw.*`` metrics source.
-BANDWIDTH_METRIC_FIELDS = ("stalled_ops", "stall_ns", "bytes_acquired",
-                           "tokens")
 
 
 @dataclass(frozen=True)

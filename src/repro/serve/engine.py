@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..factory import SYSTEM_NAMES, make_filesystem
 from ..kernel.machine import Machine
-from ..obs.metrics import counter_field
+from ..obs.metrics import Histogram, MetricsRegistry, counter_field
 from ..obs.telemetry import Objective, SLOEngine, Telemetry
 from ..posix.errors import FSError
 from .arrival import bursty_arrivals, poisson_arrivals
@@ -155,7 +155,6 @@ class ServeResult:
     service_ns_mean: float
     goodput_req_per_s: float
     offered_req_per_s: float
-    degrade: Dict[str, float] = field(default_factory=dict)
     bandwidth: Dict[str, float] = field(default_factory=dict)
     outcomes: Optional[Dict[int, str]] = None
     # Live-telemetry handles (populated when the matching knob is on):
@@ -248,10 +247,15 @@ class ServeEngine:
         model = machine.pm.model
         bw = model.bandwidth if model is not None else None
         counters = ServeCounters()
-        machine.metrics.register_source("serve.engine", counters)
-        latency_hist = machine.metrics.histogram("serve.request.latency_ns")
-        wait_hist = machine.metrics.histogram("serve.request.wait_ns")
-        service_hist = machine.metrics.histogram("serve.request.service_ns")
+        # What the telemetry windows carry: the serve counters, the
+        # latency histogram and, with a device model, its bandwidth stall.
+        metrics = MetricsRegistry()
+        metrics.register_source("serve.engine", counters)
+        if bw is not None:
+            metrics.register_source("pmem.bw", bw)
+        latency_hist = metrics.histogram("serve.request.latency_ns")
+        wait_hist = Histogram("serve.request.wait_ns")
+        service_hist = Histogram("serve.request.service_ns")
 
         # Live telemetry (opt-in).  The tracer/telemetry never touch the
         # clock, so enabling them changes no simulated timestamp; at the
@@ -269,7 +273,6 @@ class ServeEngine:
         telem: Optional[Telemetry] = None
         slo_engine: Optional[SLOEngine] = None
         arrivals_ctr = None
-        queue_gauge = pressure_gauge = None
 
         rate_per_ns = cfg.offered_req_per_s / 1e9
         deadline_ns = cfg.deadline_us * 1e3
@@ -297,12 +300,10 @@ class ServeEngine:
         bw0_ops = bw.stalled_ops if bw is not None else 0
         bw0_bytes = bw.bytes_acquired if bw is not None else 0.0
         if cfg.slo:
-            telem = Telemetry(machine.metrics,
+            telem = Telemetry(metrics,
                               window_ns=int(cfg.telemetry_window_us * 1e3),
                               capacity=TELEMETRY_CAPACITY)
-            arrivals_ctr = machine.metrics.counter("serve.window.arrivals")
-            queue_gauge = machine.metrics.gauge("serve.queue.depth")
-            pressure_gauge = machine.metrics.gauge("serve.backpressure.ewma")
+            arrivals_ctr = metrics.counter("serve.window.arrivals")
             slo_engine = SLOEngine(
                 default_serve_objectives(deadline_ns)).attach(telem)
             # Baseline after setup: preload traffic and the up-front
@@ -354,9 +355,6 @@ class ServeEngine:
                 tracer.on_attempt(rid, t, attempt)
             while inflight and inflight[0] <= t:
                 heapq.heappop(inflight)
-            if telem is not None:
-                queue_gauge.set(float(len(inflight)))
-                pressure_gauge.set(pressure)
 
             # Admission control, clamped under device backpressure.
             limit = cfg.queue_limit
@@ -447,9 +445,6 @@ class ServeEngine:
         if telem is not None:
             # +1: the trailing partial window must cover the final instant.
             telem.finish(int(duration_ns) + 1)
-        collected = machine.metrics.collect()
-        degrade = {k: v for k, v in collected.items()
-                   if k.startswith("splitfs.degrade.")}
         bw_stats = {}
         if bw is not None:
             stall_ns = bw.stall_ns - bw0_stall
@@ -475,7 +470,6 @@ class ServeEngine:
             service_ns_mean=service_hist.mean,
             goodput_req_per_s=counters.deadline_met / (duration_ns / 1e9),
             offered_req_per_s=cfg.offered_req_per_s,
-            degrade=degrade,
             bandwidth=bw_stats,
             outcomes=outcomes,
             telemetry=telem,

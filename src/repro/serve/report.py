@@ -61,10 +61,6 @@ def render_serve_report(result: ServeResult) -> str:
          "bp-rejections", "retryable-errs", "failed"],
         [[c.completed, c.shed, c.retries, c.timeouts, c.rejections,
           c.backpressure_rejections, c.retryable_errors, c.failed]]))
-    if result.degrade:
-        parts = [f"{k.split('.')[-1]}={result.degrade[k]:.0f}"
-                 for k in sorted(result.degrade)]
-        lines.append("splitfs degrade: " + "  ".join(parts))
     if result.bandwidth:
         b = result.bandwidth
         lines.append(

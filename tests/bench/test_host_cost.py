@@ -75,10 +75,12 @@ SERVE_CONFIG = ServeConfig(system="splitfs-strict", requests=600,
                            records=200, clients=200, offered_rate=120_000.0,
                            seed=11)
 #: Serve-loop bytecodes that ``slo=True`` adds on :data:`SERVE_CONFIG`,
-#: counted on this code: 1,039,993 with telemetry less 856,388 without, a
-#: share of x1.214.  Fitted against the ``serve-slo`` golden's run, that is
-#: about 40 per request plus 15,900 per window close.
-TELEMETRY_EXTRA = 183_605
+#: counted on this code: 934,844 with telemetry less 853,590 without, a
+#: share of x1.095.  On the ``serve-slo`` golden's run a window close costs
+#: about 8,170 of them.  Before serve's windows dropped the machine-wide
+#: registry's sources, two per-arrival gauges and two of their three
+#: histograms, the count was 183,605 (x1.214), and a close about 15,870.
+TELEMETRY_EXTRA = 81_254
 
 pytestmark = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),

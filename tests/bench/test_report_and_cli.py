@@ -83,3 +83,11 @@ class TestCLI:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])
+
+    @pytest.mark.parametrize("argv", [["bench"],
+                                      ["bench", "--wallclock", "--scaling"]])
+    def test_bench_takes_exactly_one_of_its_two_modes(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--wallclock" in capsys.readouterr().err

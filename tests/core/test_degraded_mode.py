@@ -146,35 +146,3 @@ class TestCrashWhileDegraded:
         kfd = kfs.open("/big", F.O_RDONLY)
         assert kfs.pread(kfd, CHUNK, 0) == b"d" * CHUNK
         assert kfs.pread(kfd, CHUNK, offset - CHUNK) == b"d" * CHUNK
-
-
-class TestDegradeMetricsExport:
-    """The degraded-mode ledger is published as `splitfs.degrade.*` gauges
-    through the machine's metrics registry (consumed by `repro serve`)."""
-
-    def test_counters_surface_under_the_degrade_prefix(self):
-        machine = Machine(PM)
-        machine.enable_ras()
-        fs = _tight_splitfs(machine)
-        fd = fs.open("/big", F.O_CREAT | F.O_RDWR)
-        offset = _fill(fs, fd, 655)
-        _fill_until_degraded(fs, fd, offset)
-        out = machine.metrics.collect()
-        assert out["splitfs.degrade.degraded_entries"] == 1.0
-        assert out["splitfs.degrade.enospc_retries"] >= 1.0
-        assert out["splitfs.degrade.degraded_ops"] >= 1.0
-        # Only the degraded-mode subset is re-exported under this prefix;
-        # the rest of the RAS ledger keeps its own `ras.*` namespace.
-        exported = {k.rsplit(".", 1)[-1] for k in out
-                    if k.startswith("splitfs.degrade.")}
-        assert exported == {"degraded_entries", "degraded_exits",
-                            "degraded_ops", "enospc_retries"}
-
-    def test_clean_run_exports_zeros(self):
-        machine = Machine(PM)
-        fs = _tight_splitfs(machine)
-        fd = fs.open("/small", F.O_CREAT | F.O_RDWR)
-        fs.pwrite(fd, b"d" * BLOCK, 0)
-        out = machine.metrics.collect()
-        assert out["splitfs.degrade.degraded_entries"] == 0.0
-        assert out["splitfs.degrade.degraded_ops"] == 0.0

@@ -118,7 +118,8 @@ def test_prune_accounting_and_exhaustive_escape_hatch():
         pruned = explore(kind, nops=8, seed=4, prune=True)
         assert (pruned.states_explored + pruned.pruned_total
                 == full.states_explored), kind
-        assert pruned.prune_counters.kept_states == pruned.states_explored
+        assert (pruned.candidate_fence_states - pruned.pruned_total
+                == pruned.states_explored), kind
 
 
 def test_pruned_violations_are_subset_and_boundaries_kept(monkeypatch):

@@ -142,15 +142,14 @@ class TestVirtualTimeline:
         with pytest.raises(ValueError):
             Machine(PM).attach_scheduler(0)
 
-    def test_metrics_sources_registered(self):
+    def test_stats_count_steps_and_lock_acquisitions(self):
         m = Machine(PM)
         sched = m.attach_scheduler(2)
         sched.spawn(charge_task(m, 4, lock="l"))
         sched.spawn(charge_task(m, 4, lock="l"))
         sched.run()
-        collected = m.metrics.collect()
-        assert collected["sched.cpu.steps"] == 8
-        assert "sched.lock.acquisitions" in collected
+        assert sched.stats.steps == 8
+        assert sched.lock_stats.acquisitions == 8
 
 
 class TestSimLock:

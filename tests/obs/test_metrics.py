@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, dataclass sources, consolidated reset."""
+"""Metrics: instruments, counter fields, and the registry telemetry reads."""
 
 from dataclasses import dataclass, field
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     counter_field,
@@ -23,13 +22,6 @@ class TestInstruments:
         c.reset()
         assert c.value == 0.0
 
-    def test_gauge(self):
-        g = Gauge("g")
-        g.set(42)
-        assert g.value == 42
-        g.reset()
-        assert g.value == 0.0
-
     def test_histogram_exact_moments(self):
         h = Histogram("h")
         for v in (1, 10, 100, 1000):
@@ -45,21 +37,15 @@ class TestInstruments:
         assert h.count == 1 and h.min == 0.0
         h.reset()
         assert h.count == 0 and h.sum == 0.0
-        assert h.as_dict()["min"] == 0.0
-
-    def test_histogram_as_dict_keys(self):
-        h = Histogram("h")
-        h.record(7)
-        d = h.as_dict()
-        assert set(d) == {"count", "sum", "min", "max", "mean", "p50", "p99"}
+        assert h.buckets == [0] * len(h.buckets)
 
 
 @dataclass
 class FakeStats:
     fired: int = counter_field()
     bytes_moved: float = counter_field(0.0)
-    label: str = "x"          # non-numeric: never exported
-    high_water: int = 7       # plain field: exported, not reset
+    label: str = "x"          # not a counter: never read
+    high_water: int = 7       # plain field: neither read nor reset
 
 
 class TestCounterFields:
@@ -72,94 +58,6 @@ class TestCounterFields:
         assert st.fired == 0 and st.bytes_moved == 0.0
         assert st.high_water == 99  # untouched: not a counter_field
 
-
-class TestRegistry:
-    def test_get_or_create_returns_live_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("h") is reg.histogram("h")
-        reg.counter("a").inc(3)
-        assert reg.collect()["a"] == 3.0
-
-    def test_register_source_flattens_numeric_fields(self):
-        reg = MetricsRegistry()
-        st = FakeStats()
-        st.fired = 4
-        reg.register_source("pmem.fake", st)
-        out = reg.collect()
-        assert out["pmem.fake.fired"] == 4.0
-        assert out["pmem.fake.high_water"] == 7.0
-        assert "pmem.fake.label" not in out
-
-    def test_register_source_duplicate_prefix_raises(self):
-        reg = MetricsRegistry()
-        old, new = FakeStats(), FakeStats()
-        new.fired = 9
-        reg.register_source("s", old)
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register_source("s", new)
-        # The failed registration left the old binding intact.
-        assert reg.collect()["s.fired"] == 0.0
-        # An explicit replace=True supersedes it.
-        reg.register_source("s", new, replace=True)
-        assert reg.collect()["s.fired"] == 9.0
-
-    def test_register_source_same_object_is_idempotent(self):
-        reg = MetricsRegistry()
-        st = FakeStats()
-        st.fired = 9
-        reg.register_source("s", st)
-        reg.register_source("s", st)  # same object: no error, no duplicate
-        assert sum(1 for k in reg.collect() if k.startswith("s.")) == 3
-        # Re-registration refreshes the fields filter.
-        reg.register_source("s", st, fields=("fired",))
-        assert sum(1 for k in reg.collect() if k.startswith("s.")) == 1
-
-    def test_reset_rewinds_instruments_and_sources(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(5)
-        reg.gauge("g").set(5)
-        reg.histogram("h").record(5)
-        st = FakeStats()
-        st.fired = 8
-        reg.register_source("s", st)
-        reg.reset()
-        assert st.fired == 0
-        out = reg.collect()
-        assert out["c"] == 0.0 and out["g"] == 0.0 and out["h.count"] == 0
-
-    def test_reset_falls_back_to_source_reset_method(self):
-        class LegacyStats:
-            def __init__(self):
-                self.n = 3
-                self.was_reset = False
-
-            def reset(self):
-                self.n = 0
-                self.was_reset = True
-
-        reg = MetricsRegistry()
-        legacy = LegacyStats()
-        reg.register_source("legacy", legacy)
-        reg.reset()
-        assert legacy.was_reset
-
-
-class TestMachineRegistry:
-    def test_machine_exports_subsystem_stats(self):
-        from repro.factory import make_filesystem
-        from repro.posix import flags as F
-
-        machine, fs = make_filesystem("ext4dax", pm_size=64 * 1024 * 1024)
-        fd = fs.open("/f", F.O_CREAT | F.O_RDWR)
-        fs.write(fd, b"x" * 4096)
-        fs.fsync(fd)
-        out = machine.metrics.collect()
-        assert out["pmem.device.fences"] > 0
-        assert out["journal.jbd2.commits"] >= 0
-        assert "kernel.vm.minor_faults" in out or any(
-            k.startswith("kernel.vm.") for k in out)
-
     def test_faults_reset_via_consolidated_path(self):
         from repro.kernel.machine import Machine
 
@@ -167,6 +65,54 @@ class TestMachineRegistry:
         machine.faults.media_faults_fired = 3
         machine.faults.reset_counters()
         assert machine.faults.media_faults_fired == 0
+
+
+class TestRegistry:
+    def test_get_or_create_returns_live_instrument(self):
+        reg = MetricsRegistry()
+        assert reg.counter("a") is reg.counter("a")
+        assert reg.histogram("h") is reg.histogram("h")
+        reg.counter("a").inc(3)
+        assert reg.cumulative()["a"] == 3.0
+
+    def test_register_source_flattens_numeric_fields(self):
+        reg = MetricsRegistry()
+        st = FakeStats()
+        st.fired = 4
+        reg.register_source("pmem.fake", st)
+        # Only the counter fields are running totals a window can diff.
+        assert reg.cumulative() == {"pmem.fake.fired": 4.0,
+                                    "pmem.fake.bytes_moved": 0.0}
+
+    def test_register_source_same_object_is_idempotent(self):
+        reg = MetricsRegistry()
+        st = FakeStats()
+        st.fired = 9
+        reg.register_source("s", st)
+        reg.register_source("s", st)  # same object: no error, no duplicate
+        assert reg.cumulative() == {"s.fired": 9.0, "s.bytes_moved": 0.0}
+
+    def test_last_registration_of_a_prefix_wins(self):
+        reg = MetricsRegistry()
+        old, new = FakeStats(), FakeStats()
+        new.fired = 9
+        reg.register_source("s", old)
+        reg.register_source("s", new)
+        assert reg.cumulative()["s.fired"] == 9.0
+
+    def test_reset_rewinds_instruments_and_sources(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc(5)
+        reg.histogram("h").record(5)
+        st = FakeStats()
+        st.fired = 8
+        reg.register_source("s", st)
+        reg.counter("c").reset()
+        reg.histogram("h").reset()
+        reset_counter_fields(st)
+        assert reg.cumulative() == {"c": 0.0, "s.fired": 0.0,
+                                    "s.bytes_moved": 0.0}
+        assert reg.histogram("h").count == 0
 
 
 class TestQuantile:
@@ -265,26 +211,3 @@ class TestQuantileProperty:
         assert min(values) <= approx <= max(values)
         lo = below / 2 if below >= 2 else 0.0
         assert lo <= approx <= max(above * 2, 2.0)
-
-
-class TestSourceFieldFilters:
-    def test_fields_filter_restricts_export(self):
-        reg = MetricsRegistry()
-        st_ = FakeStats()
-        st_.fired = 4
-        reg.register_source("a", st_)
-        reg.register_source("b", st_, fields=("fired",))
-        out = reg.collect()
-        assert out["a.fired"] == 4.0 and out["a.high_water"] == 7.0
-        assert out["b.fired"] == 4.0
-        assert "b.high_water" not in out
-
-    def test_same_object_may_back_two_prefixes(self):
-        reg = MetricsRegistry()
-        st_ = FakeStats()
-        reg.register_source("x", st_)
-        reg.register_source("y", st_, fields=("fired",))
-        prefixes = {k.split(".")[0] for k in reg.collect()}
-        assert {"x", "y"} <= prefixes
-        reg.reset()  # one consolidated reset, no double-free style issues
-        assert st_.fired == 0

@@ -98,22 +98,11 @@ class TestSpanNesting:
         obs.begin()
         assert obs.events == [] and obs.attribution == {}
         assert obs.collapsed == {} and obs.fence_count == 0
-        collected = obs.registry.collect()
-        assert collected["pmem.device.fences"] == 0.0
-        assert collected["span.a.ns.count"] == 0
         # Still live: new charges are collected afresh.
         with obs.span("z", cat="w"):
             clock.charge(2, Category.CPU)
         assert obs.attribution == {"w": {"data": 0.0, "meta_io": 0.0,
                                          "cpu": 2.0}}
-
-    def test_span_histograms_recorded(self):
-        clock, obs = traced_clock()
-        with obs.span("a", cat="x"):
-            clock.charge(100, Category.CPU)
-        hist = obs.registry.histogram("span.a.ns")
-        assert hist.count == 1
-        assert hist.sum == 100
 
 
 WORKLOAD_SYSTEMS = ("ext4dax", "splitfs-strict")
@@ -185,5 +174,3 @@ class TestWorkloadInvariants:
     def test_fences_counted(self):
         obs, m = run_traced_append("ext4dax")
         assert obs.fence_count == m.io.fences
-        assert (obs.registry.counter("pmem.device.fences").value
-                == m.io.fences)

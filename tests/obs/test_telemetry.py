@@ -122,23 +122,20 @@ class TestHistogramSnapshots:
         assert m.count == 2 and m.min == 5.0 and m.max == 500.0
 
 
-class TestSnapshotValues:
-    def test_counter_fields_are_cumulative_plain_fields_instantaneous(self):
+class TestCumulative:
+    def test_counter_fields_are_cumulative_plain_fields_are_not(self):
         from dataclasses import dataclass
 
         @dataclass
         class Stats:
             fired: int = counter_field()
-            depth: float = 0.0  # plain field -> level
+            depth: float = 0.0  # plain field: a level, not a total
 
         reg = MetricsRegistry()
         st = Stats(fired=3, depth=7.0)
         reg.register_source("s", st)
         reg.counter("c").inc(2)
-        reg.gauge("g").set(9.0)
-        cum, inst = reg.snapshot_values()
-        assert cum == {"c": 2.0, "s.fired": 3.0}
-        assert inst == {"g": 9.0, "s.depth": 7.0}
+        assert reg.cumulative() == {"c": 2.0, "s.fired": 3.0}
 
 
 def _telem(window_ns=100, capacity=4096):
@@ -184,17 +181,6 @@ class TestTelemetryWindows:
         t.finish(now + 1)
         total = sum(w.counters["x"] for w in t.windows)
         assert total == c.value
-
-    def test_gauges_are_levels_not_deltas(self):
-        reg, t = _telem(window_ns=100)
-        g = reg.gauge("depth")
-        t.begin(0)
-        g.set(4.0)
-        t.advance(150)
-        g.set(9.0)
-        t.finish(180)
-        assert t.windows[0].gauges["depth"] == 4.0
-        assert t.windows[1].gauges["depth"] == 9.0
 
     def test_hist_window_quantiles(self):
         reg, t = _telem(window_ns=100)

@@ -170,12 +170,12 @@ def test_fork_counts_into_cow_stats():
     assert stats.cow_bytes_copied == stats.cow_copies * SEGMENT_SIZE
 
 
-def test_fork_metrics_registry_is_independent():
+def test_fork_device_stats_are_independent():
     machine, fs = fresh("ext4dax", 16 * 1024 * 1024, seed=1)
     child = machine.fork()
-    parent_loads = machine.metrics.collect()["pmem.device.loads"]
+    parent_loads = machine.pm.stats.loads
     fd = fs.open("/b", CREATE)
     fs.write(fd, b"z" * 4096)
     fs.pread(fd, 4096, 0)
-    assert machine.metrics.collect()["pmem.device.loads"] > parent_loads
-    assert child.metrics.collect()["pmem.device.loads"] == parent_loads
+    assert machine.pm.stats.loads > parent_loads
+    assert child.pm.stats.loads == parent_loads

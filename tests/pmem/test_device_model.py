@@ -248,9 +248,7 @@ def test_numa_remote_charges_multiplier_and_counts():
     assert stats.remote_extra_ns == pytest.approx(
         base * (C.PM_NUMA_REMOTE_WRITE_MULT - 1)
         + base_read * (C.PM_NUMA_REMOTE_READ_MULT - 1))
-    out = remote.metrics.collect()
-    assert out["pmem.numa.remote_stores"] == 1.0
-    assert out["pmem.bw.bytes_acquired"] > 0.0
+    assert remote.pm.model.bandwidth.bytes_acquired > 0.0
 
 
 def test_numa_node_follows_the_running_tasks_cpu():
@@ -314,7 +312,7 @@ def test_profiles_resolve_and_reject_unknown_names():
     assert flat.xpline_bytes == 0 and not flat.eadr
 
 
-def test_fork_clones_model_state_and_registers_metrics():
+def test_fork_clones_model_state():
     machine = Machine(PM, seed=0)
     model = machine.enable_device_model(profile="optane", numa_remote=True)
     machine.pm.store(0, b"y" * 4096, nontemporal=True)
@@ -328,5 +326,3 @@ def test_fork_clones_model_state_and_registers_metrics():
     child.pm.store(4096, b"y" * 4096, nontemporal=True)
     assert child.pm.model.bandwidth.tokens != model.bandwidth.tokens
     assert child.pm.model.numa.remote_stores == model.numa.remote_stores + 1
-    out = child.metrics.collect()
-    assert "pmem.bw.tokens" in out and "pmem.numa.remote_stores" in out

@@ -10,10 +10,12 @@ behaviour (the collector never touches the clock).
 
 import pytest
 
+from repro.bench.report import render_slo_timeline
 from repro.obs.export import validate_chrome_trace
 from repro.serve import ServeConfig, ServeEngine, render_monitor_report
 from repro.serve.report import LATENCY_HIST, render_serve_report
 from repro.serve.reqtrace import to_chrome_trace
+from tests.serve.test_sensitivity import THROTTLED
 
 FAST = dict(requests=250, records=120, clients=200)
 
@@ -88,6 +90,29 @@ class TestTelescoping:
             assert cur.index == prev.index + 1
         assert all(not w.partial for w in wins[:-1])
         assert wins[-1].end_ns >= r.duration_ns
+
+
+class TestDeviceStallWindows:
+    """The device-bandwidth stall is the one series from below serve that
+    its windows carry: a throttled device must put it in the windows, in
+    full, and in the timeline."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return ServeEngine(ServeConfig(
+            system="splitfs-strict", app="kv", requests=300, records=200,
+            seed=7, device_profile=THROTTLED, offered_rate=200_000.0,
+            slo=True)).run()
+
+    def test_window_stall_deltas_sum_to_the_run_stall(self, run):
+        stall = sum(w.counters.get("pmem.bw.stall_ns", 0.0)
+                    for w in run.telemetry.windows)
+        assert stall > 0
+        assert stall == pytest.approx(run.bandwidth["stall_ns"])
+
+    def test_timeline_shows_the_stall_column(self, run):
+        timeline = render_slo_timeline("t", run.telemetry, run.slo)
+        assert "dev stall" in timeline.splitlines()[2]
 
 
 class TestOutcomeCrossCheck:
